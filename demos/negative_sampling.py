@@ -20,7 +20,7 @@ post-weights   how much each drawn negative contributes to the loss.
 
 import numpy as np
 
-from vlpkg import build_presampler, compute_distances
+from vlpkg import PreSampler, compute_distances
 from vlpkg.sampling import post_weights, selfadv_weights
 from vlpkg.synth import random_graph
 
@@ -32,11 +32,11 @@ source = 3
 print("probability mass per hop distance from entity 3:")
 print(f"{'alpha0':>7} " + " ".join(f"d={d:<2}" for d in range(6)))
 for alpha0 in (0.5, 1.0, 2.0):
-    sampler = build_presampler(index, alpha0)
+    sampler = PreSampler(index, alpha0)
     mass = sampler.bucket_weights(source)
     print(f"{alpha0:>7.1f} " + " ".join(f"{m:.2f}" for m in mass))
 
-sampler = build_presampler(index, 1.0)
+sampler = PreSampler(index, 1.0)
 rng = np.random.default_rng(0)
 draws = sampler.sample(source, 20_000, rng)
 dists = index.distances_from(source)[draws]

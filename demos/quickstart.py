@@ -4,9 +4,8 @@ Everything stays in memory; see cli_pipeline.sh for the on-disk version
 with caches and report files.
 """
 
-from vlpkg import (SamplerConfig, TrainConfig, augment_reciprocal,
-                   build_presampler, compute_distances, evaluate,
-                   select_references, train)
+from vlpkg import (PreSampler, SamplerConfig, TrainConfig, augment_reciprocal,
+                   compute_distances, evaluate, select_references, train)
 from vlpkg.evaluation import format_table, random_baseline
 from vlpkg.synth import compositional_graph
 
@@ -28,7 +27,7 @@ cfg = TrainConfig(dataset="mem", model="rotate", mode="vlp", dim=32,
                   sampler=SamplerConfig(mode="red", n_negatives=16))
 
 result = train(cfg, kg, table=table,
-               presampler=build_presampler(dist, cfg.sampler.alpha0),
+               presampler=PreSampler(dist, cfg.sampler.alpha0),
                dist_index=dist)
 print(f"finished at validation MRR {result.final_valid_mrr:.3f}")
 

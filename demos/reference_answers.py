@@ -16,9 +16,8 @@ the reference mode buys on real graphs, where the copies are noisier.
 
 import time
 
-from vlpkg import (SamplerConfig, TrainConfig, augment_reciprocal,
-                   build_presampler, compute_distances, evaluate,
-                   select_references, train)
+from vlpkg import (PreSampler, SamplerConfig, TrainConfig, augment_reciprocal,
+                   compute_distances, evaluate, select_references, train)
 from vlpkg.data import FilterIndex
 from vlpkg.synth import compositional_graph
 
@@ -46,7 +45,7 @@ for mode in ("hlp", "vlp"):
                       sampler=SamplerConfig(mode="red", n_negatives=16))
     t0 = time.time()
     out = train(cfg, kg, table=table if mode == "vlp" else None,
-                presampler=build_presampler(dist, cfg.sampler.alpha0),
+                presampler=PreSampler(dist, cfg.sampler.alpha0),
                 dist_index=dist)
     if mode == "vlp":
         # mixing weight for the combined score, picked on valid

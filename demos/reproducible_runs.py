@@ -12,9 +12,8 @@ never touch the draw order.
 import tempfile
 from pathlib import Path
 
-from vlpkg import (SamplerConfig, TrainConfig, augment_reciprocal,
-                   build_presampler, compute_distances, select_references,
-                   train)
+from vlpkg import (PreSampler, SamplerConfig, TrainConfig, augment_reciprocal,
+                   compute_distances, select_references, train)
 from vlpkg.synth import random_graph
 
 
@@ -33,7 +32,7 @@ kg = augment_reciprocal(random_graph(n_entities=30, n_relations=3,
                                      seed=4))
 index = compute_distances(kg, cap=6)
 table = select_references(kg, index, n_refs=2)
-presampler = build_presampler(index, 1.0)
+presampler = PreSampler(index, 1.0)
 
 with tempfile.TemporaryDirectory() as tmp:
     tmp = Path(tmp)

@@ -16,8 +16,8 @@ shared margin would be unfair to them).
 
 import time
 
-from vlpkg import (SamplerConfig, TrainConfig, augment_reciprocal,
-                   build_presampler, compute_distances, evaluate, train)
+from vlpkg import (PreSampler, SamplerConfig, TrainConfig, augment_reciprocal,
+                   compute_distances, evaluate, train)
 from vlpkg.synth import compositional_graph
 
 SETTINGS = {
@@ -30,7 +30,7 @@ SETTINGS = {
 kg = augment_reciprocal(compositional_graph(n_clusters=12, cluster_size=5,
                                             seed=2))
 dist = compute_distances(kg, cap=8)
-presampler = build_presampler(dist, 1.0)
+presampler = PreSampler(dist, 1.0)
 
 print(f"{'model':<10} {'gamma':>5} {'lr':>5} {'test MRR':>9} {'H@10':>6} "
       f"{'seconds':>8}")

@@ -5,19 +5,16 @@ __version__ = "0.1.0"
 
 from .config import ConfigError, TrainConfig, build_config, parse_config_file
 from .data import (FilterIndex, KnowledgeGraph, Vocabulary, augment_reciprocal,
-                   distance_split, filter_candidates, load_dataset,
-                   rmp_classify)
+                   distance_split, load_dataset, rmp_classify)
 from .distances import DistanceIndex, compute_distances, fnv1a64, hash_file
 from .evaluation import (EvalReport, evaluate, rank_triple, reference_sweep,
                          write_report)
-from .models import (AggregatorParams, ModelKind, ParameterStore, answer_embed,
-                     grad_fg, init_parameters, load_checkpoint,
-                     query_embed, save_checkpoint, score_fg, score_fg_all,
-                     similarity)
+from .models import (AggregatorParams, ModelKind, ParameterStore, grad_fg,
+                     init_parameters, load_checkpoint, query_embed,
+                     save_checkpoint, score_fg, score_fg_all)
 from .reference import (ReferenceTable, aggregate, context_vector, score_f,
                         score_fc, score_fc_all, select_references)
-from .sampling import (PreSampler, SamplerConfig, build_presampler,
-                       post_weights, sample_negatives, selfadv_weights)
+from .sampling import PreSampler, SamplerConfig, post_weights, selfadv_weights
 from .synth import compositional_graph, kg_from_id_triples, random_graph
 from .training import AdamState, loss_l1, loss_l2, train, train_step
 
@@ -25,16 +22,14 @@ __all__ = [
     "AdamState", "AggregatorParams", "ConfigError", "DistanceIndex",
     "EvalReport", "FilterIndex", "KnowledgeGraph", "ModelKind",
     "ParameterStore", "PreSampler", "ReferenceTable", "SamplerConfig",
-    "TrainConfig", "Vocabulary", "aggregate", "answer_embed",
-    "augment_reciprocal", "build_config", "build_presampler",
-    "compositional_graph", "compute_distances", "context_vector",
-    "distance_split", "evaluate",
-    "filter_candidates", "fnv1a64", "grad_fg", "hash_file", "init_parameters",
-    "kg_from_id_triples", "load_checkpoint", "load_dataset", "loss_l1",
-    "loss_l2", "parse_config_file", "post_weights", "query_embed",
-    "random_graph", "rank_triple", "reference_sweep", "rmp_classify",
-    "sample_negatives", "save_checkpoint",
-    "score_f", "score_fc", "score_fc_all", "score_fg", "score_fg_all",
-    "select_references", "selfadv_weights", "similarity", "train",
-    "train_step", "write_report",
+    "TrainConfig", "Vocabulary", "aggregate", "augment_reciprocal",
+    "build_config", "compositional_graph", "compute_distances",
+    "context_vector", "distance_split", "evaluate", "fnv1a64", "grad_fg",
+    "hash_file", "init_parameters", "kg_from_id_triples", "load_checkpoint",
+    "load_dataset", "loss_l1", "loss_l2", "parse_config_file",
+    "post_weights", "query_embed", "random_graph", "rank_triple",
+    "reference_sweep", "rmp_classify", "save_checkpoint", "score_f",
+    "score_fc", "score_fc_all", "score_fg", "score_fg_all",
+    "select_references", "selfadv_weights", "train", "train_step",
+    "write_report",
 ]

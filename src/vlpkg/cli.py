@@ -17,13 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (CONFIG_KEYS, ConfigError, DEFAULT_SEARCH_SPACE,
-                     TrainConfig, build_config, canonical_key,
-                     parse_config_file, parse_value)
+from .config import (CONFIG_KEYS, ConfigError, apply_values,
+                     build_config, parse_config_file, parse_value)
 from .data import DatasetError, augment_reciprocal, load_dataset
 from .distances import CacheError, DistanceIndex, compute_distances, hash_file
-from .evaluation import (evaluate, format_table, read_report, report_lines,
-                         write_ranks, write_report)
+from .evaluation import (EVAL_MODES, evaluate, format_rows, format_table,
+                         read_report, write_ranks, write_report)
 from .models import load_checkpoint
 from .reference import ReferenceTable, select_references
 from .sampling import PreSampler
@@ -144,78 +143,34 @@ def echo_config(cfg, train_hash, status, extra=(), keys=None):
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-_CHOICES = {
-    "model": ("transe", "distmult", "complex", "rotate"),
-    "mode": ("hlp", "vlp"),
-    "sampler": ("uniform", "selfadv", "red"),
-    "norm": ("l1", "l2"),
-    "postweight-score": ("fg", "f"),
-}
-
-_FLAG_HELP = {
-    "dataset": "dataset directory with train.txt/valid.txt/test.txt",
-    "model": "scoring model",
-    "mode": "hlp: plain triple scoring; vlp: reference aggregation",
-    "sampler": "negative sampler",
-    "dim": "embedding dimension (per complex component)",
-    "batch": "batch size",
-    "lr": "Adam learning rate",
-    "steps": "total optimization steps",
-    "gamma": "margin in the sampled loss",
-    "lambda": "weight of f_g inside the combined score f",
-    "alpha": "weight of the sampled loss in the total loss",
-    "alpha0": "pre-sampling temperature",
-    "alpha1": "post-sampling rise temperature",
-    "alpha2": "post-sampling fall temperature",
-    "tau": "post-sampling margin",
-    "negs": "negatives per positive",
-    "refs": "references per query (N)",
-    "cap": "graph-distance truncation",
-    "seed": "rng seed (runs are pure functions of config + seed)",
-    "threads": "worker threads for preprocessing/training/evaluation",
-    "out": "output directory",
-    "norm": "transe distance norm",
-    "eval-every": "validation period in steps (0: only at the end)",
-    "postweight-score": "score feeding post-weights",
-    "no-pre": "disable distance-based pre-sampling (red only)",
-    "no-post": "disable relative-distance post-weights (red only)",
-}
-
-
 def add_config_flags(parser, keys=None):
-    from .config import _BOOL_KEYS, _FLOAT_KEYS, _INT_KEYS
-
-    for key in sorted(CONFIG_KEYS) if keys is None else keys:
-        flag = f"--{key}"
-        kwargs = {"default": None, "help": _FLAG_HELP.get(key, key),
-                  "dest": key.replace("-", "_")}
-        if key in _BOOL_KEYS:
-            parser.add_argument(flag, action="store_const", const=True, **kwargs)
-            continue
-        if key in _INT_KEYS:
-            kwargs["type"] = int
-        elif key in _FLOAT_KEYS:
-            kwargs["type"] = float
-        if key in _CHOICES:
-            kwargs["choices"] = _CHOICES[key]
-        parser.add_argument(flag, **kwargs)
+    """One ``--flag`` per config key (all keys when ``keys`` is None); the
+    subset is kept as ``args.config_keys`` for resolve_config."""
+    parser.set_defaults(config_keys=keys)
+    for name in sorted(keys or CONFIG_KEYS):
+        key = CONFIG_KEYS[name]
+        if key.type is bool:
+            parser.add_argument(f"--{key.name}", action="store_const",
+                                const=True, help=key.help)
+        else:
+            parser.add_argument(f"--{key.name}", type=key.type,
+                                choices=key.choices, help=key.help)
 
 
-def cli_values(args, keys=None):
+def cli_values(args):
     values = {}
-    for key in CONFIG_KEYS if keys is None else keys:
-        attr = key.replace("-", "_")
-        value = getattr(args, attr, None)
+    for key in args.config_keys or CONFIG_KEYS:
+        value = getattr(args, key.replace("-", "_"))
         if value is not None:
             values[key] = value
     return values
 
 
-def resolve_config(args, keys=None):
+def resolve_config(args):
     file_values = None
     if getattr(args, "config", None):
         file_values = parse_config_file(args.config)
-    return build_config(file_values, cli_values(args, keys))
+    return build_config(file_values, cli_values(args))
 
 
 def build_parser():
@@ -228,7 +183,7 @@ def build_parser():
 
     p = sub.add_parser("preprocess",
                        help="build the distance and reference caches")
-    add_config_flags(p, ["dataset", "cap", "refs", "alpha0", "threads"])
+    add_config_flags(p, ["dataset", "cap", "refs", "threads"])
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="train a model")
@@ -242,7 +197,7 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--mode", default="combined-f",
-                   choices=("combined", "combined-f", "fg-only", "fc-only"),
+                   choices=("combined",) + EVAL_MODES,
                    help="score used for ranking")
     p.add_argument("--split", default="test",
                    choices=("test", "valid", "overall", "distance",
@@ -266,8 +221,8 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="grid-search over config keys")
     p.add_argument("--config", help="base config file")
-    p.add_argument("--grid", help="grid file (key = v1,v2,... lines); "
-                                  "defaults to the standard search space")
+    p.add_argument("--grid", required=True,
+                   help="grid file (key = v1,v2,... lines)")
     p.add_argument("--no-auto", action="store_true")
     add_config_flags(p)
     p.set_defaults(func=cmd_sweep)
@@ -279,8 +234,7 @@ def build_parser():
 
 
 def cmd_preprocess(args):
-    cfg = resolve_config(args, keys=["dataset", "cap", "refs", "alpha0",
-                                     "threads"])
+    cfg = resolve_config(args)
     if not cfg.dataset:
         raise ConfigError(["--dataset is required"])
     kg, train_hash = load_augmented(cfg.dataset)
@@ -292,12 +246,11 @@ def cmd_preprocess(args):
         ("entities", kg.n_entities),
         ("relations", kg.n_relations),
         ("source-rows", index.n_entities),
-    ], keys={"dataset", "cap", "refs", "alpha0", "threads"})
+    ], keys=args.config_keys)
     return 0
 
 
-def _prepare(cfg, auto):
-    kg, train_hash = load_augmented(cfg.dataset)
+def _prepare(cfg, kg, train_hash, auto):
     status = CacheStatus()
     index = None
     table = None
@@ -311,15 +264,16 @@ def _prepare(cfg, auto):
                                   train_hash, status, auto=auto)
     if cfg.sampler.pre_mode == "distance":
         presampler = PreSampler(index, cfg.sampler.alpha0)
-    return kg, train_hash, status, index, table, presampler
+    return status, index, table, presampler
 
 
 def cmd_train(args):
     cfg = resolve_config(args)
     if not cfg.dataset:
         raise ConfigError(["--dataset is required"])
-    kg, train_hash, status, index, table, presampler = _prepare(
-        cfg, auto=not args.no_auto)
+    kg, train_hash = load_augmented(cfg.dataset)
+    status, index, table, presampler = _prepare(cfg, kg, train_hash,
+                                                auto=not args.no_auto)
     echo_config(cfg, train_hash, status)
     os.makedirs(cfg.out, exist_ok=True)
     with open(Path(cfg.out) / "config.txt", "w", encoding="utf-8") as handle:
@@ -328,17 +282,14 @@ def cmd_train(args):
     result = train(cfg, kg, table=table, presampler=presampler,
                    dist_index=index, out_dir=cfg.out, resume=args.resume,
                    train_hash=train_hash)
-    report = evaluate(result.store, kg, "valid", table=table,
-                      dist_index=index, lam=cfg.lam, mode=cfg.eval_mode,
-                      filter_index=None, threads=cfg.threads)
     print(f"final checkpoint: {result.final_path}")
-    print(format_table(report))
+    if result.valid_report is not None:
+        print(format_table(result.valid_report))
     return 0
 
 
 def cmd_eval(args):
-    cfg = resolve_config(args, keys=["dataset", "lambda", "refs", "cap",
-                                     "threads", "norm", "out"])
+    cfg = resolve_config(args)
     if not cfg.dataset:
         raise ConfigError(["--dataset is required"])
     mode = "combined-f" if args.mode == "combined" else args.mode
@@ -402,59 +353,24 @@ def cmd_report(args):
                 else ["overall", "distance", "relation", "rmp"])
     blocks = []
     for section in sections:
-        cells = [(key, count, value) for sec, key, count, value in rows
-                 if sec == section]
-        if not cells:
-            continue
-        width = max(len(str(c[0])) for c in cells)
-        lines = [f"[{section}]",
-                 f"{'cell'.ljust(width)}  {'count':>8}  {'value':>8}"]
-        for key, count, value in cells:
-            lines.append(f"{str(key).ljust(width)}  {count:>8}  {value:>8.4f}")
-        blocks.append("\n".join(lines))
+        cells = [row[1:] for row in rows if row[0] == section]
+        if cells:
+            blocks.append(f"[{section}]\n" + format_rows(cells, "value"))
     print("\n\n".join(blocks))
     return 0
 
 
 def parse_grid_file(path):
     """Grid file: config syntax where each value is a comma list."""
-    grid = {}
-    problems = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                problems.append(f"{path}:{line_no}: expected key = v1,v2,...")
-                continue
-            raw_key, raw_values = line.split("=", 1)
-            key = canonical_key(raw_key)
-            if key not in CONFIG_KEYS:
-                problems.append(f"{path}:{line_no}: unknown key "
-                                f"{raw_key.strip()!r}")
-                continue
-            try:
-                grid[key] = [parse_value(key, v)
-                             for v in raw_values.split(",") if v.strip()]
-            except ConfigError as exc:
-                problems.extend(f"{path}:{line_no}: {p}" for p in exc.problems)
-    if problems:
-        raise ConfigError(problems)
-    return grid
-
-
-def default_grid():
-    return {canonical_key(k): list(v) for k, v in DEFAULT_SEARCH_SPACE.items()}
+    return parse_config_file(path, parse=lambda key, text: [
+        parse_value(key, v) for v in text.split(",") if v.strip()])
 
 
 def cmd_sweep(args):
-    from .config import apply_values
-
     base = resolve_config(args)
     if not base.dataset:
         raise ConfigError(["--dataset is required"])
-    grid = parse_grid_file(args.grid) if args.grid else default_grid()
+    grid = parse_grid_file(args.grid)
     keys = sorted(grid)
     combos = list(itertools.product(*(grid[k] for k in keys)))
     print(f"# sweep over {keys}: {len(combos)} runs")
@@ -462,13 +378,17 @@ def cmd_sweep(args):
     os.makedirs(base.out, exist_ok=True)
     summary_path = Path(base.out) / "sweep.tsv"
     rows = []
+    loaded = {}  # dataset dir -> (kg, train hash); a grid may vary dataset
     for i, combo in enumerate(combos):
         values = dict(zip(keys, combo))
         cfg = apply_values(base, values)
         cfg.out = str(Path(base.out) / f"sweep-{i:03d}")
         cfg.validated()
-        kg, train_hash, status, index, table, presampler = _prepare(
-            cfg, auto=not args.no_auto)
+        if cfg.dataset not in loaded:
+            loaded[cfg.dataset] = load_augmented(cfg.dataset)
+        kg, train_hash = loaded[cfg.dataset]
+        status, index, table, presampler = _prepare(cfg, kg, train_hash,
+                                                    auto=not args.no_auto)
         echo_config(cfg, train_hash, status,
                     extra=[("sweep-run", f"{i + 1}/{len(combos)}")])
         result = train(cfg, kg, table=table, presampler=presampler,
@@ -498,10 +418,6 @@ def main(argv=None):
     except (DatasetError, CacheError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def console_main():
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

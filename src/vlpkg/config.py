@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .models import ModelKind
-from .sampling import SamplerConfig
+from .models import NORMS, ModelKind
+from .sampling import SAMPLER_MODES, SamplerConfig
+from .training import POSTWEIGHT_SCORES
 
 MODES = ("hlp", "vlp")
-EVAL_MODES = ("combined-f", "fg-only", "fc-only")
 
 
 class ConfigError(Exception):
@@ -30,31 +30,30 @@ class ConfigError(Exception):
 class TrainConfig:
     dataset: str = ""
     model: str = "rotate"
-    mode: str = "vlp"            # hlp: plain triple scores; vlp: + references
+    mode: str = "vlp"
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     dim: int = 100
     batch: int = 256
     lr: float = 1e-3
     steps: int = 10000
     gamma: float = 6.0
-    lam: float = 0.5             # weight of f_g inside the combined score
-    alpha: float = 0.5           # weight of L2 in the total loss
+    lam: float = 0.5
+    alpha: float = 0.5
     refs: int = 8
     cap: int = 8
     seed: int = 0
     threads: int = 1
     out: str = "run"
-    norm: str = "l2"             # transe distance norm
+    norm: str = "l2"
     eval_every: int = 500
-    postweight_score: str = "fg" # score feeding the post-weights: fg or f
+    postweight_score: str = "fg"
 
     def validate(self):
-        errors = []
-        if self.model not in [k.value for k in ModelKind]:
-            errors.append(f"model must be one of "
-                          f"{[k.value for k in ModelKind]}, got {self.model!r}")
-        if self.mode not in MODES:
-            errors.append(f"mode must be one of {MODES}, got {self.mode!r}")
+        # choices of sampler fields are checked by SamplerConfig.validate
+        errors = [f"{key.name} must be one of {key.choices}, "
+                  f"got {key.get(self)!r}"
+                  for key in KEYS if key.choices and "." not in key.field
+                  and key.get(self) not in key.choices]
         errors.extend(self.sampler.validate())
         if self.dim < 1:
             errors.append("dim must be >= 1")
@@ -78,10 +77,6 @@ class TrainConfig:
             errors.append("threads must be >= 1")
         if self.eval_every < 0:
             errors.append("eval-every must be >= 0")
-        if self.norm not in ("l1", "l2"):
-            errors.append("norm must be l1 or l2")
-        if self.postweight_score not in ("fg", "f"):
-            errors.append("postweight-score must be fg or f")
         return errors
 
     def validated(self):
@@ -97,20 +92,7 @@ class TrainConfig:
 
     def to_items(self):
         """(key, value) pairs in config-file syntax, sorted by key."""
-        s = self.sampler
-        items = {
-            "dataset": self.dataset, "model": self.model, "mode": self.mode,
-            "sampler": s.mode, "dim": self.dim, "batch": self.batch,
-            "lr": self.lr, "steps": self.steps, "gamma": self.gamma,
-            "lambda": self.lam, "alpha": self.alpha, "alpha0": s.alpha0,
-            "alpha1": s.alpha1, "alpha2": s.alpha2, "tau": s.tau,
-            "negs": s.n_negatives, "refs": self.refs, "cap": self.cap,
-            "seed": self.seed, "threads": self.threads, "out": self.out,
-            "norm": self.norm, "eval-every": self.eval_every,
-            "postweight-score": self.postweight_score,
-            "no-pre": not s.use_pre, "no-post": not s.use_post,
-        }
-        return sorted((k, _render(v)) for k, v in items.items())
+        return sorted((key.name, _render(key.get(self))) for key in KEYS)
 
 
 def _render(value):
@@ -119,15 +101,76 @@ def _render(value):
     return str(value)
 
 
-_INT_KEYS = {"dim", "batch", "steps", "negs", "refs", "cap", "seed",
-             "threads", "eval-every"}
-_FLOAT_KEYS = {"lr", "gamma", "lambda", "alpha", "alpha0", "alpha1",
-               "alpha2", "tau"}
-_STR_KEYS = {"dataset", "model", "mode", "sampler", "out", "norm",
-             "postweight-score"}
-_BOOL_KEYS = {"no-pre", "no-post"}
+@dataclass(frozen=True)
+class ConfigKey:
+    """One config-file key (and ``--flag``) and the TrainConfig field it sets."""
 
-CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS
+    name: str
+    field: str            # TrainConfig attribute; "sampler.x" for sampler fields
+    type: type            # int, float, str or bool
+    help: str
+    choices: tuple = None
+    negated: bool = False  # a true value sets the field to False
+
+    def _owner(self, cfg):
+        owner, _, attr = self.field.rpartition(".")
+        return (getattr(cfg, owner) if owner else cfg), attr
+
+    def get(self, cfg):
+        owner, attr = self._owner(cfg)
+        value = getattr(owner, attr)
+        return not value if self.negated else value
+
+    def set(self, cfg, value):
+        owner, attr = self._owner(cfg)
+        setattr(owner, attr, not value if self.negated else value)
+
+
+KEYS = (
+    ConfigKey("dataset", "dataset", str,
+              "dataset directory with train.txt/valid.txt/test.txt"),
+    ConfigKey("model", "model", str, "scoring model",
+              tuple(kind.value for kind in ModelKind)),
+    ConfigKey("mode", "mode", str,
+              "hlp: plain triple scoring; vlp: reference aggregation", MODES),
+    ConfigKey("sampler", "sampler.mode", str, "negative sampler",
+              SAMPLER_MODES),
+    ConfigKey("dim", "dim", int, "embedding dimension (per complex component)"),
+    ConfigKey("batch", "batch", int, "batch size"),
+    ConfigKey("lr", "lr", float, "Adam learning rate"),
+    ConfigKey("steps", "steps", int, "total optimization steps"),
+    ConfigKey("gamma", "gamma", float, "margin in the sampled loss"),
+    ConfigKey("lambda", "lam", float,
+              "weight of f_g inside the combined score f"),
+    ConfigKey("alpha", "alpha", float,
+              "weight of the sampled loss in the total loss"),
+    ConfigKey("alpha0", "sampler.alpha0", float, "pre-sampling temperature"),
+    ConfigKey("alpha1", "sampler.alpha1", float,
+              "post-sampling rise temperature"),
+    ConfigKey("alpha2", "sampler.alpha2", float,
+              "post-sampling fall temperature"),
+    ConfigKey("tau", "sampler.tau", float, "post-sampling margin"),
+    ConfigKey("negs", "sampler.n_negatives", int, "negatives per positive"),
+    ConfigKey("refs", "refs", int, "references per query (N)"),
+    ConfigKey("cap", "cap", int, "graph-distance truncation"),
+    ConfigKey("seed", "seed", int,
+              "rng seed (runs are pure functions of config + seed)"),
+    ConfigKey("threads", "threads", int,
+              "worker threads for preprocessing/training/evaluation"),
+    ConfigKey("out", "out", str, "output directory"),
+    ConfigKey("norm", "norm", str, "transe distance norm", NORMS),
+    ConfigKey("eval-every", "eval_every", int,
+              "validation period in steps (0: only at the end)"),
+    ConfigKey("postweight-score", "postweight_score", str,
+              "score feeding post-weights", POSTWEIGHT_SCORES),
+    ConfigKey("no-pre", "sampler.use_pre", bool,
+              "disable distance-based pre-sampling (red only)", negated=True),
+    ConfigKey("no-post", "sampler.use_post", bool,
+              "disable relative-distance post-weights (red only)",
+              negated=True),
+)
+
+CONFIG_KEYS = {key.name: key for key in KEYS}
 
 # sweep grids may use the paper-style axis name for the reference count
 KEY_ALIASES = {"n": "refs"}
@@ -141,24 +184,21 @@ def canonical_key(key):
 def parse_value(key, text):
     text = text.strip()
     try:
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_KEYS:
-            return float(text)
-        if key in _BOOL_KEYS:
-            low = text.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
+        if CONFIG_KEYS[key].type is not bool:
+            return CONFIG_KEYS[key].type(text)
+        low = text.lower()
+        if low in ("true", "1", "yes"):
+            return True
+        if low in ("false", "0", "no"):
+            return False
+        raise ValueError(f"not a boolean: {text!r}")
     except ValueError as exc:
         raise ConfigError([f"bad value for {key}: {exc}"]) from None
-    return text
 
 
-def parse_config_file(path):
-    """Read ``key = value`` lines into a {canonical key: parsed value} dict."""
+def parse_config_file(path, parse=parse_value):
+    """Read ``key = value`` lines into a {canonical key: parse(key, value)}
+    dict, reporting every bad line at once."""
     values = {}
     problems = []
     with open(path, encoding="utf-8") as handle:
@@ -175,7 +215,7 @@ def parse_config_file(path):
                 problems.append(f"{path}:{line_no}: unknown key {raw_key.strip()!r}")
                 continue
             try:
-                values[key] = parse_value(key, raw_value)
+                values[key] = parse(key, raw_value)
             except ConfigError as exc:
                 problems.extend(f"{path}:{line_no}: {p}" for p in exc.problems)
     if problems:
@@ -185,36 +225,12 @@ def parse_config_file(path):
 
 def apply_values(cfg, values):
     """Overlay a {key: value} dict onto a TrainConfig, returning a new one."""
-    cfg = replace(cfg, sampler=replace(cfg.sampler))
-    direct = {
-        "dataset": "dataset", "model": "model", "mode": "mode", "dim": "dim",
-        "batch": "batch", "lr": "lr", "steps": "steps", "gamma": "gamma",
-        "lambda": "lam", "alpha": "alpha", "refs": "refs", "cap": "cap",
-        "seed": "seed", "threads": "threads", "out": "out", "norm": "norm",
-        "eval-every": "eval_every", "postweight-score": "postweight_score",
-    }
     unknown = [k for k in values if k not in CONFIG_KEYS]
     if unknown:
         raise ConfigError([f"unknown key {k!r}" for k in unknown])
+    cfg = replace(cfg, sampler=replace(cfg.sampler))
     for key, value in values.items():
-        if key in direct:
-            setattr(cfg, direct[key], value)
-        elif key == "sampler":
-            cfg.sampler.mode = value
-        elif key == "alpha0":
-            cfg.sampler.alpha0 = value
-        elif key == "alpha1":
-            cfg.sampler.alpha1 = value
-        elif key == "alpha2":
-            cfg.sampler.alpha2 = value
-        elif key == "tau":
-            cfg.sampler.tau = value
-        elif key == "negs":
-            cfg.sampler.n_negatives = value
-        elif key == "no-pre":
-            cfg.sampler.use_pre = not value
-        elif key == "no-post":
-            cfg.sampler.use_post = not value
+        CONFIG_KEYS[key].set(cfg, value)
     return cfg
 
 
@@ -226,16 +242,3 @@ def build_config(file_values=None, cli_values=None):
     if cli_values:
         cfg = apply_values(cfg, cli_values)
     return cfg.validated()
-
-
-# Default sweep grids (the standard search space).
-DEFAULT_SEARCH_SPACE = {
-    "batch": [256, 512, 1024],
-    "dim": [500, 1000],
-    "gamma": [4.0, 6.0, 8.0, 11.0, 15.0],
-    "lambda": [0.1, 0.3, 0.5, 0.7, 0.9],
-    "alpha": [0.1, 0.5, 1.0, 1.5],
-    "alpha0": [0.1, 0.5, 1.0, 1.5],
-    "alpha1": [0.1, 0.5, 1.0, 1.5],
-    "alpha2": [0.1, 0.5, 1.0, 1.5],
-}

@@ -305,13 +305,6 @@ class FilterIndex:
 _EMPTY_IDS = np.array([], dtype=np.int64)
 
 
-def filter_candidates(kg, head, relation, index=None):
-    """Tails t' with (head, relation, t') in any split (the filtered protocol)."""
-    if index is None:
-        index = FilterIndex(kg)
-    return index.tails(head, relation)
-
-
 def rmp_classify(kg):
     """Classify every relation as 1-1 / 1-N / N-1 / N-N from training triples.
 

@@ -56,7 +56,8 @@ class Cell:
 class EvalReport:
     n: int = 0
     mrr: float = float("nan")
-    hits: dict = field(default_factory=dict)
+    hits: dict = field(                                # NaN when n == 0
+        default_factory=lambda: dict.fromkeys(HITS_AT, float("nan")))
     per_bucket: dict = field(default_factory=dict)     # bucket -> Cell
     per_relation: dict = field(default_factory=dict)   # relation name -> Cell
     per_rmp: dict = field(default_factory=dict)        # (direction, class) -> Cell
@@ -93,15 +94,14 @@ def rank_from_scores(scores, gold, known_tails):
 
 
 def rank_triple(store, triple, filter_index, mode="fg-only", lam=0.5,
-                table=None, dist_index=None, rmp=None):
+                table=None, dist_index=None):
     """RankResult for a single test triple (see module docstring)."""
     h, r, t = (int(x) for x in triple)
     scores = candidate_scores(store, h, r, mode, lam, table=table)
     rank = rank_from_scores(scores, t, filter_index.tails(h, r))
     bucket = (distance_bucket(dist_index.distance(h, t))
               if dist_index is not None else None)
-    return RankResult(head=h, relation=r, tail=t, rank=rank, bucket=bucket,
-                      rmp=None if rmp is None else rmp.get(r))
+    return RankResult(head=h, relation=r, tail=t, rank=rank, bucket=bucket)
 
 
 def evaluate(store, kg, split="test", table=None, dist_index=None, lam=0.5,
@@ -115,15 +115,12 @@ def evaluate(store, kg, split="test", table=None, dist_index=None, lam=0.5,
     def rank_rows(rows):
         out = []
         for row in rows:
-            h, r, t = (int(x) for x in triples[row])
-            scores = candidate_scores(store, h, r, mode, lam, table=table)
-            rank = rank_from_scores(scores, t, filter_index.tails(h, r))
-            bucket = (distance_bucket(dist_index.distance(h, t))
-                      if dist_index is not None else None)
-            direction = "head" if is_reciprocal_relation(kg, r) else "tail"
-            out.append(RankResult(
-                head=h, relation=r, tail=t, rank=rank, bucket=bucket,
-                rmp=classes.get(base_relation(kg, r)), direction=direction))
+            res = rank_triple(store, triples[row], filter_index, mode, lam,
+                              table, dist_index)
+            res.rmp = classes.get(base_relation(kg, res.relation))
+            if is_reciprocal_relation(kg, res.relation):
+                res.direction = "head"
+            out.append(res)
         return out
 
     rows = np.arange(len(triples))
@@ -213,10 +210,15 @@ def format_table(report, section="overall"):
         raise ValueError(f"unknown report section {section!r}")
     if not rows:
         return f"({section}: no cells)"
+    return format_rows(rows)
+
+
+def format_rows(rows, value_name="MRR"):
+    """Aligned text table of (cell, count, value) rows."""
     width = max(len(str(r[0])) for r in rows)
-    out = [f"{'cell'.ljust(width)}  {'count':>8}  {'MRR':>8}"]
-    for key, count, mrr in rows:
-        out.append(f"{str(key).ljust(width)}  {count:>8}  {mrr:>8.4f}")
+    out = [f"{'cell'.ljust(width)}  {'count':>8}  {value_name:>8}"]
+    for key, count, value in rows:
+        out.append(f"{str(key).ljust(width)}  {count:>8}  {value:>8.4f}")
     return "\n".join(out)
 
 

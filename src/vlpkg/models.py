@@ -1,8 +1,8 @@
 """Triple scoring models over a shared query/answer form.
 
-Every model scores (h, r, t) as ``similarity(query(h, r), answer(t))`` where
-``query`` is a relation-conditioned map of the head embedding and ``answer``
-is the entity embedding itself:
+Every model scores (h, r, t) as ``pair_scores(query(h, r), k_t)`` where
+``query`` is a relation-conditioned map of the head embedding and the answer
+``k_t`` is the entity embedding itself:
 
 * transe    query = h + r,            similarity = -||q - k||   (real)
 * distmult  query = r * h,            similarity = <q, k>       (real)
@@ -27,6 +27,7 @@ from enum import Enum
 import numpy as np
 
 DEFAULT_GAMMA = 6.0
+NORMS = ("l1", "l2")
 
 CHECKPOINT_MAGIC = b"VLPC"
 CHECKPOINT_VERSION = 1
@@ -132,8 +133,8 @@ def init_parameters(kind, dim, n_entities, n_relations, seed, gamma=DEFAULT_GAMM
     [-pi, pi]. Aggregator weights use uniform Glorot bounds.
     """
     kind = ModelKind(kind)
-    if norm not in ("l1", "l2"):
-        raise ValueError(f"norm must be l1 or l2, got {norm!r}")
+    if norm not in NORMS:
+        raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
     d_k = entity_width(kind, dim)
     if d_a is None:
         d_a = d_k
@@ -177,11 +178,6 @@ def _split(x):
 def query_embed(store, h, r):
     """Relation-conditioned query vector q = query(h, r), shape (d_k,)."""
     return query_batch(store, np.asarray([h]), np.asarray([r]))[0]
-
-
-def answer_embed(store, t):
-    """Answer vector of a candidate tail (its entity embedding)."""
-    return store.entities[t]
 
 
 def query_batch(store, h_ids, r_ids):
@@ -233,46 +229,6 @@ def query_pullback(store, h_ids, r_ids, upstream):
     return dh, dphi
 
 
-def _distance_norm(store):
-    return store.norm if store.kind == ModelKind.TRANSE else "l2"
-
-
-def similarity(kind, q, k, norm="l2"):
-    """Scalar similarity of a query vector and an answer vector."""
-    q = np.asarray(q)
-    k = np.asarray(k)
-    if q.shape != k.shape:
-        raise ValueError(f"query/answer shape mismatch: {q.shape} vs {k.shape}")
-    if is_distance_kind(kind):
-        delta = k - q
-        if kind == ModelKind.TRANSE and norm == "l1":
-            return -np.abs(delta).sum(axis=-1)
-        return -np.sqrt((delta * delta).sum(axis=-1))
-    return (q * k).sum(axis=-1)
-
-
-def score_fg(store, h, r, t):
-    """Triple score f_g(h, r, t) as a python float."""
-    q = query_embed(store, h, r)
-    return float(similarity(store.kind, q, store.entities[t],
-                            norm=_distance_norm(store)))
-
-
-def score_fg_all(store, h, r):
-    """f_g(h, r, t') for every entity t', shape (n_entities,).
-
-    Row t of the result is bit-identical to ``score_fg(store, h, r, t)``.
-    """
-    q = query_embed(store, h, r)
-    ent = store.entities
-    if is_distance_kind(store.kind):
-        delta = ent - q
-        if store.kind == ModelKind.TRANSE and store.norm == "l1":
-            return -np.abs(delta).sum(axis=1)
-        return -np.sqrt((delta * delta).sum(axis=1))
-    return (q * ent).sum(axis=1)
-
-
 def pair_scores(store, q, k):
     """Similarity along the last axis of broadcast-compatible q and k."""
     if is_distance_kind(store.kind):
@@ -281,6 +237,19 @@ def pair_scores(store, q, k):
             return -np.abs(delta).sum(axis=-1)
         return -np.sqrt((delta * delta).sum(axis=-1))
     return (q * k).sum(axis=-1)
+
+
+def score_fg(store, h, r, t):
+    """Triple score f_g(h, r, t) as a python float."""
+    return float(pair_scores(store, query_embed(store, h, r), store.entities[t]))
+
+
+def score_fg_all(store, h, r):
+    """f_g(h, r, t') for every entity t', shape (n_entities,).
+
+    Row t of the result is bit-identical to ``score_fg(store, h, r, t)``.
+    """
+    return pair_scores(store, query_embed(store, h, r), store.entities)
 
 
 def pair_score_pullback(store, q, k, upstream):

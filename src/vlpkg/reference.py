@@ -327,24 +327,19 @@ def context_vector(store, table, h, r, exclude_tail=None):
 # against their all-entities counterparts)
 
 
-def cosine_single(t_prime, entities, t):
-    k = entities[t]
-    dot = (t_prime * k).sum()
-    tn = np.sqrt((t_prime * t_prime).sum())
-    en = np.sqrt((k * k).sum())
-    denom = tn * en
-    if denom == 0:
-        return 0.0
-    return float(dot / denom)
-
-
 def cosine_all(t_prime, entities):
+    """cos(t', k) for every row k of ``entities``; 0 where either is zero."""
     dots = (entities * t_prime).sum(axis=1)
     tn = np.sqrt((t_prime * t_prime).sum())
     en = np.sqrt((entities * entities).sum(axis=1))
     denom = tn * en
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(denom == 0, 0.0, dots / np.where(denom == 0, 1.0, denom))
+
+
+def cosine_single(t_prime, entities, t):
+    """cos(t', entities[t]) as a python float, via ``cosine_all``."""
+    return float(cosine_all(t_prime, entities[[t]])[0])
 
 
 def score_fc(store, table, h, r, t, exclude_tail=None):

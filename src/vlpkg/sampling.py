@@ -138,15 +138,6 @@ class PreSampler:
         return mask
 
 
-def build_presampler(index, alpha0):
-    return PreSampler(index, alpha0)
-
-
-def sample_negatives(presampler, h, l, rng):
-    """l negative tails for source entity h (see PreSampler.sample)."""
-    return presampler.sample(h, l, rng)
-
-
 def draw_negative_batch(config, n_entities, h_ids, rng, presampler=None):
     """(B, l) negative tails; distance-based or uniform per the config."""
     l = config.n_negatives

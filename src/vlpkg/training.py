@@ -44,6 +44,8 @@ EPS = 1e-8
 
 RNG_INIT, RNG_STEP, RNG_SHUFFLE = 0, 1, 2
 
+POSTWEIGHT_SCORES = ("fg", "f")  # the score that feeds the post-weights
+
 
 def stream_rng(seed, purpose, index=0):
     """Independent generator for one purpose/index pair under a base seed."""
@@ -381,6 +383,7 @@ class TrainResult:
     final_path: str = ""
     best_path: str = ""
     final_valid_mrr: float = float("nan")
+    valid_report: object = None  # last validation EvalReport; None: no valid split
 
 
 def _atomic_save(path, store, adam, step, train_hash):
@@ -466,6 +469,7 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
             log_handle.write(line + "\n")
             log_handle.flush()
         result.history.append((step, l1, l2, total, report.mrr, wall))
+        result.valid_report = report
         if report.mrr > best_mrr:
             best_mrr = report.mrr
             if out_dir is not None:

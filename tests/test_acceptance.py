@@ -27,8 +27,8 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from vlpkg import (ModelKind, SamplerConfig, TrainConfig, augment_reciprocal,
-                   build_presampler, compute_distances, evaluate, grad_fg,
+from vlpkg import (ModelKind, PreSampler, SamplerConfig, TrainConfig,
+                   augment_reciprocal, compute_distances, evaluate, grad_fg,
                    init_parameters, load_dataset, loss_l1, loss_l2, score_fg,
                    select_references, train)
 from vlpkg.data import FilterIndex
@@ -217,7 +217,7 @@ def test_negative_sampler_statistics(capsys):
     kg = random_graph(n_entities=60, n_relations=2, n_train=150, n_valid=0,
                       n_test=0, seed=9)
     index = compute_distances(kg, cap=4)
-    sampler = build_presampler(index, alpha0=1.0)
+    sampler = PreSampler(index, alpha0=1.0)
     source = 0
     p = sampler.probabilities(source)
     draws = sampler.sample(source, 1_000_000, np.random.default_rng(17))
@@ -268,7 +268,7 @@ def test_training_runs_are_bit_identical(capsys, tmp_path):
     for run in ("a", "b"):
         out = tmp_path / run
         train(cfg, kg, table=table,
-              presampler=build_presampler(index, cfg.sampler.alpha0),
+              presampler=PreSampler(index, cfg.sampler.alpha0),
               dist_index=index, out_dir=out)
         blobs.append((out / "checkpoint.vlpc").read_bytes())
     identical = blobs[0] == blobs[1]
@@ -289,7 +289,7 @@ def _train_and_score(kg, dist, findex, mode, seed):
                       sampler=SamplerConfig(mode="red", n_negatives=16))
     table = (select_references(kg, dist, cfg.refs) if mode == "vlp" else None)
     result = train(cfg, kg, table=table,
-                   presampler=build_presampler(dist, cfg.sampler.alpha0),
+                   presampler=PreSampler(dist, cfg.sampler.alpha0),
                    dist_index=dist)
     if mode == "hlp":
         return evaluate(result.store, kg, "test", dist_index=dist,
@@ -349,7 +349,7 @@ def _run_benchmark(cfg, kg, dist, findex):
     reference mode, plain triple score otherwise)."""
     table = (select_references(kg, dist, cfg.refs) if cfg.mode == "vlp"
              else None)
-    presampler = (build_presampler(dist, cfg.sampler.alpha0)
+    presampler = (PreSampler(dist, cfg.sampler.alpha0)
                   if cfg.sampler.pre_mode == "distance" else None)
     result = train(cfg, kg, table=table, presampler=presampler,
                    dist_index=dist)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from vlpkg.cli import (DIST_CACHE, REFS_CACHE, cache_dir_for, default_grid,
+import vlpkg.cli
+import vlpkg.evaluation
+from vlpkg.cli import (DIST_CACHE, REFS_CACHE, build_parser, cache_dir_for,
                        main, parse_grid_file)
-from vlpkg.config import DEFAULT_SEARCH_SPACE, ConfigError, canonical_key
+from vlpkg.config import ConfigError
 from vlpkg.synth import compositional_graph, name_triples, write_dataset
 
 
@@ -64,6 +66,40 @@ def test_train_writes_artifacts_and_echoes_config(dataset, tmp_path, capsys):
     assert (out_dir / "config.txt").is_file()
     text = (out_dir / "config.txt").read_text()
     assert "dim = 8" in text
+
+
+def test_train_validates_once_and_prints_that_report(dataset, tmp_path,
+                                                    capsys, monkeypatch):
+    calls = []
+    inner = vlpkg.evaluation.evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(args[2] if len(args) > 2 else kwargs.get("split"))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(vlpkg.evaluation, "evaluate", counting)
+    monkeypatch.setattr(vlpkg.cli, "evaluate", counting)
+    assert main(["train", "--dataset", str(dataset), "--mode", "hlp",
+                 "--out", str(tmp_path / "run")] + FAST) == 0
+    assert calls == ["valid"]
+    assert "H@10" in capsys.readouterr().out
+
+
+def test_train_and_eval_with_empty_valid_split(tmp_path, capsys):
+    kg = compositional_graph(n_clusters=5, cluster_size=5, seed=1)
+    ds = write_dataset(tmp_path / "ds", name_triples(kg, "train"), [],
+                       name_triples(kg, "test"))
+    out_dir = tmp_path / "run"
+    assert main(["train", "--dataset", str(ds), "--out", str(out_dir),
+                 "--mode", "hlp"] + FAST) == 0
+    assert (out_dir / "checkpoint.vlpc").is_file()
+    assert "H@10" not in capsys.readouterr().out
+    assert main(["eval", "--dataset", str(ds), "--split", "valid",
+                 "--mode", "fg-only", "--cap", "4",
+                 "--checkpoint", str(out_dir / "checkpoint.vlpc")]) == 0
+    report = (out_dir / "report.tsv").read_text()
+    assert "overall\tMRR\t0\tnan" in report
+    assert "overall\tH@10\t0\tnan" in report
 
 
 def test_train_no_auto_requires_preprocess(dataset, tmp_path, capsys):
@@ -194,7 +230,7 @@ def test_resume_from_checkpoint(dataset, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_sweep_runs_grid_product(dataset, tmp_path, capsys):
+def test_sweep_runs_grid_product(dataset, tmp_path, capsys, monkeypatch):
     grid = tmp_path / "grid.cfg"
     grid.write_text("gamma = 2,4\nlambda = 0.1,0.5\n")
     base = tmp_path / "base.cfg"
@@ -202,9 +238,14 @@ def test_sweep_runs_grid_product(dataset, tmp_path, capsys):
                     "steps = 6\nlr = 0.05\nnegs = 4\nrefs = 2\ncap = 4\n"
                     "eval-every = 0\n")
     out_dir = tmp_path / "sweep"
+    loads = []
+    load = vlpkg.cli.load_augmented
+    monkeypatch.setattr(vlpkg.cli, "load_augmented",
+                        lambda d: loads.append(d) or load(d))
     code = main(["sweep", "--dataset", str(dataset), "--config", str(base),
                  "--grid", str(grid), "--out", str(out_dir)])
     assert code == 0
+    assert len(loads) == 1  # the dataset is read and hashed once per sweep
     out = capsys.readouterr().out
     assert "4 runs" in out
     lines = (out_dir / "sweep.tsv").read_text().strip().splitlines()
@@ -224,14 +265,16 @@ def test_grid_file_rejects_unknown_keys(tmp_path):
         parse_grid_file(grid)
 
 
-def test_default_grid_matches_search_space():
-    grid = default_grid()
-    assert grid == {canonical_key(k): list(v)
-                    for k, v in DEFAULT_SEARCH_SPACE.items()}
-    runs = 1
-    for values in grid.values():
-        runs *= len(values)
-    assert runs == 3 * 2 * 5 * 5 * 4 * 4 * 4 * 4
+def test_parser_rejects_unused_and_missing_flags(capsys):
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(["preprocess", "--dataset", "d",
+                                   "--alpha0", "0.5"])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(["sweep", "--dataset", "d"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--alpha0" in err and "--grid" in err
 
 
 def test_cache_dir_override(dataset, tmp_path, monkeypatch, capsys):

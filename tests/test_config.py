@@ -1,8 +1,10 @@
+from dataclasses import asdict
+
 import pytest
 
 from vlpkg import ConfigError, TrainConfig, build_config, parse_config_file
-from vlpkg.config import (DEFAULT_SEARCH_SPACE, apply_values, canonical_key,
-                          parse_value)
+from vlpkg.cli import build_parser, cli_values
+from vlpkg.config import KEYS, apply_values, canonical_key, parse_value
 
 
 def _write(tmp_path, text):
@@ -111,10 +113,52 @@ def test_to_items_roundtrips_through_the_parser(tmp_path):
     assert back == cfg
 
 
-def test_default_search_space_axes():
-    assert DEFAULT_SEARCH_SPACE["batch"] == [256, 512, 1024]
-    assert DEFAULT_SEARCH_SPACE["dim"] == [500, 1000]
-    assert DEFAULT_SEARCH_SPACE["gamma"] == [4.0, 6.0, 8.0, 11.0, 15.0]
-    assert DEFAULT_SEARCH_SPACE["lambda"] == [0.1, 0.3, 0.5, 0.7, 0.9]
-    for axis in ("alpha", "alpha0", "alpha1", "alpha2"):
-        assert DEFAULT_SEARCH_SPACE[axis] == [0.1, 0.5, 1.0, 1.5]
+def _fields(cfg):
+    """TrainConfig as a flat {field: value} dict, "sampler.x" for sampler."""
+    flat = asdict(cfg)
+    flat.update((f"sampler.{k}", v) for k, v in flat.pop("sampler").items())
+    return flat
+
+
+def _other_value(key):
+    """(flag argv, config-file text) giving the key a non-default value."""
+    default = key.get(TrainConfig())
+    if key.type is bool:
+        return [f"--{key.name}"], "true"
+    if key.choices:
+        text = next(c for c in key.choices if c != default)
+    elif key.type is str:
+        text = "other" + default
+    else:
+        text = str(key.type(default + 1))
+    return [f"--{key.name}", text], text
+
+
+@pytest.mark.parametrize("key", KEYS, ids=lambda key: key.name)
+def test_every_key_sets_exactly_its_field(key, tmp_path):
+    default = _fields(TrainConfig())
+    argv, text = _other_value(key)
+    from_flag = apply_values(TrainConfig(), cli_values(
+        build_parser().parse_args(["train"] + argv)))
+    from_file = apply_values(TrainConfig(), parse_config_file(
+        _write(tmp_path, f"{key.name} = {text}\n")))
+    assert from_flag == from_file
+    changed = {f for f, v in _fields(from_flag).items() if default[f] != v}
+    assert changed == {key.field}
+    assert dict(from_flag.to_items())[key.name] == text
+    back = parse_config_file(_write(tmp_path, "\n".join(
+        f"{k} = {v}" for k, v in from_flag.to_items())))
+    assert apply_values(TrainConfig(), back) == from_flag
+
+
+def test_renamed_and_negated_keys_reach_their_fields():
+    args = build_parser().parse_args(
+        ["train", "--lambda", "0.7", "--negs", "5", "--no-pre", "--no-post"])
+    cfg = apply_values(TrainConfig(), cli_values(args))
+    assert cfg.lam == 0.7
+    assert cfg.sampler.n_negatives == 5
+    assert cfg.sampler.use_pre is False
+    assert cfg.sampler.use_post is False
+    items = dict(cfg.to_items())
+    assert items["no-pre"] == "true" and items["no-post"] == "true"
+    assert dict(TrainConfig().to_items())["no-pre"] == "false"

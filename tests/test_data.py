@@ -4,7 +4,7 @@ import pytest
 from vlpkg import augment_reciprocal, compute_distances, load_dataset, rmp_classify
 from vlpkg.data import (DatasetError, DatasetNotFoundError, FilterIndex,
                         ParseError, Vocabulary, base_relation,
-                        distance_bucket, distance_split, filter_candidates,
+                        distance_bucket, distance_split,
                         is_reciprocal_relation)
 from vlpkg.synth import kg_from_id_triples, name_triples, write_dataset
 
@@ -105,7 +105,6 @@ def test_filter_index_covers_all_splits():
     index = FilterIndex(kg)
     assert list(index.tails(0, 0)) == [1, 2, 3, 4]
     assert list(index.tails(1, 0)) == []
-    assert list(filter_candidates(kg, 0, 0, index)) == [1, 2, 3, 4]
 
 
 def test_relation_pairs_and_frequency():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vlpkg import (PreSampler, SamplerConfig, build_presampler,
-                   compute_distances, post_weights, sample_negatives,
+from vlpkg import (PreSampler, SamplerConfig, compute_distances, post_weights,
                    selfadv_weights)
 from vlpkg.sampling import (draw_negative_batch, negative_weights,
                             uniform_weights)
@@ -173,13 +172,13 @@ def test_draw_negative_batch_shapes_and_uniform_mode(small_kg, small_index):
     red = SamplerConfig(mode="red", n_negatives=5)
     with pytest.raises(ValueError):
         draw_negative_batch(red, small_kg.n_entities, h_ids, rng)
-    pre = build_presampler(small_index, red.alpha0)
+    pre = PreSampler(small_index, red.alpha0)
     neg2 = draw_negative_batch(red, small_kg.n_entities, h_ids, rng, pre)
     assert neg2.shape == (7, 5)
 
 
 def test_sample_negatives_is_seed_deterministic(small_index):
-    pre = build_presampler(small_index, 1.0)
-    a = sample_negatives(pre, 0, 100, np.random.default_rng(5))
-    b = sample_negatives(pre, 0, 100, np.random.default_rng(5))
+    pre = PreSampler(small_index, 1.0)
+    a = pre.sample(0, 100, np.random.default_rng(5))
+    b = pre.sample(0, 100, np.random.default_rng(5))
     assert np.array_equal(a, b)

@@ -259,9 +259,9 @@ def _train_bits(tmp_path, tag, cfg, kg, table, pre, index, resume=None):
 def test_training_is_deterministic_and_resumable(tmp_path):
     kg, table, store = _setup(ModelKind.ROTATE, seed=9)
     index = compute_distances(kg, cap=3)
-    from vlpkg import build_presampler
+    from vlpkg import PreSampler
 
-    pre = build_presampler(index, 1.0)
+    pre = PreSampler(index, 1.0)
     cfg = _train_cfg()
     _, bits_a = _train_bits(tmp_path, "a", cfg, kg, table, pre, index)
     _, bits_b = _train_bits(tmp_path, "b", cfg, kg, table, pre, index)
@@ -278,9 +278,9 @@ def test_training_is_deterministic_and_resumable(tmp_path):
 def test_resume_rejects_mismatched_model_and_hash(tmp_path):
     kg, table, _ = _setup(ModelKind.ROTATE, seed=9)
     index = compute_distances(kg, cap=3)
-    from vlpkg import build_presampler
+    from vlpkg import PreSampler
 
-    pre = build_presampler(index, 1.0)
+    pre = PreSampler(index, 1.0)
     cfg = _train_cfg(steps=4)
     train(cfg, kg, table=table, presampler=pre, dist_index=index,
           out_dir=tmp_path / "run", train_hash=42)
