@@ -7,8 +7,7 @@ from .config import ConfigError, TrainConfig, build_config, parse_config_file
 from .data import (FilterIndex, KnowledgeGraph, Vocabulary, augment_reciprocal,
                    distance_split, load_dataset, rmp_classify)
 from .distances import DistanceIndex, compute_distances, fnv1a64, hash_file
-from .evaluation import (EvalReport, evaluate, rank_triple, reference_sweep,
-                         write_report)
+from .evaluation import EvalReport, evaluate, rank_triple, write_report
 from .models import (AggregatorParams, ModelKind, ParameterStore, grad_fg,
                      init_parameters, load_checkpoint, query_embed,
                      save_checkpoint, score_fg, score_fg_all)
@@ -16,7 +15,8 @@ from .reference import (ReferenceTable, aggregate, context_vector, score_f,
                         score_fc, score_fc_all, select_references)
 from .sampling import PreSampler, SamplerConfig, post_weights, selfadv_weights
 from .synth import compositional_graph, kg_from_id_triples, random_graph
-from .training import AdamState, loss_l1, loss_l2, train, train_step
+from .training import (AdamState, loss_l1, loss_l2, reference_sweep, train,
+                       train_step)
 
 __all__ = [
     "AdamState", "AggregatorParams", "ConfigError", "DistanceIndex",

@@ -250,18 +250,32 @@ def cmd_preprocess(args):
     return 0
 
 
-def _prepare(cfg, kg, train_hash, auto):
+def _prepare(cfg, kg, train_hash, auto, built=None):
+    """Caches and presampler for one run. A sweep passes ``built``, which
+    keeps each (dataset, cap) index and (dataset, cap, refs) table it has
+    built or loaded, so later runs reuse them."""
+    built = {} if built is None else built
     status = CacheStatus()
     index = None
     table = None
     presampler = None
+
+    def once(key, name, make):
+        if key in built:
+            status.lines.append((name, "reused from an earlier sweep run"))
+        else:
+            built[key] = make()
+        return built[key]
+
     needs_dist = cfg.mode == "vlp" or cfg.sampler.pre_mode == "distance"
     if needs_dist:
-        index = ensure_distances(kg, cfg.dataset, cfg.cap, cfg.threads,
-                                 train_hash, status, auto=auto)
+        index = once((cfg.dataset, cfg.cap), "dist-cache", lambda: (
+            ensure_distances(kg, cfg.dataset, cfg.cap, cfg.threads,
+                             train_hash, status, auto=auto)))
     if cfg.mode == "vlp":
-        table = ensure_references(kg, cfg.dataset, index, cfg.refs,
-                                  train_hash, status, auto=auto)
+        table = once((cfg.dataset, cfg.cap, cfg.refs), "refs-cache", lambda: (
+            ensure_references(kg, cfg.dataset, index, cfg.refs, train_hash,
+                              status, auto=auto)))
     if cfg.sampler.pre_mode == "distance":
         presampler = PreSampler(index, cfg.sampler.alpha0)
     return status, index, table, presampler
@@ -379,6 +393,7 @@ def cmd_sweep(args):
     summary_path = Path(base.out) / "sweep.tsv"
     rows = []
     loaded = {}  # dataset dir -> (kg, train hash); a grid may vary dataset
+    built = {}   # the caches each run shares with earlier runs (_prepare)
     for i, combo in enumerate(combos):
         values = dict(zip(keys, combo))
         cfg = apply_values(base, values)
@@ -387,8 +402,8 @@ def cmd_sweep(args):
         if cfg.dataset not in loaded:
             loaded[cfg.dataset] = load_augmented(cfg.dataset)
         kg, train_hash = loaded[cfg.dataset]
-        status, index, table, presampler = _prepare(cfg, kg, train_hash,
-                                                    auto=not args.no_auto)
+        status, index, table, presampler = _prepare(
+            cfg, kg, train_hash, auto=not args.no_auto, built=built)
         echo_config(cfg, train_hash, status,
                     extra=[("sweep-run", f"{i + 1}/{len(combos)}")])
         result = train(cfg, kg, table=table, presampler=presampler,

@@ -250,35 +250,3 @@ def random_baseline(kg, filter_index=None):
         variances.append((inv * inv).mean() - mean * mean)
     n = len(means)
     return float(np.mean(means)), float(np.sum(variances) / (n * n))
-
-
-def reference_sweep(cfg, kg, n_values, dist_index, train_hash=0, out_dir=None):
-    """Train and evaluate once per reference count N; returns [(N, MRR)].
-
-    N = 0 runs the same pipeline with empty reference lists (the aggregator
-    pools nothing), not a separate code path.
-    """
-    from dataclasses import replace
-
-    from .reference import select_references
-    from .sampling import PreSampler
-    from .training import train
-
-    if not len(n_values):
-        raise ValueError("n_values must be non-empty")
-    rows = []
-    for n in n_values:
-        sub = replace(cfg, refs=int(n), sampler=replace(cfg.sampler))
-        table = select_references(kg, dist_index, n_refs=int(n),
-                                  train_hash=train_hash)
-        presampler = (PreSampler(dist_index, sub.sampler.alpha0)
-                      if sub.sampler.pre_mode == "distance" else None)
-        sub_out = None if out_dir is None else f"{out_dir}/refs-{int(n)}"
-        result = train(sub, kg, table=table, presampler=presampler,
-                       dist_index=dist_index, out_dir=sub_out,
-                       train_hash=train_hash)
-        report = evaluate(result.store, kg, "test", table=table,
-                          dist_index=dist_index, lam=sub.lam,
-                          mode=sub.eval_mode, threads=sub.threads)
-        rows.append((int(n), report.mrr))
-    return rows

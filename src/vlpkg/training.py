@@ -13,6 +13,12 @@ post-sampling weights. Both are computed in 32-bit parameters with 64-bit
 loss accumulation, and every gradient here is hand-derived and checked
 against central finite differences in the test suite.
 
+A step draws its negatives, then splits the batch into one chunk per
+thread. A chunk runs one ``forward``: q, f_g of the candidates [t | negatives]
+and, in vlp mode, one reference gather, t' and one all-entity cosine GEMM.
+The post-weights and both losses read it and add their upstream gradients
+to it; one ``backward`` then runs each pullback and scatters each id set once.
+
 Determinism contract: a run is a pure function of (dataset bytes, config,
 seed) in a single-worker configuration. Epoch shuffles and per-step sampling
 draw from independent seed streams keyed by (seed, purpose, index), so a
@@ -25,16 +31,18 @@ import concurrent.futures
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit, log_expit, logsumexp
 
+from . import data, evaluation  # looked up per call: callers may patch them
 from .models import (init_parameters, load_checkpoint, pair_score_pullback,
                      pair_scores, query_batch, query_pullback,
                      save_checkpoint)
-from .reference import aggregate_batch, aggregate_pullback, gather_references
-from .sampling import draw_negative_batch, negative_weights
+from .reference import (aggregate_batch, aggregate_pullback,
+                        gather_references, select_references)
+from .sampling import PreSampler, draw_negative_batch, negative_weights
 
 logger = logging.getLogger(__name__)
 
@@ -86,7 +94,7 @@ class GradBuffer:
 
     def add_entities(self, ids, grads):
         ids = np.asarray(ids).reshape(-1)
-        np.add.at(self.d_ent, ids, grads.reshape(len(ids), -1))
+        np.add.at(self.d_ent, ids, grads.reshape(-1, grads.shape[-1]))
         self.ent_touched[ids] = True
 
     def add_entities_dense(self, grads):
@@ -95,7 +103,7 @@ class GradBuffer:
 
     def add_relations(self, ids, grads):
         ids = np.asarray(ids).reshape(-1)
-        np.add.at(self.d_rel, ids, grads.reshape(len(ids), -1))
+        np.add.at(self.d_rel, ids, grads.reshape(-1, grads.shape[-1]))
         self.rel_touched[ids] = True
 
     def add_agg(self, d_w_node, d_w_edge, d_w_agg):
@@ -143,192 +151,125 @@ def adam_apply(store, adam, buf, lr):
 
 
 # ---------------------------------------------------------------------------
-# cosine kernels with pullbacks (batched, internal to training)
+# forward, losses, backward
 
 
-def _norms(x):
-    return np.sqrt((x * x).sum(axis=-1))
+@dataclass
+class Forward:
+    """One chunk's forward pass; the losses add their upstream gradients to
+    ``d_fg`` and ``d_cos``. The cosine fields are None in hlp mode."""
+
+    h: np.ndarray
+    r: np.ndarray
+    cand: np.ndarray     # (B, 1 + l) ids: the gold tail, then the negatives
+    q: np.ndarray        # (B, d_k) query vectors
+    k: np.ndarray        # (B, 1 + l, d_k) candidate embeddings
+    fg: np.ndarray       # (B, 1 + l) f_g(h, r, cand)
+    d_fg: np.ndarray
+    agg: object = None   # AggCache of t'
+    cos: np.ndarray = None     # (B, n_entities) cos(t', every entity)
+    fc: np.ndarray = None      # (B, 1 + l) its cand columns: f_c
+    d_cos: np.ndarray = None
 
 
-def _cosine_forward(t_prime, k):
-    """cos(t'_b, k_b...) with intermediates; k broadcasts (B, ..., d)."""
-    dots = (t_prime[:, None, :] * k).sum(-1) if k.ndim == 3 else (t_prime * k).sum(-1)
-    tn = _norms(t_prime)
-    en = _norms(k)
-    denom = (tn[:, None] if k.ndim == 3 else tn) * en
-    with np.errstate(invalid="ignore", divide="ignore"):
-        inv = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), 0.0)
-    c = dots * inv
-    return c, (k, tn, en, inv, c)
+def _inv_norms(x):
+    """1 / |row| for each row of ``x``; 0 for a zero row."""
+    norms = np.sqrt((x * x).sum(axis=-1))
+    with np.errstate(divide="ignore"):
+        return np.where(norms > 0, 1.0 / norms, 0.0)
 
 
-def _cosine_pullback(t_prime, cache, g):
-    """Gradient of sum(g * c) wrt t_prime and k."""
-    k, tn, en, inv, c = cache
-    gi = g * inv
-    gc = g * c
-    with np.errstate(invalid="ignore", divide="ignore"):
-        inv_tn2 = np.where(tn > 0, 1.0 / np.where(tn > 0, tn, 1.0) ** 2, 0.0)
-        inv_en2 = np.where(en > 0, 1.0 / np.where(en > 0, en, 1.0) ** 2, 0.0)
-    if k.ndim == 3:
-        dt = (gi[..., None] * k).sum(1) - (gc.sum(1) * inv_tn2)[:, None] * t_prime
-        dk = gi[..., None] * t_prime[:, None, :] - (gc * inv_en2)[..., None] * k
-    else:
-        dt = gi[:, None] * k - (gc * inv_tn2)[:, None] * t_prime
-        dk = gi[:, None] * t_prime - (gc * inv_en2)[:, None] * k
-    return dt, dk
-
-
-def _cosine_all_forward(t_prime, entities):
-    """cos against every entity: (B, n_entities) plus cache."""
-    dots = t_prime @ entities.T
-    tn = _norms(t_prime)
-    en = _norms(entities)
-    denom = tn[:, None] * en[None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        inv = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), 0.0)
-    c = dots * inv
-    return c, (tn, en, inv, c)
-
-
-def _cosine_all_pullback(t_prime, entities, cache, g):
-    tn, en, inv, c = cache
-    gi = g * inv
-    gc = g * c
-    with np.errstate(invalid="ignore", divide="ignore"):
-        inv_tn2 = np.where(tn > 0, 1.0 / np.where(tn > 0, tn, 1.0) ** 2, 0.0)
-        inv_en2 = np.where(en > 0, 1.0 / np.where(en > 0, en, 1.0) ** 2, 0.0)
-    dt = gi @ entities - (gc.sum(1) * inv_tn2)[:, None] * t_prime
-    d_ent = gi.T @ t_prime - (gc.sum(0) * inv_en2)[:, None] * entities
-    return dt, d_ent
-
-
-# ---------------------------------------------------------------------------
-# losses
-
-
-def _vlp_forward(store, table, h, r, t):
-    q = query_batch(store, h, r)
-    ref_h, ref_t, mask = gather_references(table, h, r, exclude_tails=t)
-    t_prime, cache = aggregate_batch(store, q, r, ref_h, ref_t, mask)
-    return q, t_prime, cache
-
-
-def _backprop_query_and_refs(store, buf, h, r, agg_grads, d_q_extra=None):
-    """Scatter aggregation gradients and chain the query pullback."""
-    d_q = agg_grads.d_q if d_q_extra is None else agg_grads.d_q + d_q_extra
-    d_h, d_r = query_pullback(store, h, r, d_q)
-    buf.add_entities(h, d_h)
-    buf.add_relations(r, d_r)
-    buf.add_agg(agg_grads.d_w_node, agg_grads.d_w_edge, agg_grads.d_w_agg)
-    if len(agg_grads.ref_t_ids):
-        buf.add_entities(agg_grads.ref_t_ids, agg_grads.d_ref_t)
-        buf.add_entities(agg_grads.ref_h_ids, agg_grads.d_ref_h)
-        buf.add_relations(agg_grads.ref_r_ids, agg_grads.d_ref_r)
-
-
-def loss_l1(store, table, batch, buf=None, scale=1.0, normalizer=None):
-    """Cross-entropy of softmax over all-entities cosine scores.
-
-    Returns the (already averaged) loss value; gradients scaled by ``scale``
-    are accumulated into ``buf`` when given. ``normalizer`` overrides the
-    averaging denominator so sub-batches of a larger batch compose exactly.
-    """
+def forward(store, table, batch, negatives, vlp):
+    """Score ``batch`` against its gold tails and (B, l) ``negatives``."""
     h, r, t = batch[:, 0], batch[:, 1], batch[:, 2]
-    n = len(batch) if normalizer is None else normalizer
-    q, t_prime, cache = _vlp_forward(store, table, h, r, t)
-    c, ccache = _cosine_all_forward(t_prime, store.entities)
-    c64 = c.astype(np.float64)
-    lse = logsumexp(c64, axis=1)
-    value = float((lse - c64[np.arange(len(batch)), t]).sum() / n)
-    if buf is None or scale == 0.0:
-        return value
-    p = np.exp(c64 - lse[:, None])
-    p[np.arange(len(batch)), t] -= 1.0
-    g = (p * (scale / n)).astype(store.dtype)
-    dt_prime, d_ent = _cosine_all_pullback(t_prime, store.entities, ccache, g)
-    buf.add_entities_dense(d_ent)
-    agg_grads = aggregate_pullback(store, cache, dt_prime)
-    _backprop_query_and_refs(store, buf, h, r, agg_grads)
+    cand = np.concatenate([t[:, None], negatives], axis=1)
+    q = query_batch(store, h, r)
+    k = store.entities[cand]
+    fg = pair_scores(store, q[:, None, :], k)
+    fwd = Forward(h, r, cand, q, k, fg, np.zeros_like(fg))
+    if vlp:
+        ref_h, ref_t, mask = gather_references(table, h, r, exclude_tails=t)
+        t_prime, fwd.agg = aggregate_batch(store, q, r, ref_h, ref_t, mask)
+        inv_tn, inv_en = _inv_norms(t_prime), _inv_norms(store.entities)
+        fwd.cos = (t_prime @ store.entities.T) * inv_tn[:, None] * inv_en
+        fwd.fc = np.take_along_axis(fwd.cos, cand, axis=1)
+        fwd.d_cos = np.zeros_like(fwd.cos)
+    return fwd
+
+
+def postweight_scores(fwd, lam, score="fg"):
+    """Scores feeding the post-sampling weights, (gold (B,), negatives (B, l)):
+    f_g, or f = f_c + lam * f_g with ``score = "f"`` in vlp mode."""
+    f = fwd.fg.astype(np.float64)
+    if score == "f" and fwd.cos is not None:
+        f = fwd.fc.astype(np.float64) + lam * f
+    return f[:, 0], f[:, 1:]
+
+
+def loss_l1(fwd, normalizer=None):
+    """Cross-entropy of the softmax over the all-entity cosines (vlp only),
+    summed over the chunk and divided by ``normalizer`` (default: its size);
+    adds its gradient to ``fwd.d_cos``."""
+    rows, t = np.arange(len(fwd.cand)), fwd.cand[:, 0]
+    n = len(rows) if normalizer is None else normalizer
+    p = fwd.cos.astype(np.float64)
+    lse = logsumexp(p, axis=1)
+    value = float((lse - p[rows, t]).sum() / n)
+    p -= lse[:, None]
+    np.exp(p, out=p)
+    p[rows, t] -= 1.0
+    p *= 1.0 / n
+    fwd.d_cos += p
     return value
 
 
-def loss_l2(store, table, batch, negatives, post_w, gamma, lam, mode,
-            buf=None, scale=1.0, normalizer=None):
-    """Margin sigmoid loss over drawn negatives with detached weights.
+def loss_l2(fwd, post_w, gamma, lam, scale=1.0, normalizer=None):
+    """Margin sigmoid loss over the drawn negatives, weighted by the (B, l)
+    constants ``post_w``, on f = f_c + lam * f_g (vlp) or f_g (hlp).
 
-    ``negatives`` is (B, l) entity ids, ``post_w`` the (B, l) post-sampling
-    weights (treated as constants). In vlp mode the score inside the
-    sigmoids is f = f_c + lam * f_g; in hlp mode it is f_g alone.
+    Adds ``scale`` times its gradient to ``fwd.d_fg`` and, in vlp mode,
+    scatter-adds it to ``fwd.d_cos``: a row may draw a negative twice.
     """
-    h, r, t = batch[:, 0], batch[:, 1], batch[:, 2]
-    b = len(batch)
+    b = len(fwd.cand)
     n = b if normalizer is None else normalizer
-    q = query_batch(store, h, r)
-    k_pos = store.entities[t]
-    k_neg = store.entities[negatives]
-    fg_pos = pair_scores(store, q, k_pos)
-    fg_neg = pair_scores(store, q[:, None, :], k_neg)
-    vlp = mode == "vlp"
-    if vlp:
-        _, t_prime, cache = _vlp_forward(store, table, h, r, t)
-        fc_pos, pos_cc = _cosine_forward(t_prime, k_pos)
-        fc_neg, neg_cc = _cosine_forward(t_prime, k_neg)
-        f_pos = fc_pos + lam * fg_pos
-        f_neg = fc_neg + lam * fg_neg
+    f = fwd.fg if fwd.cos is None else fwd.fc + lam * fwd.fg
+    sign = np.where(np.arange(f.shape[1]) == 0, 1.0, -1.0)
+    x = sign * (f.astype(np.float64) + gamma)
+    w = np.concatenate([np.ones((b, 1)), np.asarray(post_w, dtype=np.float64)],
+                       axis=1)
+    value = float((-w * log_expit(x)).sum() / n)
+    d_f = (-w * sign * expit(-x) * (scale / n)).astype(fwd.fg.dtype)
+    if fwd.cos is None:
+        fwd.d_fg += d_f
     else:
-        f_pos, f_neg = fg_pos, fg_neg
-
-    x_pos = gamma + f_pos.astype(np.float64)
-    x_neg = -f_neg.astype(np.float64) - gamma
-    w = np.asarray(post_w, dtype=np.float64)
-    value = float(((-w * log_expit(x_neg)).sum(axis=1) - log_expit(x_pos)).sum() / n)
-    if buf is None or scale == 0.0:
-        return value
-
-    d_pos = (-expit(-x_pos) * (scale / n)).astype(store.dtype)
-    d_neg = (w * expit(-x_neg) * (scale / n)).astype(store.dtype)
-
-    fg_up_pos = d_pos * store.dtype.type(lam) if vlp else d_pos
-    fg_up_neg = d_neg * store.dtype.type(lam) if vlp else d_neg
-    dq_pos, dk_pos = pair_score_pullback(store, q, k_pos, fg_up_pos)
-    dq_neg, dk_neg = pair_score_pullback(store, q[:, None, :], k_neg, fg_up_neg)
-    d_q = dq_pos + dq_neg.sum(axis=1)
-    buf.add_entities(t, dk_pos)
-    buf.add_entities(negatives, dk_neg)
-
-    if vlp:
-        dt_pos, dck_pos = _cosine_pullback(t_prime, pos_cc, d_pos)
-        dt_neg, dck_neg = _cosine_pullback(t_prime, neg_cc, d_neg)
-        buf.add_entities(t, dck_pos)
-        buf.add_entities(negatives, dck_neg)
-        agg_grads = aggregate_pullback(store, cache, dt_pos + dt_neg)
-        _backprop_query_and_refs(store, buf, h, r, agg_grads, d_q_extra=d_q)
-    else:
-        d_h, d_r = query_pullback(store, h, r, d_q)
-        buf.add_entities(h, d_h)
-        buf.add_relations(r, d_r)
+        fwd.d_fg += d_f * d_f.dtype.type(lam)
+        np.add.at(fwd.d_cos, (np.arange(b)[:, None], fwd.cand), d_f)
     return value
 
 
-def postweight_scores(store, table, batch, negatives, lam, cfg):
-    """Scores feeding the post-sampling weights (no gradients).
-
-    Defaults to the plain triple score f_g; with postweight-score = f the
-    combined score is used instead.
-    """
-    h, r, t = batch[:, 0], batch[:, 1], batch[:, 2]
-    q = query_batch(store, h, r)
-    pos = pair_scores(store, q, store.entities[t]).astype(np.float64)
-    neg = pair_scores(store, q[:, None, :],
-                      store.entities[negatives]).astype(np.float64)
-    if cfg.postweight_score == "f" and cfg.mode == "vlp":
-        _, t_prime, _ = _vlp_forward(store, table, h, r, t)
-        fc_pos, _ = _cosine_forward(t_prime, store.entities[t])
-        fc_neg, _ = _cosine_forward(t_prime, store.entities[negatives])
-        pos = fc_pos.astype(np.float64) + lam * pos
-        neg = fc_neg.astype(np.float64) + lam * neg
-    return pos, neg
+def backward(store, fwd, buf):
+    """Chain the upstream gradients in ``fwd`` to the parameters in ``buf``."""
+    d_q, d_k = pair_score_pullback(store, fwd.q[:, None, :], fwd.k, fwd.d_fg)
+    d_q = d_q.sum(axis=1)
+    buf.add_entities(fwd.cand, d_k)
+    if fwd.cos is not None:
+        t_prime, ents = fwd.agg.t_prime, store.entities
+        inv_tn, inv_en = _inv_norms(t_prime), _inv_norms(ents)
+        gc = fwd.d_cos * fwd.cos
+        gi = fwd.d_cos * inv_tn[:, None]
+        gi *= inv_en
+        d_t = gi @ ents - (gc.sum(1) * inv_tn ** 2)[:, None] * t_prime
+        buf.add_entities_dense(
+            gi.T @ t_prime - (gc.sum(0) * inv_en ** 2)[:, None] * ents)
+        agg = aggregate_pullback(store, fwd.agg, d_t)
+        d_q += agg.d_q
+        buf.add_agg(agg.d_w_node, agg.d_w_edge, agg.d_w_agg)
+        buf.add_entities(agg.ref_t_ids, agg.d_ref_t)
+        buf.add_entities(agg.ref_h_ids, agg.d_ref_h)
+        buf.add_relations(agg.ref_r_ids, agg.d_ref_r)
+    d_h, d_r = query_pullback(store, fwd.h, fwd.r, d_q)
+    buf.add_entities(fwd.h, d_h)
+    buf.add_relations(fwd.r, d_r)
 
 
 def train_step(store, adam, cfg, batch, rng, table=None, presampler=None,
@@ -336,22 +277,19 @@ def train_step(store, adam, cfg, batch, rng, table=None, presampler=None,
     """One optimization step; returns (L1, L2, L) float diagnostics."""
     negatives = draw_negative_batch(cfg.sampler, store.n_entities,
                                     batch[:, 0], rng, presampler)
-    pos_s, neg_s = postweight_scores(store, table, batch, negatives,
-                                     cfg.lam, cfg)
-    post_w = negative_weights(cfg.sampler, pos_s, neg_s)
-
     vlp = cfg.mode == "vlp"
     l2_scale = cfg.alpha if vlp else 1.0
     b = len(batch)
 
     def run_part(rows):
+        fwd = forward(store, table, batch[rows], negatives[rows], vlp)
+        post_w = negative_weights(cfg.sampler, *postweight_scores(
+            fwd, cfg.lam, cfg.postweight_score))
+        l1 = loss_l1(fwd, normalizer=b) if vlp else 0.0
+        l2 = loss_l2(fwd, post_w, cfg.gamma, cfg.lam, scale=l2_scale,
+                     normalizer=b)
         part = GradBuffer(store)
-        sub = batch[rows]
-        l1 = (loss_l1(store, table, sub, part, scale=1.0, normalizer=b)
-              if vlp else 0.0)
-        l2 = loss_l2(store, table, sub, negatives[rows], post_w[rows],
-                     cfg.gamma, cfg.lam, cfg.mode, part,
-                     scale=l2_scale, normalizer=b)
+        backward(store, fwd, part)
         return l1, l2, part
 
     if pool is not None and cfg.threads > 1 and b >= 2 * cfg.threads:
@@ -401,9 +339,6 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
     good files. ``resume`` restores parameters, moments and the step counter
     from a checkpoint and continues as if never interrupted.
     """
-    from .data import FilterIndex
-    from .evaluation import evaluate  # local import; evaluation is loop-free
-
     cfg.validated()
     train_triples = kg.train
     if len(train_triples) == 0:
@@ -448,7 +383,7 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
     perm_epoch = -1
     best_mrr = -1.0
     t0 = time.perf_counter()
-    filter_index = FilterIndex(kg) if len(kg.valid) else None
+    filter_index = data.FilterIndex(kg) if len(kg.valid) else None
     pool = (concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads)
             if cfg.threads > 1 else None)
 
@@ -457,10 +392,10 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
         if filter_index is None:
             result.history.append((step, l1, l2, total, float("nan"), 0.0))
             return float("nan")
-        report = evaluate(store, kg, "valid", table=table,
-                          dist_index=dist_index, lam=cfg.lam,
-                          mode=cfg.eval_mode, threads=cfg.threads,
-                          filter_index=filter_index)
+        report = evaluation.evaluate(store, kg, "valid", table=table,
+                                     dist_index=dist_index, lam=cfg.lam,
+                                     mode=cfg.eval_mode, threads=cfg.threads,
+                                     filter_index=filter_index)
         wall = time.perf_counter() - t0
         line = f"{step}\t{l1:.6f}\t{l2:.6f}\t{total:.6f}\t{report.mrr:.6f}\t{wall:.2f}"
         logger.info("step %d  L1 %.4f  L2 %.4f  L %.4f  valid-MRR %.4f",
@@ -491,10 +426,10 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
                               table=table, presampler=presampler, pool=pool)
             if cfg.eval_every and step % cfg.eval_every == 0:
                 validate_now(step, *last)
-        if cfg.steps == 0 or not (cfg.eval_every and cfg.steps % cfg.eval_every == 0):
-            result.final_valid_mrr = validate_now(max(cfg.steps, start_step), *last)
-        else:
-            result.final_valid_mrr = result.history[-1][4]
+        end = max(cfg.steps, start_step)
+        if not result.history or result.history[-1][0] != end:
+            validate_now(end, *last)  # no step ran, or none validated at the end
+        result.final_valid_mrr = result.history[-1][4]
         if out_dir is not None:
             _atomic_save(result.final_path, store, adam, adam.step, train_hash)
     finally:
@@ -503,3 +438,29 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
         if log_handle:
             log_handle.close()
     return result
+
+
+def reference_sweep(cfg, kg, n_values, dist_index, train_hash=0, out_dir=None):
+    """Train and evaluate once per reference count N; returns [(N, MRR)].
+
+    N = 0 runs the same pipeline with empty reference lists (the aggregator
+    pools nothing), not a separate code path.
+    """
+    if not len(n_values):
+        raise ValueError("n_values must be non-empty")
+    rows = []
+    for n in n_values:
+        sub = replace(cfg, refs=int(n), sampler=replace(cfg.sampler))
+        table = select_references(kg, dist_index, n_refs=int(n),
+                                  train_hash=train_hash)
+        presampler = (PreSampler(dist_index, sub.sampler.alpha0)
+                      if sub.sampler.pre_mode == "distance" else None)
+        sub_out = None if out_dir is None else f"{out_dir}/refs-{int(n)}"
+        result = train(sub, kg, table=table, presampler=presampler,
+                       dist_index=dist_index, out_dir=sub_out,
+                       train_hash=train_hash)
+        report = evaluation.evaluate(result.store, kg, "test", table=table,
+                                     dist_index=dist_index, lam=sub.lam,
+                                     mode=sub.eval_mode, threads=sub.threads)
+        rows.append((int(n), report.mrr))
+    return rows

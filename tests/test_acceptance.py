@@ -32,12 +32,12 @@ from vlpkg import (ModelKind, PreSampler, SamplerConfig, TrainConfig,
                    init_parameters, load_dataset, loss_l1, loss_l2, score_fg,
                    select_references, train)
 from vlpkg.data import FilterIndex
-from vlpkg.evaluation import candidate_scores, rank_from_scores, reference_sweep
+from vlpkg.evaluation import candidate_scores, rank_from_scores
 from vlpkg.models import entity_width
 from vlpkg.reference import context_vector, cosine_single
 from vlpkg.sampling import negative_weights, post_weights
 from vlpkg.synth import compositional_graph, kg_from_id_triples, random_graph
-from vlpkg.training import GradBuffer
+from vlpkg.training import GradBuffer, backward, forward, reference_sweep
 
 from conftest import fd_array, floyd_warshall, max_rel_err
 
@@ -96,13 +96,16 @@ def test_gradients_match_central_differences(capsys):
 
         def objective(mode):
             def value(buf=None):
+                fwd = forward(store, table, batch, neg, mode == "vlp")
                 if mode == "vlp":
-                    l1 = loss_l1(store, table, batch, buf)
-                    l2 = loss_l2(store, table, batch, neg, w, 2.0, 0.4,
-                                 mode, buf, scale=0.7)
-                    return l1 + 0.7 * l2
-                return loss_l2(store, table, batch, neg, w, 2.0, 0.4, mode,
-                               buf)
+                    l1 = loss_l1(fwd)
+                    l2 = loss_l2(fwd, w, 2.0, 0.4, scale=0.7)
+                    total = l1 + 0.7 * l2
+                else:
+                    total = loss_l2(fwd, w, 2.0, 0.4)
+                if buf is not None:
+                    backward(store, fwd, buf)
+                return total
             return value
 
         for mode in ("vlp", "hlp"):

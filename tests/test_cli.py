@@ -258,6 +258,39 @@ def test_sweep_runs_grid_product(dataset, tmp_path, capsys, monkeypatch):
         assert (out_dir / f"sweep-{i:03d}" / "checkpoint.vlpc").is_file()
 
 
+def test_sweep_builds_each_cache_once(dataset, tmp_path, capsys,
+                                      monkeypatch):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("refs = 2,4\nlr = 0.01,0.05\n")
+    base = tmp_path / "base.cfg"
+    base.write_text("model = distmult\nmode = vlp\ndim = 8\nbatch = 16\n"
+                    "steps = 2\nnegs = 4\ncap = 4\neval-every = 0\n")
+    calls = {"compute_distances": 0, "select_references": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(vlpkg.cli, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(vlpkg.cli, name, counted)
+    code = main(["sweep", "--dataset", str(dataset), "--config", str(base),
+                 "--grid", str(grid), "--out", str(tmp_path / "sweep")])
+    assert code == 0
+    # one index for cap 4, one table per refs value, for four runs
+    assert calls == {"compute_distances": 1, "select_references": 2}
+    out = capsys.readouterr().out
+    assert out.count("reused from an earlier sweep run") == 3 + 2
+
+
+def test_resume_of_a_finished_run_validates_and_exits_cleanly(
+        dataset, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    args = ["train", "--dataset", str(dataset), "--out", str(out_dir),
+            "--model", "rotate", "--mode", "vlp"] + FAST[:-1] + ["6"]
+    assert main(args) == 0
+    assert main(args + ["--resume", str(out_dir / "checkpoint.vlpc")]) == 0
+    assert "MRR" in capsys.readouterr().out
+
+
 def test_grid_file_rejects_unknown_keys(tmp_path):
     grid = tmp_path / "grid.cfg"
     grid.write_text("gamma = 2,4\nwarmup = 1,2\n")

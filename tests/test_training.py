@@ -6,7 +6,8 @@ from vlpkg import (AdamState, ModelKind, SamplerConfig, TrainConfig,
                    loss_l1, loss_l2, select_references, train, train_step)
 from vlpkg.sampling import draw_negative_batch, negative_weights
 from vlpkg.training import (BETA1, BETA2, EPS, GradBuffer, RNG_STEP,
-                            adam_apply, postweight_scores, stream_rng)
+                            adam_apply, backward, forward, postweight_scores,
+                            stream_rng)
 from vlpkg.synth import random_graph
 
 from conftest import fd_array, max_rel_err
@@ -26,13 +27,16 @@ def _setup(kind, seed=0):
 
 def _total_loss(store, table, batch, neg, w, mode, gamma, lam, alpha,
                 buf=None):
+    fwd = forward(store, table, batch, neg, mode == "vlp")
     if mode == "vlp":
-        l1 = loss_l1(store, table, batch, buf, scale=1.0)
-        l2 = loss_l2(store, table, batch, neg, w, gamma, lam, mode, buf,
-                     scale=alpha)
-        return l1 + alpha * l2
-    return loss_l2(store, table, batch, neg, w, gamma, lam, mode, buf,
-                   scale=1.0)
+        l1 = loss_l1(fwd)
+        l2 = loss_l2(fwd, w, gamma, lam, scale=alpha)
+        total = l1 + alpha * l2
+    else:
+        total = loss_l2(fwd, w, gamma, lam, scale=1.0)
+    if buf is not None:
+        backward(store, fwd, buf)
+    return total
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -41,29 +45,35 @@ def test_loss_gradients_match_finite_differences(kind, mode):
     """Full objective against central differences, all parameter arrays.
 
     Negatives and their post-weights are frozen, exactly as a training step
-    treats them (the weights are constants by construction).
+    treats them (the weights are constants by construction). The second
+    negatives input has a row that draws one negative twice and its own
+    gold tail once, so repeated candidate ids must accumulate.
     """
     kg, table, store = _setup(kind)
     gamma, lam, alpha = 2.0, 0.4, 0.7
     batch = kg.train[:4]
     rng = np.random.default_rng(1)
-    neg = rng.integers(kg.n_entities, size=(len(batch), 3))
+    drawn = rng.integers(kg.n_entities, size=(len(batch), 3))
     w = negative_weights(SamplerConfig(mode="red"),
-                         np.zeros(len(batch)), rng.normal(size=neg.shape))
+                         np.zeros(len(batch)), rng.normal(size=drawn.shape))
+    repeats = drawn.copy()
+    repeats[0] = [batch[0, 2], 5, 5]
 
-    buf = GradBuffer(store)
-    _total_loss(store, table, batch, neg, w, mode, gamma, lam, alpha, buf)
-
-    def value():
-        return _total_loss(store, table, batch, neg, w, mode, gamma, lam,
-                           alpha)
-
-    analytic = [buf.d_ent, buf.d_rel] + buf.d_agg
-    arrays = store.param_arrays()
     worst = 0.0
-    for got, arr in zip(analytic, arrays):
-        fd = fd_array(value, arr)
-        worst = max(worst, max_rel_err(got, fd))
+    for neg in (drawn, repeats):
+        buf = GradBuffer(store)
+        _total_loss(store, table, batch, neg, w, mode, gamma, lam, alpha,
+                    buf)
+
+        def value():
+            return _total_loss(store, table, batch, neg, w, mode, gamma, lam,
+                               alpha)
+
+        analytic = [buf.d_ent, buf.d_rel] + buf.d_agg
+        arrays = store.param_arrays()
+        for got, arr in zip(analytic, arrays):
+            fd = fd_array(value, arr)
+            worst = max(worst, max_rel_err(got, fd))
     assert worst < 1e-6, f"{kind.value}/{mode}: rel err {worst:.3e}"
 
 
@@ -82,7 +92,7 @@ def test_l1_loss_is_cross_entropy_over_cosines():
         c = cosine_all(t_prime, store.entities).astype(np.float64)
         want += logsumexp(c) - c[int(t)]
     want /= len(batch)
-    got = loss_l1(store, table, batch)
+    got = loss_l1(forward(store, table, batch, batch[:, :0], True))
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -118,7 +128,8 @@ def test_l2_loss_matches_direct_formula():
             want += -log_expit(gamma + f(t))
             want += sum(-0.5 * log_expit(-f(int(x)) - gamma) for x in neg[i])
         want /= len(batch)
-        got = loss_l2(store, table, batch, neg, w, gamma, lam, mode)
+        got = loss_l2(forward(store, table, batch, neg, mode == "vlp"), w,
+                      gamma, lam)
         assert got == pytest.approx(want, rel=1e-10), mode
 
 
@@ -211,10 +222,65 @@ def test_alpha_zero_equals_pure_l1_step():
     train_step(store, adam, cfg, batch, stream_rng(0, RNG_STEP, 1),
                table=table)
     buf = GradBuffer(twin)
-    loss_l1(twin, table, batch, buf, scale=1.0)
+    fwd = forward(twin, table, batch, batch[:, :0], True)  # no negatives
+    loss_l1(fwd)
+    backward(twin, fwd, buf)
     adam_apply(twin, twin_adam, buf, cfg.lr)
     for got, want in zip(store.param_arrays(), twin.param_arrays()):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_vlp_step_gathers_and_pulls_back_references_once_per_chunk(
+        threads, monkeypatch):
+    import concurrent.futures
+
+    import vlpkg.training
+
+    calls = {"gather_references": 0, "aggregate_pullback": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(vlpkg.training, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(vlpkg.training, name, counted)
+    kg, table, store = _setup(ModelKind.ROTATE)
+    cfg = TrainConfig(dataset="x", model="rotate", mode="vlp", dim=4,
+                      batch=8, lr=0.01, steps=1, threads=threads,
+                      postweight_score="f",
+                      sampler=SamplerConfig(mode="selfadv", n_negatives=3))
+    with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+        train_step(store, AdamState.zeros(store), cfg, kg.train[:8],
+                   stream_rng(0, RNG_STEP, 1), table=table, pool=pool)
+    assert calls == {"gather_references": threads,
+                     "aggregate_pullback": threads}
+
+
+def test_postweight_scores_are_fg_or_the_combined_score():
+    """postweight-score = f gives score_f with the triple's own answer
+    masked out of its references; fg, and every hlp run, give f_g."""
+    from vlpkg import score_f, score_fg
+
+    kg, table, store = _setup(ModelKind.TRANSE)
+    lam = 0.4
+    batch = kg.train[:3]
+    neg = np.array([[1, 2], [3, 3], [int(batch[2, 2]), 0]])
+    cand = np.concatenate([batch[:, 2:], neg], axis=1)
+    for mode, score in (("vlp", "f"), ("vlp", "fg"), ("hlp", "f"),
+                        ("hlp", "fg")):
+        fwd = forward(store, table, batch, neg, mode == "vlp")
+        pos, negs = postweight_scores(fwd, lam, score)
+        got = np.concatenate([pos[:, None], negs], axis=1)
+        for i, (h, r, t) in enumerate(batch):
+            h, r, t = int(h), int(r), int(t)
+            for j, x in enumerate(cand[i]):
+                if mode == "vlp" and score == "f":
+                    want = score_f(store, table, h, r, int(x), lam,
+                                   exclude_tail=t)
+                else:
+                    want = score_fg(store, h, r, int(x))
+                assert got[i, j] == pytest.approx(want, rel=1e-10), (mode,
+                                                                     score)
 
 
 def test_non_finite_loss_aborts_with_context():
