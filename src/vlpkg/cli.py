@@ -106,7 +106,8 @@ def ensure_references(kg, dataset_dir, index, n_refs, train_hash, status,
     if path.is_file() and not status.dist_rebuilt:
         try:
             table = ReferenceTable.load(path)
-            if table.train_hash == train_hash and table.n_refs == n_refs:
+            if (table.train_hash == train_hash and table.n_refs == n_refs
+                    and table.cap == index.cap):
                 status.note("refs-cache", path, "hit")
                 return table
             reason = "stale"

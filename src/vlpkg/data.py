@@ -92,7 +92,6 @@ class KnowledgeGraph:
         self.unknown_entities = tuple(unknown_entities)
         self.unknown_relations = tuple(unknown_relations)
         self._rel_pairs = None
-        self._adjacency = None
         self._head_freq = None
 
     @property
@@ -122,24 +121,6 @@ class KnowledgeGraph:
                 pairs[r] = np.ascontiguousarray(tr[bounds[r]:bounds[r + 1]][:, [0, 2]])
             self._rel_pairs = pairs
         return self._rel_pairs[relation]
-
-    def adjacency(self, entity):
-        """Training edges touching ``entity`` as (relation, neighbor, direction)
-        rows; direction 0 = outgoing (entity is head), 1 = incoming."""
-        if self._adjacency is None:
-            tr = self.train
-            out_rows = np.stack(
-                [tr[:, 0], tr[:, 1], tr[:, 2], np.zeros(len(tr), dtype=np.int64)], axis=1
-            )
-            in_rows = np.stack(
-                [tr[:, 2], tr[:, 1], tr[:, 0], np.ones(len(tr), dtype=np.int64)], axis=1
-            )
-            both = np.concatenate([out_rows, in_rows])
-            both = both[np.lexsort((both[:, 3], both[:, 2], both[:, 1], both[:, 0]))]
-            bounds = np.searchsorted(both[:, 0], np.arange(self.n_entities + 1))
-            self._adjacency = (both, bounds)
-        rows, bounds = self._adjacency
-        return rows[bounds[entity]:bounds[entity + 1], 1:]
 
     def entity_frequency(self):
         """Occurrences of each entity in training triples (head or tail)."""
@@ -286,23 +267,22 @@ def is_reciprocal_relation(kg, relation):
 
 
 class FilterIndex:
-    """All known-true tails per (head, relation) over train + valid + test."""
+    """All known-true tails per (head, relation) over train + valid + test.
+
+    One sorted array of codes (h * |R| + r) * |E| + t, so the tails of one
+    key are a contiguous slice.
+    """
 
     def __init__(self, kg):
-        buckets = {}
-        for split in (kg.train, kg.valid, kg.test):
-            for h, r, t in split:
-                buckets.setdefault((int(h), int(r)), set()).add(int(t))
-        self._tails = {
-            key: np.array(sorted(vals), dtype=np.int64)
-            for key, vals in buckets.items()
-        }
+        self.n_entities = kg.n_entities
+        self.n_relations = kg.n_relations
+        h, r, t = np.concatenate([kg.train, kg.valid, kg.test]).T
+        self.codes = np.unique((h * self.n_relations + r) * self.n_entities + t)
 
     def tails(self, head, relation):
-        return self._tails.get((int(head), int(relation)), _EMPTY_IDS)
-
-
-_EMPTY_IDS = np.array([], dtype=np.int64)
+        base = (int(head) * self.n_relations + int(relation)) * self.n_entities
+        lo, hi = np.searchsorted(self.codes, (base, base + self.n_entities))
+        return self.codes[lo:hi] - base
 
 
 def rmp_classify(kg):

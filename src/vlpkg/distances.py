@@ -7,7 +7,8 @@ with distance < cap are stored, so memory stays proportional to the
 truncated neighbourhood sizes.
 
 The index serializes to a little-endian binary cache (magic ``VLPD``) keyed
-by a hash of the raw training file so stale caches are never reused.
+by a hash of the raw training file so stale caches are never reused: the
+header, then the row offsets, ids and distances, each written whole.
 """
 
 from __future__ import annotations
@@ -25,22 +26,20 @@ logger = logging.getLogger(__name__)
 DEFAULT_CAP = 8
 
 MAGIC = b"VLPD"
-VERSION = 1
+VERSION = 2
+_HEADER = struct.Struct("<4sIIQQQ")  # magic, version, cap, n, hash, pairs
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _U64 = (1 << 64) - 1
-
-_PAIR_DTYPE = np.dtype([("id", "<u4"), ("d", "u1")])
 
 
 class CacheError(Exception):
     """A cache file is missing, truncated, or fails validation."""
 
 
-def fnv1a64(data):
-    """64-bit FNV-1a hash of a bytes-like object."""
-    h = FNV_OFFSET
+def fnv1a64(data, h=FNV_OFFSET):
+    """64-bit FNV-1a hash of a bytes-like object, continuing from state h."""
     for b in data:
         h = ((h ^ b) * FNV_PRIME) & _U64
     return h
@@ -50,62 +49,57 @@ def hash_file(path, chunk_size=1 << 20):
     """FNV-1a hash of a file's raw bytes, streamed in chunks."""
     h = FNV_OFFSET
     with open(path, "rb") as handle:
-        while True:
-            chunk = handle.read(chunk_size)
-            if not chunk:
-                break
-            for b in chunk:
-                h = ((h ^ b) * FNV_PRIME) & _U64
+        for chunk in iter(lambda: handle.read(chunk_size), b""):
+            h = fnv1a64(chunk, h)
     return h
 
 
 class DistanceIndex:
-    """Per-source truncated distance rows.
+    """Truncated distance rows in CSR form.
 
-    Each row holds the ids within distance cap-1 of the source (the source
-    itself included at distance 0), sorted by (distance, id), plus bucket
-    offsets so all ids at one exact distance are a contiguous slice.
+    Row s is ``ids[indptr[s]:indptr[s + 1]]``: the ids within distance
+    cap-1 of s (s itself included at distance 0), sorted by (distance, id),
+    with ``dists`` aligned. The ids at exactly distance d from s are the
+    slice between ``ring_offsets[s * cap + d]`` and the next offset.
     """
 
-    def __init__(self, n_entities, cap, row_ids, row_dists, train_hash=0):
+    def __init__(self, n_entities, cap, indptr, ids, dists, train_hash=0):
         self.n_entities = int(n_entities)
         self.cap = int(cap)
         self.train_hash = int(train_hash)
-        self._ids = row_ids          # list of uint32 arrays, (distance, id) sorted
-        self._dists = row_dists      # list of uint8 arrays, aligned with _ids
-        self._offsets = [
-            np.searchsorted(d, np.arange(cap + 1)) for d in self._dists
-        ]
+        self.indptr = indptr   # (n+1,) int64
+        self.ids = ids         # (pairs,) uint32
+        self.dists = dists     # (pairs,) uint8
+        # s * cap + d is sorted over all pairs, so one search finds every ring
+        keys = np.repeat(np.arange(self.n_entities, dtype=np.int64) * self.cap,
+                         np.diff(indptr))
+        keys += dists
+        self.ring_offsets = np.searchsorted(
+            keys, np.arange(self.n_entities * self.cap + 1))
 
     def row(self, source):
         """(ids, dists) arrays for one source, sorted by (distance, id)."""
-        return self._ids[source], self._dists[source]
+        lo, hi = self.indptr[source], self.indptr[source + 1]
+        return self.ids[lo:hi], self.dists[lo:hi]
 
     def ring(self, source, distance):
         """Ids at exactly ``distance`` from source, ascending (empty if none)."""
         if distance >= self.cap:
             raise ValueError("rings are only stored for distance < cap")
-        off = self._offsets[source]
-        return self._ids[source][off[distance]:off[distance + 1]]
+        i = source * self.cap + distance
+        return self.ids[self.ring_offsets[i]:self.ring_offsets[i + 1]]
 
     def ring_sizes(self, source):
         """Count of ids at each exact distance 0..cap-1, plus the remainder
         bucket at index cap (everything at distance >= cap)."""
-        off = self._offsets[source]
-        sizes = np.diff(off).astype(np.int64)
-        sizes = np.append(sizes, self.n_entities - len(self._ids[source]))
-        return sizes
+        off = self.ring_offsets[source * self.cap:(source + 1) * self.cap + 1]
+        return np.append(np.diff(off), self.n_entities - (off[-1] - off[0]))
 
     def distance(self, a, b):
         """Hop count between a and b, saturated at cap."""
-        off = self._offsets[a]
-        ids = self._ids[a]
-        for d in range(self.cap):
-            lo, hi = off[d], off[d + 1]
-            pos = np.searchsorted(ids[lo:hi], b)
-            if pos < hi - lo and ids[lo + pos] == b:
-                return d
-        return self.cap
+        ids, dists = self.row(a)
+        hit = np.flatnonzero(ids == b)
+        return int(dists[hit[0]]) if len(hit) else self.cap
 
     def distances_from(self, source):
         """Dense (n_entities,) distance vector from one source."""
@@ -116,40 +110,39 @@ class DistanceIndex:
 
     def save(self, path):
         with open(path, "wb") as handle:
-            handle.write(MAGIC)
-            handle.write(struct.pack("<IIQQ", VERSION, self.cap,
-                                     self.n_entities, self.train_hash))
-            for ids, dists in zip(self._ids, self._dists):
-                handle.write(struct.pack("<I", len(ids)))
-                rec = np.empty(len(ids), dtype=_PAIR_DTYPE)
-                rec["id"] = ids
-                rec["d"] = dists
-                handle.write(rec.tobytes())
+            handle.write(_HEADER.pack(MAGIC, VERSION, self.cap,
+                                      self.n_entities, self.train_hash,
+                                      len(self.ids)))
+            for arr, dtype in ((self.indptr, "<i8"), (self.ids, "<u4"),
+                               (self.dists, "u1")):
+                handle.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
     @classmethod
     def load(cls, path):
         with open(path, "rb") as handle:
             data = handle.read()
-        if len(data) < 28 or data[:4] != MAGIC:
+        if len(data) < 8 or data[:4] != MAGIC:
             raise CacheError(f"{path}: not a distance cache")
-        version, cap, n_entities, train_hash = struct.unpack_from("<IIQQ", data, 4)
+        (version,) = struct.unpack_from("<I", data, 4)
         if version != VERSION:
             raise CacheError(f"{path}: unsupported version {version}")
-        pos = 28
-        row_ids, row_dists = [], []
-        try:
-            for _ in range(n_entities):
-                (count,) = struct.unpack_from("<I", data, pos)
-                pos += 4
-                rec = np.frombuffer(data, dtype=_PAIR_DTYPE, count=count, offset=pos)
-                pos += count * _PAIR_DTYPE.itemsize
-                row_ids.append(rec["id"].astype(np.uint32))
-                row_dists.append(rec["d"].copy())
-        except (struct.error, ValueError) as exc:
-            raise CacheError(f"{path}: truncated distance cache") from exc
-        if pos != len(data):
+        if len(data) < _HEADER.size:
+            raise CacheError(f"{path}: truncated distance cache")
+        _, _, cap, n, train_hash, pairs = _HEADER.unpack_from(data)
+        size = _HEADER.size + 8 * (n + 1) + 5 * pairs
+        if len(data) < size:
+            raise CacheError(f"{path}: truncated distance cache")
+        if len(data) > size:
             raise CacheError(f"{path}: trailing bytes in distance cache")
-        return cls(n_entities, cap, row_ids, row_dists, train_hash)
+        indptr = np.frombuffer(data, "<i8", n + 1, _HEADER.size)
+        ids = np.frombuffer(data, "<u4", pairs, _HEADER.size + 8 * (n + 1))
+        dists = np.frombuffer(data, "u1", pairs, size - pairs)
+        if (indptr[0] != 0 or indptr[-1] != pairs
+                or (np.diff(indptr) < 0).any()):
+            raise CacheError(f"{path}: row offsets disagree with pair count")
+        if pairs and (ids.max() >= n or dists.max() >= cap):
+            raise CacheError(f"{path}: id or distance out of range")
+        return cls(n, cap, indptr, ids, dists, train_hash)
 
 
 def compute_distances(kg, cap=DEFAULT_CAP, threads=1, train_hash=0,
@@ -192,4 +185,7 @@ def compute_distances(kg, cap=DEFAULT_CAP, threads=1, train_hash=0,
     else:
         for start in starts:
             run_chunk(start)
-    return DistanceIndex(n, cap, row_ids, row_dists, train_hash)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(ids) for ids in row_ids], out=indptr[1:])
+    return DistanceIndex(n, cap, indptr, np.concatenate(row_ids),
+                         np.concatenate(row_dists), train_hash)

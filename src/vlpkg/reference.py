@@ -10,7 +10,8 @@ Their answer embeddings k_i and query differences s_i = q - q_i are pooled,
 and a candidate tail t is scored by cosine(t', k_t). The combined score adds
 the plain triple score: f = f_c + lambda * f_g.
 
-Selection is precomputed once per dataset and cached (magic ``VLPR``). Each
+Selection is precomputed once per dataset and cached (magic ``VLPR``; the
+header records N, the cap of the distances used and the train hash). Each
 key stores one spare reference beyond N so the query's own training answer
 can be masked out during training without shrinking the reference set.
 """
@@ -31,7 +32,8 @@ logger = logging.getLogger(__name__)
 DEFAULT_N_REFS = 8
 
 MAGIC = b"VLPR"
-VERSION = 1
+VERSION = 2
+_HEADER = struct.Struct("<4sIIIQQ")  # magic, version, N, cap, keys, hash
 
 _EMPTY_PAIRS = np.zeros((0, 2), dtype=np.int64)
 
@@ -45,10 +47,11 @@ class ReferenceTable:
     list (the aggregator then pools nothing and t' = tanh(W_agg [0 ; q])).
     """
 
-    def __init__(self, n_refs, entries, train_hash=0):
+    def __init__(self, n_refs, entries, train_hash=0, cap=0):
         self.n_refs = int(n_refs)
         self.entries = entries
         self.train_hash = int(train_hash)
+        self.cap = int(cap)  # of the distance index the references came from
 
     def lookup(self, h, r, exclude_tail=None):
         """References for one query, truncated to N.
@@ -67,9 +70,8 @@ class ReferenceTable:
     def save(self, path):
         keys = sorted(self.entries)
         with open(path, "wb") as handle:
-            handle.write(MAGIC)
-            handle.write(struct.pack("<IIQQ", VERSION, self.n_refs,
-                                     len(keys), self.train_hash))
+            handle.write(_HEADER.pack(MAGIC, VERSION, self.n_refs, self.cap,
+                                      len(keys), self.train_hash))
             for h, r in keys:
                 arr = self.entries[(h, r)]
                 handle.write(struct.pack("<IIB", h, r, len(arr)))
@@ -79,14 +81,15 @@ class ReferenceTable:
     def load(cls, path):
         with open(path, "rb") as handle:
             data = handle.read()
-        if len(data) < 28 or data[:4] != MAGIC:
+        if len(data) < 8 or data[:4] != MAGIC:
             raise CacheError(f"{path}: not a reference cache")
-        version, n_refs, n_keys, train_hash = struct.unpack_from("<IIQQ", data, 4)
+        (version,) = struct.unpack_from("<I", data, 4)
         if version != VERSION:
             raise CacheError(f"{path}: unsupported version {version}")
-        pos = 28
+        pos = _HEADER.size
         entries = {}
         try:
+            _, _, n_refs, cap, n_keys, train_hash = _HEADER.unpack_from(data)
             for _ in range(n_keys):
                 h, r, count = struct.unpack_from("<IIB", data, pos)
                 pos += 9
@@ -98,7 +101,7 @@ class ReferenceTable:
             raise CacheError(f"{path}: truncated reference cache") from exc
         if pos != len(data):
             raise CacheError(f"{path}: trailing bytes in reference cache")
-        return cls(n_refs, entries, train_hash)
+        return cls(n_refs, entries, train_hash, cap)
 
 
 def query_keys(kg):
@@ -170,7 +173,7 @@ def select_references(kg, index, n_refs=DEFAULT_N_REFS, train_hash=0):
                         break
             entries[(h, r)] = (np.array(got, dtype=np.int64)
                                if got else _EMPTY_PAIRS)
-    return ReferenceTable(n_refs, entries, train_hash)
+    return ReferenceTable(n_refs, entries, train_hash, index.cap)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,6 @@ class PreSampler:
         self.index = index
         self.alpha0 = float(alpha0)
         self._decay = np.exp(-self.alpha0 * np.arange(index.cap + 1))
-        self._complements = {}
 
     def bucket_weights(self, source):
         """Normalized bucket probabilities, one per distance 0..cap."""
@@ -106,26 +105,26 @@ class PreSampler:
         return out
 
     def _sample_beyond_cap(self, source, k, rng):
-        index = self.index
-        n = index.n_entities
-        comp = self._complements.get(source)
-        if comp is None:
-            ids, _ = index.row(source)
-            comp_size = n - len(ids)
-            if comp_size * 8 >= n:
-                # plenty of mass beyond the cap: rejection is cheap
-                out = np.empty(k, dtype=np.int64)
-                filled = 0
-                while filled < k:
-                    cand = rng.integers(n, size=2 * (k - filled) + 16)
-                    keep = cand[self._beyond_cap_mask(source, cand)]
-                    take = min(len(keep), k - filled)
-                    out[filled:filled + take] = keep[:take]
-                    filled += take
-                return out
-            comp = np.setdiff1d(np.arange(n, dtype=np.int64), ids)
-            self._complements[source] = comp
-        return comp[rng.integers(len(comp), size=k)]
+        """k uniform draws from the ids at distance >= cap, by rejection.
+
+        A round holds about twice the candidates that k accepted draws need
+        in expectation, n / |beyond| each, so one round nearly always
+        suffices. The cap bucket is picked with probability at most
+        |beyond| * exp(-alpha0 * cap), so a sample costs at most about
+        2n * exp(-alpha0 * cap) candidates in expectation without any
+        per-source cache.
+        """
+        n = self.index.n_entities
+        beyond = n - len(self.index.row(source)[0])
+        out = np.empty(k, dtype=np.int64)
+        filled = 0
+        while filled < k:
+            cand = rng.integers(n, size=2 * (k - filled) * n // beyond + 16)
+            keep = cand[self._beyond_cap_mask(source, cand)]
+            take = min(len(keep), k - filled)
+            out[filled:filled + take] = keep[:take]
+            filled += take
+        return out
 
     def _beyond_cap_mask(self, source, candidates):
         mask = np.ones(len(candidates), dtype=bool)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ import vlpkg.evaluation
 from vlpkg.cli import (DIST_CACHE, REFS_CACHE, build_parser, cache_dir_for,
                        main, parse_grid_file)
 from vlpkg.config import ConfigError
+from vlpkg.distances import DistanceIndex
+from vlpkg.reference import ReferenceTable
 from vlpkg.synth import compositional_graph, name_triples, write_dataset
 
 
@@ -50,6 +54,41 @@ def test_preprocess_recovers_from_corrupt_cache(dataset, capsys):
     assert main(["preprocess", "--dataset", str(dataset)]) == 0
     out = capsys.readouterr().out
     assert "built, was corrupt" in out
+
+
+def test_preprocess_rebuilds_an_old_format_cache(dataset, capsys):
+    main(["preprocess", "--dataset", str(dataset)])
+    capsys.readouterr()
+    index = DistanceIndex.load(dataset / DIST_CACHE)
+    # format 1: the header, then per row a pair count and (id, distance) pairs
+    blob = [b"VLPD", struct.pack("<IIQQ", 1, index.cap, index.n_entities,
+                                 index.train_hash)]
+    for source in range(index.n_entities):
+        ids, dists = index.row(source)
+        blob.append(struct.pack("<I", len(ids)))
+        blob.extend(struct.pack("<IB", i, d) for i, d in zip(ids, dists))
+    (dataset / DIST_CACHE).write_bytes(b"".join(blob))
+    assert main(["preprocess", "--dataset", str(dataset)]) == 0
+    out = capsys.readouterr().out
+    assert "dist-cache" in out and "built, was corrupt" in out
+    assert DistanceIndex.load(dataset / DIST_CACHE).cap == index.cap
+
+
+def test_reference_cache_is_stale_after_a_cap_change(dataset, tmp_path,
+                                                     capsys):
+    # the hlp run rebuilds only the distances; the vlp run after it must
+    # not reuse references selected at the old cap
+    run = ["train", "--dataset", str(dataset), "--out", str(tmp_path / "r")]
+    assert main(run + FAST + ["--mode", "vlp", "--cap", "3"]) == 0
+    assert main(run + FAST + ["--mode", "hlp", "--sampler", "red",
+                              "--cap", "5"]) == 0
+    capsys.readouterr()
+    assert main(run + FAST + ["--mode", "vlp", "--cap", "5"]) == 0
+    out = capsys.readouterr().out
+    refs = next(line for line in out.splitlines()
+                if line.startswith("refs-cache"))
+    assert "(hit)" not in refs and "built, was stale" in refs
+    assert ReferenceTable.load(dataset / REFS_CACHE).cap == 5
 
 
 def test_train_writes_artifacts_and_echoes_config(dataset, tmp_path, capsys):

@@ -107,6 +107,21 @@ def test_filter_index_covers_all_splits():
     assert list(index.tails(1, 0)) == []
 
 
+def test_filter_index_matches_brute_force_sets(small_kg):
+    known = {}
+    for split in (small_kg.train, small_kg.valid, small_kg.test):
+        for h, r, t in split:
+            known.setdefault((int(h), int(r)), set()).add(int(t))
+    index = FilterIndex(small_kg)
+    for h in range(small_kg.n_entities):
+        for r in range(small_kg.n_relations):
+            want = sorted(known.get((h, r), ()))
+            assert index.tails(h, r).tolist() == want
+    unseen = next((h, r) for h in range(small_kg.n_entities)
+                  for r in range(small_kg.n_relations) if (h, r) not in known)
+    assert len(index.tails(*unseen)) == 0
+
+
 def test_relation_pairs_and_frequency():
     kg = kg_from_id_triples(4, 2, [(0, 0, 1), (0, 0, 2), (3, 1, 0)])
     pairs = kg.relation_pairs(0)
@@ -182,12 +197,3 @@ def test_distance_split_partitions_test_rows():
     assert split[4].tolist() == [3, 4]
     total = sum(len(rows) for rows in split.values())
     assert total == len(kg.test)
-
-
-def test_adjacency_lists_both_directions():
-    kg = kg_from_id_triples(3, 2, [(0, 0, 1), (2, 1, 0)])
-    rows = kg.adjacency(0)
-    # (relation, neighbour, direction) with direction 0 = outgoing
-    entries = {tuple(row) for row in rows}
-    assert (0, 1, 0) in entries
-    assert (1, 2, 1) in entries

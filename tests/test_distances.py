@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,26 @@ def test_cache_rejects_truncation_and_trailing_bytes(tmp_path):
         DistanceIndex.load(path)
     path.write_bytes(blob + b"\x00")
     with pytest.raises(CacheError):
+        DistanceIndex.load(path)
+
+
+def test_cache_rejects_old_version_and_bad_row_offsets(tmp_path):
+    kg = _random_kg(np.random.default_rng(5))
+    index = compute_distances(kg, cap=5)
+    path = tmp_path / "dist.vlpd"
+    # a version-1 header: magic, version, cap, n_entities, train hash
+    path.write_bytes(b"VLPD" + struct.pack("<IIQQ", 1, 5, kg.n_entities, 0)
+                     + b"\x00" * 64)
+    with pytest.raises(CacheError, match="version 1"):
+        DistanceIndex.load(path)
+    index.save(path)
+    blob = bytearray(path.read_bytes())
+    # after the 36-byte header come the n+1 row offsets; make the last one
+    # disagree with the pair count in the header
+    end = 36 + 8 * (kg.n_entities + 1)
+    struct.pack_into("<q", blob, end - 8, len(index.ids) - 1)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CacheError, match="row offsets"):
         DistanceIndex.load(path)
 
 
