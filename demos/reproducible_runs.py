@@ -50,3 +50,6 @@ with tempfile.TemporaryDirectory() as tmp:
     d = run(tmp / "d", steps=300, seed=13)
     print(f"different seed:                    "
           f"{'DIFFER as expected' if a != d else 'same bytes?!'}")
+
+if a != b or a != c or a == d:
+    raise SystemExit("reproducibility check failed")

@@ -11,8 +11,8 @@ from .evaluation import EvalReport, evaluate, rank_triple, write_report
 from .models import (AggregatorParams, ModelKind, ParameterStore, grad_fg,
                      init_parameters, load_checkpoint, query_embed,
                      save_checkpoint, score_fg, score_fg_all)
-from .reference import (ReferenceTable, aggregate, context_vector, score_f,
-                        score_fc, score_fc_all, select_references)
+from .reference import (ReferenceTable, context_vector, score_f, score_fc,
+                        score_fc_all, select_references)
 from .sampling import PreSampler, SamplerConfig, post_weights, selfadv_weights
 from .synth import compositional_graph, kg_from_id_triples, random_graph
 from .training import (AdamState, loss_l1, loss_l2, reference_sweep, train,
@@ -22,7 +22,7 @@ __all__ = [
     "AdamState", "AggregatorParams", "ConfigError", "DistanceIndex",
     "EvalReport", "FilterIndex", "KnowledgeGraph", "ModelKind",
     "ParameterStore", "PreSampler", "ReferenceTable", "SamplerConfig",
-    "TrainConfig", "Vocabulary", "aggregate", "augment_reciprocal",
+    "TrainConfig", "Vocabulary", "augment_reciprocal",
     "build_config", "compositional_graph", "compute_distances",
     "context_vector", "distance_split", "evaluate", "fnv1a64", "grad_fg",
     "hash_file", "init_parameters", "kg_from_id_triples", "load_checkpoint",

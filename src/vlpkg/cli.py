@@ -66,7 +66,6 @@ def load_augmented(dataset_dir):
 class CacheStatus:
     def __init__(self):
         self.lines = []
-        self.dist_rebuilt = False
 
     def note(self, name, path, state, extra=""):
         self.lines.append((name, f"{path} ({state}{extra})"))
@@ -96,14 +95,13 @@ def ensure_distances(kg, dataset_dir, cap, threads, train_hash, status,
                               train_hash=train_hash)
     index.save(path)
     status.note("dist-cache", path, f"built, was {reason}")
-    status.dist_rebuilt = True
     return index
 
 
 def ensure_references(kg, dataset_dir, index, n_refs, train_hash, status,
                       auto=True):
     path = cache_dir_for(dataset_dir) / REFS_CACHE
-    if path.is_file() and not status.dist_rebuilt:
+    if path.is_file():
         try:
             table = ReferenceTable.load(path)
             if (table.train_hash == train_hash and table.n_refs == n_refs
@@ -114,8 +112,6 @@ def ensure_references(kg, dataset_dir, index, n_refs, train_hash, status,
         except CacheError as exc:
             logger.warning("%s", exc)
             reason = "corrupt"
-    elif status.dist_rebuilt:
-        reason = "distances rebuilt"
     else:
         reason = "missing"
     if not auto:
@@ -313,6 +309,11 @@ def cmd_eval(args):
                                             "rmp") else "overall")
 
     store, _, step, ck_hash = load_checkpoint(args.checkpoint)
+    if args.norm is None:
+        cfg.norm = store.norm
+    elif args.norm != store.norm:
+        logger.warning("--norm %s overrides the checkpoint's norm %s",
+                       args.norm, store.norm)
     store.norm = cfg.norm
     kg, train_hash = load_augmented(cfg.dataset)
     if ck_hash and ck_hash != train_hash:

@@ -101,12 +101,19 @@ class DistanceIndex:
         hit = np.flatnonzero(ids == b)
         return int(dists[hit[0]]) if len(hit) else self.cap
 
-    def distances_from(self, source):
-        """Dense (n_entities,) distance vector from one source."""
-        out = np.full(self.n_entities, self.cap, dtype=np.int64)
-        ids, dists = self.row(source)
-        out[ids] = dists
-        return out
+    def distances_from(self, sources):
+        """Dense uint8 distances from one source, shape (n_entities,), or from
+        each of an array of sources, shape (len(sources), n_entities)."""
+        sources = np.asarray(sources, dtype=np.int64)
+        flat = sources.ravel()
+        lo = self.indptr[flat]
+        counts = self.indptr[flat + 1] - lo
+        # the pair positions of every row, concatenated
+        at = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts,
+                                                 counts)
+        out = np.full((len(flat), self.n_entities), self.cap, dtype=np.uint8)
+        out[np.repeat(np.arange(len(flat)), counts), self.ids[at]] = self.dists[at]
+        return out.reshape(sources.shape + (self.n_entities,))
 
     def save(self, path):
         with open(path, "wb") as handle:

@@ -20,6 +20,7 @@ bit-identical to the scalar score of that tail.
 
 from __future__ import annotations
 
+import logging
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -29,8 +30,14 @@ import numpy as np
 DEFAULT_GAMMA = 6.0
 NORMS = ("l1", "l2")
 
+logger = logging.getLogger(__name__)
+
 CHECKPOINT_MAGIC = b"VLPC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# after the magic: version, model code, complex-space flag, dim, entities,
+# relations, train hash; format 2 adds the index of the norm in NORMS
+_CHECKPOINT_HEADERS = {1: struct.Struct("<IBBIQQQ"),
+                       2: struct.Struct("<IBBIQQQB")}
 
 
 class ModelKind(str, Enum):
@@ -313,10 +320,10 @@ def save_checkpoint(path, store, moments=None, step=0, train_hash=0):
     space = 1 if is_complex_kind(store.kind) else 0
     with open(path, "wb") as handle:
         handle.write(CHECKPOINT_MAGIC)
-        handle.write(struct.pack("<IBBIQQQ", CHECKPOINT_VERSION,
-                                 _KIND_CODES[store.kind], space, store.dim,
-                                 store.n_entities, store.n_relations,
-                                 train_hash))
+        handle.write(_CHECKPOINT_HEADERS[CHECKPOINT_VERSION].pack(
+            CHECKPOINT_VERSION, _KIND_CODES[store.kind], space, store.dim,
+            store.n_entities, store.n_relations, train_hash,
+            NORMS.index(store.norm)))
         for arr in params:
             _write_array(handle, arr)
         for arr in m_list:
@@ -330,19 +337,31 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (store, (m, v), step, train_hash).
 
     The aggregator width d_a is not in the header; it is recovered from the
-    byte count of the trailing float payload.
+    byte count of the trailing float payload. Format-1 files record no norm
+    and load as l2.
     """
     from .distances import CacheError
 
-    header = 4 + struct.calcsize("<IBBIQQQ")
     with open(path, "rb") as handle:
         data = handle.read()
-    if len(data) < header + 8 or data[:4] != CHECKPOINT_MAGIC:
+    if len(data) < 8 or data[:4] != CHECKPOINT_MAGIC:
         raise CacheError(f"{path}: not a checkpoint file")
-    version, code, space, dim, n_ent, n_rel, train_hash = struct.unpack_from(
-        "<IBBIQQQ", data, 4)
-    if version != CHECKPOINT_VERSION:
+    (version,) = struct.unpack_from("<I", data, 4)
+    if version not in _CHECKPOINT_HEADERS:
         raise CacheError(f"{path}: unsupported checkpoint version {version}")
+    header = 4 + _CHECKPOINT_HEADERS[version].size
+    if len(data) < header + 8:
+        raise CacheError(f"{path}: truncated checkpoint")
+    _, code, space, dim, n_ent, n_rel, train_hash, *norm_code = (
+        _CHECKPOINT_HEADERS[version].unpack_from(data, 4))
+    if version == 1:
+        logger.warning("%s: format-1 checkpoint records no norm; using l2",
+                       path)
+        norm = "l2"
+    elif norm_code[0] < len(NORMS):
+        norm = NORMS[norm_code[0]]
+    else:
+        raise CacheError(f"{path}: unknown norm code {norm_code[0]}")
     if code not in _CODE_KINDS:
         raise CacheError(f"{path}: unknown model code {code}")
     kind = _CODE_KINDS[code]
@@ -379,5 +398,6 @@ def load_checkpoint(path):
     store = ParameterStore(
         kind=kind, dim=dim, entities=params[0], relations=params[1],
         agg=AggregatorParams(params[2], params[3], params[4]),
+        norm=norm,
     )
     return store, (m_list, v_list), step, train_hash

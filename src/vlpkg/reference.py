@@ -10,10 +10,14 @@ Their answer embeddings k_i and query differences s_i = q - q_i are pooled,
 and a candidate tail t is scored by cosine(t', k_t). The combined score adds
 the plain triple score: f = f_c + lambda * f_g.
 
-Selection is precomputed once per dataset and cached (magic ``VLPR``; the
-header records N, the cap of the distances used and the train hash). Each
-key stores one spare reference beyond N so the query's own training answer
-can be masked out during training without shrinking the reference set.
+Selection is one stable sort: the relation's training pairs, ordered by
+(head frequency desc, h_i, t_i), are stable-sorted by the capped distance
+d(h, h_i). It is precomputed once per dataset and cached in format 3 (magic
+``VLPR``): a header recording N, the cap of the distances used, the train
+hash and the key and pair counts, then the keys, the per-key counts and the
+pairs, each written whole. Each key stores one spare reference beyond N so
+the query's own training answer can be masked out during training without
+shrinking the reference set.
 """
 
 from __future__ import annotations
@@ -25,15 +29,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import CacheError
-from .models import query_batch, query_embed, query_pullback
+from .models import query_batch, query_pullback
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_N_REFS = 8
 
 MAGIC = b"VLPR"
-VERSION = 2
-_HEADER = struct.Struct("<4sIIIQQ")  # magic, version, N, cap, keys, hash
+VERSION = 3
+# magic, version, N, cap, key count, train hash, pair count
+_HEADER = struct.Struct("<4sIIIQQQ")
+
+_BLOCK = 256  # query heads per block of dense distance rows
 
 _EMPTY_PAIRS = np.zeros((0, 2), dtype=np.int64)
 
@@ -69,13 +76,15 @@ class ReferenceTable:
 
     def save(self, path):
         keys = sorted(self.entries)
+        arrays = [self.entries[key] for key in keys]
+        counts = np.fromiter(map(len, arrays), dtype="u1", count=len(keys))
+        pairs = np.concatenate([_EMPTY_PAIRS, *arrays])
         with open(path, "wb") as handle:
             handle.write(_HEADER.pack(MAGIC, VERSION, self.n_refs, self.cap,
-                                      len(keys), self.train_hash))
-            for h, r in keys:
-                arr = self.entries[(h, r)]
-                handle.write(struct.pack("<IIB", h, r, len(arr)))
-                handle.write(np.ascontiguousarray(arr, dtype="<u4").tobytes())
+                                      len(keys), self.train_hash, len(pairs)))
+            for arr, dtype in ((np.array(keys).reshape(-1, 2), "<u4"),
+                               (counts, "u1"), (pairs, "<u4")):
+                handle.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
     @classmethod
     def load(cls, path):
@@ -86,31 +95,29 @@ class ReferenceTable:
         (version,) = struct.unpack_from("<I", data, 4)
         if version != VERSION:
             raise CacheError(f"{path}: unsupported version {version}")
-        pos = _HEADER.size
-        entries = {}
-        try:
-            _, _, n_refs, cap, n_keys, train_hash = _HEADER.unpack_from(data)
-            for _ in range(n_keys):
-                h, r, count = struct.unpack_from("<IIB", data, pos)
-                pos += 9
-                arr = np.frombuffer(data, dtype="<u4", count=2 * count,
-                                    offset=pos).reshape(count, 2)
-                pos += 8 * count
-                entries[(h, r)] = arr.astype(np.int64)
-        except (struct.error, ValueError) as exc:
-            raise CacheError(f"{path}: truncated reference cache") from exc
-        if pos != len(data):
+        if len(data) < _HEADER.size:
+            raise CacheError(f"{path}: truncated reference cache")
+        _, _, n_refs, cap, n_keys, train_hash, n_pairs = _HEADER.unpack_from(data)
+        size = _HEADER.size + 9 * n_keys + 8 * n_pairs
+        if len(data) < size:
+            raise CacheError(f"{path}: truncated reference cache")
+        if len(data) > size:
             raise CacheError(f"{path}: trailing bytes in reference cache")
+        keys = np.frombuffer(data, "<u4", 2 * n_keys, _HEADER.size)
+        counts = np.frombuffer(data, "u1", n_keys, _HEADER.size + 8 * n_keys)
+        pairs = np.frombuffer(data, "<u4", 2 * n_pairs, size - 8 * n_pairs)
+        if counts.sum() != n_pairs or (n_keys and counts.max() > n_refs + 1):
+            raise CacheError(f"{path}: counts disagree with pair count")
+        pairs = pairs.reshape(-1, 2).astype(np.int64)
+        entries = dict(zip(map(tuple, keys.reshape(-1, 2).tolist()),
+                           np.split(pairs, np.cumsum(counts)[:-1])))
         return cls(n_refs, entries, train_hash, cap)
 
 
 def query_keys(kg):
     """Distinct (h, r) queries over all splits, sorted."""
-    keys = set()
-    for split in (kg.train, kg.valid, kg.test):
-        for h, r, _ in split:
-            keys.add((int(h), int(r)))
-    return sorted(keys)
+    triples = np.concatenate([kg.train, kg.valid, kg.test])
+    return list(map(tuple, np.unique(triples[:, :2], axis=0).tolist()))
 
 
 def select_references(kg, index, n_refs=DEFAULT_N_REFS, train_hash=0):
@@ -118,61 +125,19 @@ def select_references(kg, index, n_refs=DEFAULT_N_REFS, train_hash=0):
     if not 0 <= n_refs <= 254:
         raise ValueError("n_refs must be in [0, 254]")
     freq = kg.entity_frequency()
-    want = n_refs + 1
-    by_relation = {}
-    for h, r in query_keys(kg):
-        by_relation.setdefault(r, []).append(h)
-
+    keys = np.array(query_keys(kg), dtype=np.int64).reshape(-1, 2)
     entries = {}
-    for r, heads in by_relation.items():
+    for r in np.unique(keys[:, 1]).tolist():
+        heads = keys[keys[:, 1] == r, 0]
         pairs = kg.relation_pairs(r)
-        if len(pairs) == 0:
-            for h in heads:
-                entries[(h, r)] = _EMPTY_PAIRS
-            continue
-        heads_r = np.unique(pairs[:, 0])
-        starts = np.searchsorted(pairs[:, 0], heads_r, side="left")
-        ends = np.searchsorted(pairs[:, 0], heads_r, side="right")
-        tails_of = {
-            int(hd): pairs[s:e, 1] for hd, s, e in zip(heads_r, starts, ends)
-        }
-        # beyond-cap fallback: all heads by (frequency desc, id asc)
-        fallback = heads_r[np.lexsort((heads_r, -freq[heads_r]))]
-        for h in heads:
-            got = []
-            used = set()
-            for d in range(index.cap):
-                ring = index.ring(h, d)
-                if len(ring) == 0:
-                    continue
-                pos = np.searchsorted(heads_r, ring)
-                pos_c = np.minimum(pos, len(heads_r) - 1)
-                cand = ring[heads_r[pos_c] == ring]
-                if len(cand) == 0:
-                    continue
-                cand = cand[np.lexsort((cand, -freq[cand]))]
-                for h_i in cand:
-                    used.add(int(h_i))
-                    for t_i in tails_of[int(h_i)]:
-                        got.append((int(h_i), int(t_i)))
-                        if len(got) == want:
-                            break
-                    if len(got) == want:
-                        break
-                if len(got) == want:
-                    break
-            if len(got) < want:
-                for h_i in fallback:
-                    if int(h_i) in used:
-                        continue
-                    for t_i in tails_of[int(h_i)]:
-                        got.append((int(h_i), int(t_i)))
-                        if len(got) == want:
-                            break
-                    if len(got) == want:
-                        break
-            entries[(h, r)] = (np.array(got, dtype=np.int64)
-                               if got else _EMPTY_PAIRS)
+        # tie order within one distance: frequency desc, then h_i, then t_i
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0], -freq[pairs[:, 0]]))]
+        for start in range(0, len(heads), _BLOCK):
+            block = heads[start:start + _BLOCK]
+            dist = index.distances_from(block)[:, pairs[:, 0]]
+            order = np.argsort(dist, axis=1, kind="stable")[:, :n_refs + 1]
+            entries.update(zip([(h, r) for h in block.tolist()],
+                               pairs[order]))
     return ReferenceTable(n_refs, entries, train_hash, index.cap)
 
 
@@ -292,37 +257,15 @@ def aggregate_pullback(store, cache, d_t_prime):
     )
 
 
-def aggregate(agg, q, references):
-    """Single-query aggregation from explicit (k_i, s_i) vector pairs.
-
-    ``references`` is a sequence of (answer-embedding, query-difference)
-    pairs; empty sequences pool to the zero vector before the output map.
-    """
-    q = np.asarray(q)
-    pooled = np.zeros(agg.d_a, dtype=q.dtype)
-    if references:
-        for k_i, s_i in references:
-            pooled += agg.w_node @ k_i + agg.w_edge @ s_i
-        pooled /= len(references)
-    return np.tanh(agg.w_agg @ np.concatenate([pooled, q]))
-
-
-def reference_vectors(store, h, r, pairs):
-    """Materialize (k_i, s_i) pairs for one query from reference id pairs."""
-    q = query_embed(store, h, r)
-    out = []
-    for h_i, t_i in pairs:
-        k_i = store.entities[int(t_i)]
-        s_i = q - query_embed(store, int(h_i), r)
-        out.append((k_i, s_i))
-    return q, out
-
-
 def context_vector(store, table, h, r, exclude_tail=None):
-    """t' for one query: select references, embed, aggregate."""
-    pairs = table.lookup(h, r, exclude_tail=exclude_tail)
-    q, refs = reference_vectors(store, h, r, pairs)
-    return aggregate(store.agg, q, refs)
+    """t' for one query: the batch aggregation on a one-row batch."""
+    h_ids = np.array([h])
+    r_ids = np.array([r])
+    ref_h, ref_t, mask = gather_references(
+        table, h_ids, r_ids, None if exclude_tail is None else [exclude_tail])
+    t_prime, _ = aggregate_batch(store, query_batch(store, h_ids, r_ids),
+                                 r_ids, ref_h, ref_t, mask)
+    return t_prime[0]
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,11 @@ def test_preprocess_rebuilds_on_cap_change(dataset, capsys):
     capsys.readouterr()
     main(["preprocess", "--dataset", str(dataset), "--cap", "5"])
     out = capsys.readouterr().out
-    assert "built, was stale" in out
-    # the reference cache depends on distances, so it was rebuilt too
-    assert "built, was distances rebuilt" in out
+    dist, refs = (line for line in out.splitlines()
+                  if line.startswith(("dist-cache", "refs-cache")))
+    assert "built, was stale" in dist
+    # the references record the cap they were selected at
+    assert "built, was stale" in refs
 
 
 def test_preprocess_recovers_from_corrupt_cache(dataset, capsys):
@@ -54,12 +56,14 @@ def test_preprocess_recovers_from_corrupt_cache(dataset, capsys):
     assert main(["preprocess", "--dataset", str(dataset)]) == 0
     out = capsys.readouterr().out
     assert "built, was corrupt" in out
+    # the rebuilt distances equal the old ones, so the references still hold
+    refs = next(line for line in out.splitlines()
+                if line.startswith("refs-cache"))
+    assert refs.endswith("(hit)")
 
 
-def test_preprocess_rebuilds_an_old_format_cache(dataset, capsys):
-    main(["preprocess", "--dataset", str(dataset)])
-    capsys.readouterr()
-    index = DistanceIndex.load(dataset / DIST_CACHE)
+def _format1_distances(path):
+    index = DistanceIndex.load(path)
     # format 1: the header, then per row a pair count and (id, distance) pairs
     blob = [b"VLPD", struct.pack("<IIQQ", 1, index.cap, index.n_entities,
                                  index.train_hash)]
@@ -67,11 +71,39 @@ def test_preprocess_rebuilds_an_old_format_cache(dataset, capsys):
         ids, dists = index.row(source)
         blob.append(struct.pack("<I", len(ids)))
         blob.extend(struct.pack("<IB", i, d) for i, d in zip(ids, dists))
-    (dataset / DIST_CACHE).write_bytes(b"".join(blob))
+    return b"".join(blob)
+
+
+def _format2_references(path):
+    table = ReferenceTable.load(path)
+    # format 2: the header, then per key (h, r, count) and the pairs
+    blob = [struct.pack("<4sIIIQQ", b"VLPR", 2, table.n_refs, table.cap,
+                        len(table.entries), table.train_hash)]
+    for (h, r), arr in sorted(table.entries.items()):
+        blob.append(struct.pack("<IIB", h, r, len(arr)))
+        blob.append(arr.astype("<u4").tobytes())
+    return b"".join(blob)
+
+
+@pytest.mark.parametrize("name, echo, old_format", [
+    (DIST_CACHE, "dist-cache", _format1_distances),
+    (REFS_CACHE, "refs-cache", _format2_references),
+], ids=[DIST_CACHE, REFS_CACHE])
+def test_preprocess_rebuilds_an_old_format_cache(dataset, capsys, name, echo,
+                                                 old_format):
+    main(["preprocess", "--dataset", str(dataset)])
+    capsys.readouterr()
+    path = dataset / name
+    fresh = path.read_bytes()
+    path.write_bytes(old_format(path))
     assert main(["preprocess", "--dataset", str(dataset)]) == 0
-    out = capsys.readouterr().out
-    assert "dist-cache" in out and "built, was corrupt" in out
-    assert DistanceIndex.load(dataset / DIST_CACHE).cap == index.cap
+    lines = dict(line.split(" = ", 1)
+                 for line in capsys.readouterr().out.splitlines()
+                 if line.startswith(("dist-cache", "refs-cache")))
+    assert lines.pop(echo).endswith("(built, was corrupt)")
+    # the other cache is still valid
+    assert all(line.endswith("(hit)") for line in lines.values())
+    assert path.read_bytes() == fresh
 
 
 def test_reference_cache_is_stale_after_a_cap_change(dataset, tmp_path,
@@ -210,6 +242,25 @@ def test_eval_rejects_checkpoint_from_other_dataset(dataset, tmp_path,
     assert code == 1
     err = capsys.readouterr().err
     assert "train-hash" in err
+
+
+def test_eval_uses_the_norm_the_checkpoint_was_trained_with(dataset, tmp_path,
+                                                            capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", str(dataset), "--out", str(run),
+                 "--model", "transe", "--mode", "hlp", "--norm", "l1"]
+                + FAST) == 0
+    reports = {}
+    for name, flags in [("default", []), ("l1", ["--norm", "l1"]),
+                        ("l2", ["--norm", "l2"])]:
+        capsys.readouterr()
+        assert main(["eval", "--dataset", str(dataset), "--mode", "fg-only",
+                     "--checkpoint", str(run / "checkpoint.vlpc"),
+                     "--out", str(tmp_path / name)] + flags) == 0
+        assert f"norm = {flags[-1] if flags else 'l1'}" in capsys.readouterr().out
+        reports[name] = (tmp_path / name / "report.tsv").read_text()
+    assert reports["default"] == reports["l1"]
+    assert reports["l2"] != reports["l1"]
 
 
 def test_eval_unfiltered_never_beats_filtered(dataset, tmp_path, capsys):

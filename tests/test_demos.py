@@ -1,4 +1,6 @@
-"""The demos that drive DistanceIndex and PreSampler directly run to the end."""
+"""The fast demos run to the end: DistanceIndex and PreSampler driven
+directly, and reproducible training runs with resume (which also select
+references)."""
 
 import os
 import subprocess
@@ -13,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("name, expect", [
     ("distance_rings.py", "round-trip ok"),
     ("negative_sampling.py", "20000 draws landed at distances"),
+    ("reproducible_runs.py", "DIFFER as expected"),
 ])
 def test_demo_runs(name, expect):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),

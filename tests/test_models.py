@@ -1,10 +1,13 @@
+import logging
+import struct
+
 import numpy as np
 import pytest
 
 from vlpkg import (ModelKind, grad_fg, init_parameters, load_checkpoint,
                    save_checkpoint, score_fg, score_fg_all)
 from vlpkg.distances import CacheError
-from vlpkg.models import (entity_width, is_distance_kind, pair_scores,
+from vlpkg.models import (NORMS, entity_width, is_distance_kind, pair_scores,
                           query_batch, relation_width)
 
 KINDS = list(ModelKind)
@@ -149,6 +152,29 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(a, b)
     for a, b in zip(v, v2):
         assert np.array_equal(a, b)
+
+
+def test_checkpoint_records_the_norm(tmp_path, caplog):
+    store = init_parameters(ModelKind.TRANSE, 4, 5, 2, seed=0, norm="l1")
+    path = tmp_path / "model.vlpc"
+    save_checkpoint(path, store)
+    assert load_checkpoint(path)[0].norm == "l1"
+    # format 1: the same header without the trailing norm byte
+    blob = path.read_bytes()
+    end = 4 + struct.calcsize("<IBBIQQQ")
+    old = tmp_path / "v1.vlpc"
+    old.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:end]
+                    + blob[end + 1:])
+    with caplog.at_level(logging.WARNING):
+        loaded, _, _, _ = load_checkpoint(old)
+    assert loaded.norm == "l2"
+    assert "records no norm" in caplog.text
+    for a, b in zip(store.param_arrays(), loaded.param_arrays()):
+        assert np.array_equal(a, b)
+    # a norm code outside NORMS
+    path.write_bytes(blob[:end] + bytes([len(NORMS)]) + blob[end + 1:])
+    with pytest.raises(CacheError, match="norm"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_recovers_aggregator_width(tmp_path):

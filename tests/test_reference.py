@@ -5,10 +5,10 @@ from vlpkg import (ModelKind, compute_distances, init_parameters,
                    score_f, score_fc, score_fc_all, score_fg,
                    select_references)
 from vlpkg.distances import CacheError
-from vlpkg.reference import (ReferenceTable, aggregate, aggregate_batch,
+from vlpkg.models import query_batch
+from vlpkg.reference import (ReferenceTable, aggregate_batch,
                              aggregate_pullback, context_vector, cosine_all,
-                             cosine_single, gather_references, query_keys,
-                             reference_vectors)
+                             cosine_single, gather_references, query_keys)
 from vlpkg.synth import kg_from_id_triples, random_graph
 
 from conftest import floyd_warshall
@@ -31,10 +31,18 @@ def _selection_oracle(kg, cap, n_refs):
     return expected
 
 
-@pytest.mark.parametrize("n_refs", [1, 3, 8])
-def test_selection_matches_brute_force(n_refs):
-    kg = random_graph(n_entities=15, n_relations=3, n_train=60, n_valid=8,
-                      n_test=8, seed=21)
+SMALL = dict(n_entities=15, n_relations=3, n_train=60, n_valid=8, n_test=8,
+             seed=21)
+# one relation with more query heads than a block of selection rows
+LARGE = dict(n_entities=600, n_relations=1, n_train=700, n_valid=30,
+             n_test=30, seed=3)
+
+
+@pytest.mark.parametrize("n_refs, graph", [(1, SMALL), (3, SMALL),
+                                           (8, SMALL), (8, LARGE)],
+                         ids=["1", "3", "8", "large"])
+def test_selection_matches_brute_force(n_refs, graph):
+    kg = random_graph(**graph)
     cap = 4
     index = compute_distances(kg, cap=cap)
     table = select_references(kg, index, n_refs=n_refs)
@@ -121,6 +129,16 @@ def test_table_load_rejects_corruption(tmp_path):
     path.write_bytes(blob[:-5])
     with pytest.raises(CacheError):
         ReferenceTable.load(path)
+    # a count that no longer sums to the pair count
+    bumped = bytearray(blob)
+    bumped[40 + 8 * len(table.entries)] += 1
+    path.write_bytes(bytes(bumped))
+    with pytest.raises(CacheError, match="counts"):
+        ReferenceTable.load(path)
+    # a key with more than N+1 references
+    ReferenceTable(1, {(0, 0): np.zeros((3, 2), dtype=np.int64)}).save(path)
+    with pytest.raises(CacheError, match="counts"):
+        ReferenceTable.load(path)
 
 
 def _setup(kind=ModelKind.ROTATE, seed=4):
@@ -149,18 +167,25 @@ def test_batch_aggregation_equals_single_query_path():
 
 
 def test_aggregate_empty_reference_list_uses_zero_pool():
-    _, _, store = _setup()
-    q = store.entities[0]
-    got = aggregate(store.agg, q, [])
+    # relation 1 has no training pairs, so (4, 1) has no references
+    kg = kg_from_id_triples(6, 2, [(0, 0, 1), (2, 0, 3)], test=[(4, 1, 5)])
+    table = select_references(kg, compute_distances(kg, cap=3), n_refs=2)
+    store = init_parameters(ModelKind.ROTATE, 5, kg.n_entities,
+                            kg.n_relations, seed=4, dtype=np.float64)
+    q = query_batch(store, 4, 1)
     want = np.tanh(store.agg.w_agg @ np.concatenate([np.zeros(store.agg.d_a), q]))
-    np.testing.assert_allclose(got, want, rtol=1e-12)
+    np.testing.assert_allclose(context_vector(store, table, 4, 1), want,
+                               rtol=1e-12)
 
 
 def test_aggregation_oracle_single_query():
     """Straight-line recomputation of the pooling formula."""
     kg, table, store = _setup(kind=ModelKind.DISTMULT)
     h, r = int(kg.test[0, 0]), int(kg.test[0, 1])
-    q, refs = reference_vectors(store, h, r, table.lookup(h, r))
+    q = query_batch(store, h, r)
+    refs = [(store.entities[t_i], q - query_batch(store, h_i, r))
+            for h_i, t_i in table.lookup(h, r)]
+    assert len(refs) >= 2
     agg = store.agg
     pooled = np.mean([agg.w_node @ k + agg.w_edge @ s for k, s in refs], axis=0)
     want = np.tanh(agg.w_agg @ np.concatenate([pooled, q]))
