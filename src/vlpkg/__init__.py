@@ -9,8 +9,8 @@ from .data import (FilterIndex, KnowledgeGraph, Vocabulary, augment_reciprocal,
 from .distances import DistanceIndex, compute_distances, fnv1a64, hash_file
 from .evaluation import EvalReport, evaluate, rank_triple, write_report
 from .models import (AggregatorParams, ModelKind, ParameterStore, grad_fg,
-                     init_parameters, load_checkpoint, query_embed,
-                     save_checkpoint, score_fg, score_fg_all)
+                     init_parameters, load_checkpoint, save_checkpoint,
+                     score_fg, score_fg_all)
 from .reference import (ReferenceTable, context_vector, score_f, score_fc,
                         score_fc_all, select_references)
 from .sampling import PreSampler, SamplerConfig, post_weights, selfadv_weights
@@ -27,7 +27,7 @@ __all__ = [
     "context_vector", "distance_split", "evaluate", "fnv1a64", "grad_fg",
     "hash_file", "init_parameters", "kg_from_id_triples", "load_checkpoint",
     "load_dataset", "loss_l1", "loss_l2", "parse_config_file",
-    "post_weights", "query_embed", "random_graph", "rank_triple",
+    "post_weights", "random_graph", "rank_triple",
     "reference_sweep", "rmp_classify", "save_checkpoint", "score_f",
     "score_fc", "score_fc_all", "score_fg", "score_fg_all",
     "select_references", "selfadv_weights", "train", "train_step",

@@ -30,9 +30,6 @@ from .training import train
 
 logger = logging.getLogger("vlpkg")
 
-DIST_CACHE = "dist.vlpd"
-REFS_CACHE = "refs.vlpr"
-
 _EMPTY_TAILS = np.array([], dtype=np.int64)
 
 
@@ -63,24 +60,17 @@ def load_augmented(dataset_dir):
     return kg, train_hash
 
 
-class CacheStatus:
-    def __init__(self):
-        self.lines = []
-
-    def note(self, name, path, state, extra=""):
-        self.lines.append((name, f"{path} ({state}{extra})"))
-
-
-def ensure_distances(kg, dataset_dir, cap, threads, train_hash, status,
-                     auto=True):
-    path = cache_dir_for(dataset_dir) / DIST_CACHE
+def ensure_cache(name, path, load, expect, build, lines, auto=True):
+    """``load`` the cache at ``path`` if the header fields in ``expect``
+    (attribute -> value) match; else ``build`` it and save it there. Appends
+    the echo line ``(name, "<path> (hit)")`` or ``"(built, was <why>)"``."""
     if path.is_file():
         try:
-            index = DistanceIndex.load(path)
-            if (index.train_hash == train_hash and index.cap == cap
-                    and index.n_entities == kg.n_entities):
-                status.note("dist-cache", path, "hit")
-                return index
+            cache = load(path)
+            if all(getattr(cache, key) == value
+                   for key, value in expect.items()):
+                lines.append((name, f"{path} (hit)"))
+                return cache
             reason = "stale"
         except CacheError as exc:
             logger.warning("%s", exc)
@@ -88,52 +78,54 @@ def ensure_distances(kg, dataset_dir, cap, threads, train_hash, status,
     else:
         reason = "missing"
     if not auto:
-        raise CacheError(f"{path}: {reason} distance cache and --no-auto given"
+        raise CacheError(f"{path}: {reason} {name} and --no-auto given"
                          " (run `vlpkg preprocess` first)")
-    logger.info("building distance cache (%s): %s", reason, path)
-    index = compute_distances(kg, cap=cap, threads=threads,
-                              train_hash=train_hash)
-    index.save(path)
-    status.note("dist-cache", path, f"built, was {reason}")
-    return index
+    logger.info("building %s (%s): %s", name, reason, path)
+    cache = build()
+    cache.save(path)
+    lines.append((name, f"{path} (built, was {reason})"))
+    return cache
 
 
-def ensure_references(kg, dataset_dir, index, n_refs, train_hash, status,
-                      auto=True):
-    path = cache_dir_for(dataset_dir) / REFS_CACHE
-    if path.is_file():
-        try:
-            table = ReferenceTable.load(path)
-            if (table.train_hash == train_hash and table.n_refs == n_refs
-                    and table.cap == index.cap):
-                status.note("refs-cache", path, "hit")
-                return table
-            reason = "stale"
-        except CacheError as exc:
-            logger.warning("%s", exc)
-            reason = "corrupt"
-    else:
-        reason = "missing"
-    if not auto:
-        raise CacheError(f"{path}: {reason} reference cache and --no-auto"
-                         " given (run `vlpkg preprocess` first)")
-    logger.info("building reference cache (%s): %s", reason, path)
-    table = select_references(kg, index, n_refs=n_refs, train_hash=train_hash)
-    table.save(path)
-    status.note("refs-cache", path, f"built, was {reason}")
-    return table
+def load_caches(cfg, kg, train_hash, refs, auto=True):
+    """The distance index at ``cfg.cap`` and, with ``refs``, the reference
+    table at (cap, N), each from the cache file named by its settings.
+
+    Returns (index, table or None, echo lines)."""
+    cache_dir = cache_dir_for(cfg.dataset)
+    lines = []
+    index = ensure_cache(
+        "dist-cache", cache_dir / f"dist-c{cfg.cap}.vlpd", DistanceIndex.load,
+        {"train_hash": train_hash, "cap": cfg.cap,
+         "n_entities": kg.n_entities},
+        lambda: compute_distances(kg, cap=cfg.cap, threads=cfg.threads,
+                                  train_hash=train_hash), lines, auto)
+    table = None
+    if refs:
+        table = ensure_cache(
+            "refs-cache", cache_dir / f"refs-c{cfg.cap}-n{cfg.refs}.vlpr",
+            ReferenceTable.load,
+            {"train_hash": train_hash, "n_refs": cfg.refs, "cap": cfg.cap},
+            lambda: select_references(kg, index, n_refs=cfg.refs,
+                                      train_hash=train_hash), lines, auto)
+    return index, table, lines
 
 
-def echo_config(cfg, train_hash, status, extra=(), keys=None):
+def norm_from_checkpoint(cfg, given, store):
+    """A run on a checkpoint takes its TransE norm unless ``--norm`` or a
+    config-file line (``given``, the keys set explicitly) names one."""
+    if "norm" not in given:
+        cfg.norm = store.norm
+
+
+def echo_config(cfg, train_hash, lines, keys=None):
     print("# effective configuration")
     for key, value in cfg.to_items():
         if keys is None or key in keys:
             print(f"{key} = {value}")
     print("# caches")
     print(f"train-hash = {train_hash:#018x}")
-    for name, value in status.lines:
-        print(f"{name} = {value}")
-    for name, value in extra:
+    for name, value in lines:
         print(f"{name} = {value}")
 
 
@@ -164,10 +156,12 @@ def cli_values(args):
 
 
 def resolve_config(args):
-    file_values = None
+    """The run's config, and the keys a config file or a flag set."""
+    file_values = {}
     if getattr(args, "config", None):
         file_values = parse_config_file(args.config)
-    return build_config(file_values, cli_values(args))
+    values = cli_values(args)
+    return build_config(file_values, values), set(file_values) | set(values)
 
 
 def build_parser():
@@ -231,15 +225,12 @@ def build_parser():
 
 
 def cmd_preprocess(args):
-    cfg = resolve_config(args)
+    cfg, _ = resolve_config(args)
     if not cfg.dataset:
         raise ConfigError(["--dataset is required"])
     kg, train_hash = load_augmented(cfg.dataset)
-    status = CacheStatus()
-    index = ensure_distances(kg, cfg.dataset, cfg.cap, cfg.threads,
-                             train_hash, status)
-    ensure_references(kg, cfg.dataset, index, cfg.refs, train_hash, status)
-    echo_config(cfg, train_hash, status, extra=[
+    index, _, lines = load_caches(cfg, kg, train_hash, refs=True)
+    echo_config(cfg, train_hash, lines + [
         ("entities", kg.n_entities),
         ("relations", kg.n_relations),
         ("source-rows", index.n_entities),
@@ -247,45 +238,28 @@ def cmd_preprocess(args):
     return 0
 
 
-def _prepare(cfg, kg, train_hash, auto, built=None):
-    """Caches and presampler for one run. A sweep passes ``built``, which
-    keeps each (dataset, cap) index and (dataset, cap, refs) table it has
-    built or loaded, so later runs reuse them."""
-    built = {} if built is None else built
-    status = CacheStatus()
-    index = None
-    table = None
-    presampler = None
-
-    def once(key, name, make):
-        if key in built:
-            status.lines.append((name, "reused from an earlier sweep run"))
-        else:
-            built[key] = make()
-        return built[key]
-
-    needs_dist = cfg.mode == "vlp" or cfg.sampler.pre_mode == "distance"
-    if needs_dist:
-        index = once((cfg.dataset, cfg.cap), "dist-cache", lambda: (
-            ensure_distances(kg, cfg.dataset, cfg.cap, cfg.threads,
-                             train_hash, status, auto=auto)))
-    if cfg.mode == "vlp":
-        table = once((cfg.dataset, cfg.cap, cfg.refs), "refs-cache", lambda: (
-            ensure_references(kg, cfg.dataset, index, cfg.refs, train_hash,
-                              status, auto=auto)))
+def _prepare(cfg, kg, train_hash, auto):
+    """Caches and presampler for one training run."""
+    index = table = presampler = None
+    lines = []
+    if cfg.mode == "vlp" or cfg.sampler.pre_mode == "distance":
+        index, table, lines = load_caches(cfg, kg, train_hash,
+                                          refs=cfg.mode == "vlp", auto=auto)
     if cfg.sampler.pre_mode == "distance":
         presampler = PreSampler(index, cfg.sampler.alpha0)
-    return status, index, table, presampler
+    return lines, index, table, presampler
 
 
 def cmd_train(args):
-    cfg = resolve_config(args)
+    cfg, given = resolve_config(args)
     if not cfg.dataset:
         raise ConfigError(["--dataset is required"])
+    if args.resume:
+        norm_from_checkpoint(cfg, given, load_checkpoint(args.resume)[0])
     kg, train_hash = load_augmented(cfg.dataset)
-    status, index, table, presampler = _prepare(cfg, kg, train_hash,
-                                                auto=not args.no_auto)
-    echo_config(cfg, train_hash, status)
+    lines, index, table, presampler = _prepare(cfg, kg, train_hash,
+                                               auto=not args.no_auto)
+    echo_config(cfg, train_hash, lines)
     os.makedirs(cfg.out, exist_ok=True)
     with open(Path(cfg.out) / "config.txt", "w", encoding="utf-8") as handle:
         for key, value in cfg.to_items():
@@ -300,7 +274,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    cfg = resolve_config(args)
+    cfg, given = resolve_config(args)
     if not cfg.dataset:
         raise ConfigError(["--dataset is required"])
     mode = "combined-f" if args.mode == "combined" else args.mode
@@ -309,12 +283,11 @@ def cmd_eval(args):
                                             "rmp") else "overall")
 
     store, _, step, ck_hash = load_checkpoint(args.checkpoint)
-    if args.norm is None:
-        cfg.norm = store.norm
-    elif args.norm != store.norm:
+    norm_from_checkpoint(cfg, given, store)
+    if cfg.norm != store.norm:
         logger.warning("--norm %s overrides the checkpoint's norm %s",
-                       args.norm, store.norm)
-    store.norm = cfg.norm
+                       cfg.norm, store.norm)
+        store.norm = cfg.norm
     kg, train_hash = load_augmented(cfg.dataset)
     if ck_hash and ck_hash != train_hash:
         raise CacheError(
@@ -326,20 +299,15 @@ def cmd_eval(args):
             f"{store.n_relations} relations) does not match dataset "
             f"({kg.n_entities}, {kg.n_relations})")
 
-    status = CacheStatus()
-    auto = not args.no_auto
-    index = ensure_distances(kg, cfg.dataset, cfg.cap, cfg.threads,
-                             train_hash, status, auto=auto)
-    table = None
-    if mode in ("combined-f", "fc-only"):
-        table = ensure_references(kg, cfg.dataset, index, cfg.refs,
-                                  train_hash, status, auto=auto)
-    echo_config(cfg, train_hash, status, extra=[
+    index, table, lines = load_caches(
+        cfg, kg, train_hash, refs=mode in ("combined-f", "fc-only"),
+        auto=not args.no_auto)
+    echo_config(cfg, train_hash, lines + [
         ("checkpoint", args.checkpoint),
         ("checkpoint-step", step),
         ("eval-mode", mode),
         ("split", split),
-    ])
+    ], keys=args.config_keys)
 
     filter_index = _NoFilter() if args.unfiltered else None
     report = evaluate(store, kg, split, table=table, dist_index=index,
@@ -383,7 +351,7 @@ def parse_grid_file(path):
 
 
 def cmd_sweep(args):
-    base = resolve_config(args)
+    base, _ = resolve_config(args)
     if not base.dataset:
         raise ConfigError(["--dataset is required"])
     grid = parse_grid_file(args.grid)
@@ -395,7 +363,6 @@ def cmd_sweep(args):
     summary_path = Path(base.out) / "sweep.tsv"
     rows = []
     loaded = {}  # dataset dir -> (kg, train hash); a grid may vary dataset
-    built = {}   # the caches each run shares with earlier runs (_prepare)
     for i, combo in enumerate(combos):
         values = dict(zip(keys, combo))
         cfg = apply_values(base, values)
@@ -404,10 +371,10 @@ def cmd_sweep(args):
         if cfg.dataset not in loaded:
             loaded[cfg.dataset] = load_augmented(cfg.dataset)
         kg, train_hash = loaded[cfg.dataset]
-        status, index, table, presampler = _prepare(
-            cfg, kg, train_hash, auto=not args.no_auto, built=built)
-        echo_config(cfg, train_hash, status,
-                    extra=[("sweep-run", f"{i + 1}/{len(combos)}")])
+        lines, index, table, presampler = _prepare(cfg, kg, train_hash,
+                                                   auto=not args.no_auto)
+        echo_config(cfg, train_hash,
+                    lines + [("sweep-run", f"{i + 1}/{len(combos)}")])
         result = train(cfg, kg, table=table, presampler=presampler,
                        dist_index=index, out_dir=cfg.out,
                        train_hash=train_hash)

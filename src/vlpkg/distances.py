@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import logging
+import os
 import struct
 
 import numpy as np
@@ -36,6 +37,24 @@ _U64 = (1 << 64) - 1
 
 class CacheError(Exception):
     """A cache file is missing, truncated, or fails validation."""
+
+
+def write_file(path, header, arrays):
+    """Write ``header`` bytes, then each ``(array, dtype)`` of ``arrays`` as
+    a flat array of that dtype, to ``path`` in full: into a per-process temp
+    file in the same directory, then ``os.replace`` over ``path``, so a
+    concurrent reader sees either the old file or the whole new one. The
+    temp file is removed if a write raises."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(header)
+            for arr, dtype in arrays:
+                handle.write(np.ascontiguousarray(arr, dtype=dtype))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def fnv1a64(data, h=FNV_OFFSET):
@@ -116,13 +135,11 @@ class DistanceIndex:
         return out.reshape(sources.shape + (self.n_entities,))
 
     def save(self, path):
-        with open(path, "wb") as handle:
-            handle.write(_HEADER.pack(MAGIC, VERSION, self.cap,
+        write_file(path, _HEADER.pack(MAGIC, VERSION, self.cap,
                                       self.n_entities, self.train_hash,
-                                      len(self.ids)))
-            for arr, dtype in ((self.indptr, "<i8"), (self.ids, "<u4"),
-                               (self.dists, "u1")):
-                handle.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+                                      len(self.ids)),
+                   ((self.indptr, "<i8"), (self.ids, "<u4"),
+                    (self.dists, "u1")))
 
     @classmethod
     def load(cls, path):

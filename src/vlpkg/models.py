@@ -27,6 +27,8 @@ from enum import Enum
 
 import numpy as np
 
+from .distances import CacheError, write_file
+
 DEFAULT_GAMMA = 6.0
 NORMS = ("l1", "l2")
 
@@ -182,13 +184,9 @@ def _split(x):
     return x[..., :d], x[..., d:]
 
 
-def query_embed(store, h, r):
-    """Relation-conditioned query vector q = query(h, r), shape (d_k,)."""
-    return query_batch(store, np.asarray([h]), np.asarray([r]))[0]
-
-
 def query_batch(store, h_ids, r_ids):
-    """Query vectors for id arrays of equal shape; returns (..., d_k)."""
+    """Query vectors q = query(h, r) for ids or id arrays of equal shape;
+    returns (..., d_k)."""
     h = store.entities[h_ids]
     r = store.relations[r_ids]
     kind = store.kind
@@ -248,7 +246,8 @@ def pair_scores(store, q, k):
 
 def score_fg(store, h, r, t):
     """Triple score f_g(h, r, t) as a python float."""
-    return float(pair_scores(store, query_embed(store, h, r), store.entities[t]))
+    return float(pair_scores(store, query_batch(store, h, r),
+                             store.entities[t]))
 
 
 def score_fg_all(store, h, r):
@@ -256,7 +255,7 @@ def score_fg_all(store, h, r):
 
     Row t of the result is bit-identical to ``score_fg(store, h, r, t)``.
     """
-    return pair_scores(store, query_embed(store, h, r), store.entities)
+    return pair_scores(store, query_batch(store, h, r), store.entities)
 
 
 def pair_score_pullback(store, q, k, upstream):
@@ -301,10 +300,6 @@ def grad_fg(store, h, r, t, upstream=1.0):
 # checkpoint io
 
 
-def _write_array(handle, arr):
-    handle.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
 def save_checkpoint(path, store, moments=None, step=0, train_hash=0):
     """Serialize parameters (+ optimizer moments) to the binary format.
 
@@ -318,19 +313,12 @@ def save_checkpoint(path, store, moments=None, step=0, train_hash=0):
     else:
         m_list, v_list = moments
     space = 1 if is_complex_kind(store.kind) else 0
-    with open(path, "wb") as handle:
-        handle.write(CHECKPOINT_MAGIC)
-        handle.write(_CHECKPOINT_HEADERS[CHECKPOINT_VERSION].pack(
-            CHECKPOINT_VERSION, _KIND_CODES[store.kind], space, store.dim,
-            store.n_entities, store.n_relations, train_hash,
-            NORMS.index(store.norm)))
-        for arr in params:
-            _write_array(handle, arr)
-        for arr in m_list:
-            _write_array(handle, arr)
-        for arr in v_list:
-            _write_array(handle, arr)
-        handle.write(struct.pack("<Q", step))
+    header = CHECKPOINT_MAGIC + _CHECKPOINT_HEADERS[CHECKPOINT_VERSION].pack(
+        CHECKPOINT_VERSION, _KIND_CODES[store.kind], space, store.dim,
+        store.n_entities, store.n_relations, train_hash,
+        NORMS.index(store.norm))
+    arrays = [(arr, "<f4") for arr in (*params, *m_list, *v_list)]
+    write_file(path, header, arrays + [(step, "<u8")])
 
 
 def load_checkpoint(path):
@@ -340,8 +328,6 @@ def load_checkpoint(path):
     byte count of the trailing float payload. Format-1 files record no norm
     and load as l2.
     """
-    from .distances import CacheError
-
     with open(path, "rb") as handle:
         data = handle.read()
     if len(data) < 8 or data[:4] != CHECKPOINT_MAGIC:

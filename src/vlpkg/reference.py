@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import CacheError
+from .distances import CacheError, write_file
 from .models import query_batch, query_pullback
 
 logger = logging.getLogger(__name__)
@@ -79,12 +79,10 @@ class ReferenceTable:
         arrays = [self.entries[key] for key in keys]
         counts = np.fromiter(map(len, arrays), dtype="u1", count=len(keys))
         pairs = np.concatenate([_EMPTY_PAIRS, *arrays])
-        with open(path, "wb") as handle:
-            handle.write(_HEADER.pack(MAGIC, VERSION, self.n_refs, self.cap,
-                                      len(keys), self.train_hash, len(pairs)))
-            for arr, dtype in ((np.array(keys).reshape(-1, 2), "<u4"),
-                               (counts, "u1"), (pairs, "<u4")):
-                handle.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        write_file(path, _HEADER.pack(MAGIC, VERSION, self.n_refs, self.cap,
+                                      len(keys), self.train_hash, len(pairs)),
+                   ((np.array(keys).reshape(-1, 2), "<u4"), (counts, "u1"),
+                    (pairs, "<u4")))
 
     @classmethod
     def load(cls, path):

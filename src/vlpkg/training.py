@@ -324,12 +324,6 @@ class TrainResult:
     valid_report: object = None  # last validation EvalReport; None: no valid split
 
 
-def _atomic_save(path, store, adam, step, train_hash):
-    tmp = f"{path}.tmp"
-    save_checkpoint(tmp, store, (adam.m, adam.v), step, train_hash)
-    os.replace(tmp, path)
-
-
 def train(cfg, kg, table=None, presampler=None, dist_index=None,
           out_dir=None, resume=None, train_hash=0):
     """Run the training loop; returns a TrainResult.
@@ -350,15 +344,16 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
 
     if resume is not None:
         store, (m, v), start_step, ck_hash = load_checkpoint(resume)
-        if store.kind.value != cfg.model or store.dim != cfg.dim:
+        if (store.kind.value, store.dim, store.norm) != (cfg.model, cfg.dim,
+                                                         cfg.norm):
             raise ValueError(
-                f"checkpoint is {store.kind.value} d={store.dim}, config says "
-                f"{cfg.model} d={cfg.dim}")
+                f"checkpoint is {store.kind.value} d={store.dim} "
+                f"norm={store.norm}, config says {cfg.model} d={cfg.dim} "
+                f"norm={cfg.norm}")
         if train_hash and ck_hash and train_hash != ck_hash:
             raise ValueError(
                 f"checkpoint train-hash {ck_hash:#018x} != dataset "
                 f"{train_hash:#018x}")
-        store.norm = cfg.norm
         adam = AdamState(m=m, v=v, step=start_step)
     else:
         store = init_parameters(cfg.model, cfg.dim, kg.n_entities,
@@ -408,7 +403,8 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
         if report.mrr > best_mrr:
             best_mrr = report.mrr
             if out_dir is not None:
-                _atomic_save(result.best_path, store, adam, step, train_hash)
+                save_checkpoint(result.best_path, store, (adam.m, adam.v),
+                                step, train_hash)
         return report.mrr
 
     try:
@@ -431,7 +427,8 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
             validate_now(end, *last)  # no step ran, or none validated at the end
         result.final_valid_mrr = result.history[-1][4]
         if out_dir is not None:
-            _atomic_save(result.final_path, store, adam, adam.step, train_hash)
+            save_checkpoint(result.final_path, store, (adam.m, adam.v),
+                            adam.step, train_hash)
     finally:
         if pool is not None:
             pool.shutdown()

@@ -5,10 +5,10 @@ import pytest
 
 import vlpkg.cli
 import vlpkg.evaluation
-from vlpkg.cli import (DIST_CACHE, REFS_CACHE, build_parser, cache_dir_for,
-                       main, parse_grid_file)
+from vlpkg.cli import build_parser, cache_dir_for, main, parse_grid_file
 from vlpkg.config import ConfigError
 from vlpkg.distances import DistanceIndex
+from vlpkg.models import load_checkpoint
 from vlpkg.reference import ReferenceTable
 from vlpkg.synth import compositional_graph, name_triples, write_dataset
 
@@ -24,35 +24,45 @@ def dataset(tmp_path):
 FAST = ["--dim", "8", "--batch", "16", "--steps", "12", "--lr", "0.05",
         "--negs", "4", "--refs", "2", "--cap", "4", "--eval-every", "0"]
 
+# the cache files at the default cap and N
+DIST = "dist-c8.vlpd"
+REFS = "refs-c8-n8.vlpr"
+
+
+def _cache_lines(out):
+    return [line for line in out.splitlines()
+            if line.startswith(("dist-cache", "refs-cache"))]
+
 
 def test_preprocess_builds_then_hits_cache(dataset, capsys):
     assert main(["preprocess", "--dataset", str(dataset)]) == 0
     out = capsys.readouterr().out
     assert "dist-cache" in out and "built, was missing" in out
-    assert (dataset / DIST_CACHE).is_file()
-    assert (dataset / REFS_CACHE).is_file()
+    assert (dataset / DIST).is_file()
+    assert (dataset / REFS).is_file()
 
     assert main(["preprocess", "--dataset", str(dataset)]) == 0
     out = capsys.readouterr().out
     assert out.count("(hit)") == 2
 
 
-def test_preprocess_rebuilds_on_cap_change(dataset, capsys):
-    main(["preprocess", "--dataset", str(dataset), "--cap", "4"])
-    capsys.readouterr()
-    main(["preprocess", "--dataset", str(dataset), "--cap", "5"])
-    out = capsys.readouterr().out
-    dist, refs = (line for line in out.splitlines()
-                  if line.startswith(("dist-cache", "refs-cache")))
-    assert "built, was stale" in dist
-    # the references record the cap they were selected at
-    assert "built, was stale" in refs
+def test_preprocess_keeps_one_cache_per_cap(dataset, capsys):
+    for cap, state in [("4", "built, was missing"), ("5", "built, was missing"),
+                       ("4", "hit")]:
+        assert main(["preprocess", "--dataset", str(dataset),
+                     "--cap", cap]) == 0
+        lines = _cache_lines(capsys.readouterr().out)
+        assert len(lines) == 2
+        assert all(line.endswith(f"({state})") for line in lines)
+    for cap in "45":
+        assert (dataset / f"dist-c{cap}.vlpd").is_file()
+        assert (dataset / f"refs-c{cap}-n8.vlpr").is_file()
 
 
 def test_preprocess_recovers_from_corrupt_cache(dataset, capsys):
     main(["preprocess", "--dataset", str(dataset)])
     capsys.readouterr()
-    (dataset / DIST_CACHE).write_bytes(b"garbage")
+    (dataset / DIST).write_bytes(b"garbage")
     assert main(["preprocess", "--dataset", str(dataset)]) == 0
     out = capsys.readouterr().out
     assert "built, was corrupt" in out
@@ -86,9 +96,9 @@ def _format2_references(path):
 
 
 @pytest.mark.parametrize("name, echo, old_format", [
-    (DIST_CACHE, "dist-cache", _format1_distances),
-    (REFS_CACHE, "refs-cache", _format2_references),
-], ids=[DIST_CACHE, REFS_CACHE])
+    (DIST, "dist-cache", _format1_distances),
+    (REFS, "refs-cache", _format2_references),
+], ids=[DIST, REFS])
 def test_preprocess_rebuilds_an_old_format_cache(dataset, capsys, name, echo,
                                                  old_format):
     main(["preprocess", "--dataset", str(dataset)])
@@ -106,21 +116,34 @@ def test_preprocess_rebuilds_an_old_format_cache(dataset, capsys, name, echo,
     assert path.read_bytes() == fresh
 
 
-def test_reference_cache_is_stale_after_a_cap_change(dataset, tmp_path,
-                                                     capsys):
-    # the hlp run rebuilds only the distances; the vlp run after it must
-    # not reuse references selected at the old cap
-    run = ["train", "--dataset", str(dataset), "--out", str(tmp_path / "r")]
-    assert main(run + FAST + ["--mode", "vlp", "--cap", "3"]) == 0
-    assert main(run + FAST + ["--mode", "hlp", "--sampler", "red",
-                              "--cap", "5"]) == 0
+def test_reference_cache_is_stale_after_a_cap_change(dataset, capsys):
+    # files copied from cap 3 to the cap-5 names: their headers disagree
+    # with their names, so they are rebuilt, not reused
+    run = ["preprocess", "--dataset", str(dataset), "--refs", "2"]
+    assert main(run + ["--cap", "3"]) == 0
+    for old, new in [("dist-c3.vlpd", "dist-c5.vlpd"),
+                     ("refs-c3-n2.vlpr", "refs-c5-n2.vlpr")]:
+        (dataset / new).write_bytes((dataset / old).read_bytes())
     capsys.readouterr()
-    assert main(run + FAST + ["--mode", "vlp", "--cap", "5"]) == 0
-    out = capsys.readouterr().out
-    refs = next(line for line in out.splitlines()
-                if line.startswith("refs-cache"))
-    assert "(hit)" not in refs and "built, was stale" in refs
-    assert ReferenceTable.load(dataset / REFS_CACHE).cap == 5
+    assert main(run + ["--cap", "5"]) == 0
+    lines = _cache_lines(capsys.readouterr().out)
+    assert len(lines) == 2
+    assert all(line.endswith("(built, was stale)") for line in lines)
+    assert ReferenceTable.load(dataset / "refs-c5-n2.vlpr").cap == 5
+    assert DistanceIndex.load(dataset / "dist-c5.vlpd").cap == 5
+
+
+def test_caches_are_stale_when_the_training_file_changes(dataset, capsys):
+    assert main(["preprocess", "--dataset", str(dataset)]) == 0
+    train_txt = dataset / "train.txt"
+    # the same triples in another order: same graph, another train hash
+    train_txt.write_text("".join(reversed(
+        train_txt.read_text().splitlines(keepends=True))))
+    capsys.readouterr()
+    assert main(["preprocess", "--dataset", str(dataset)]) == 0
+    lines = _cache_lines(capsys.readouterr().out)
+    assert len(lines) == 2
+    assert all(line.endswith("(built, was stale)") for line in lines)
 
 
 def test_train_writes_artifacts_and_echoes_config(dataset, tmp_path, capsys):
@@ -227,6 +250,30 @@ def test_eval_reports_and_dumps_ranks(dataset, tmp_path, capsys):
     assert len(ranks) == int(rows[0][2])  # one line per ranked triple
 
 
+def test_eval_keeps_the_training_runs_reference_cache(dataset, tmp_path,
+                                                      capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", str(dataset), "--out", str(run),
+                 "--model", "distmult", "--mode", "vlp"] + FAST) == 0
+    refs = dataset / "refs-c4-n2.vlpr"
+    before = refs.read_bytes(), refs.stat().st_ino, refs.stat().st_mtime_ns
+    capsys.readouterr()
+    eval_run = ["eval", "--dataset", str(dataset), "--cap", "4",
+                "--checkpoint", str(run / "checkpoint.vlpc")]
+    # eval's default N is 8: that is another file, built beside the run's
+    assert main(eval_run) == 0
+    out = capsys.readouterr().out
+    assert (dataset / "refs-c4-n8.vlpr").is_file()
+    assert (refs.read_bytes(), refs.stat().st_ino,
+            refs.stat().st_mtime_ns) == before
+    # the echo shows only the keys eval takes, not training defaults
+    assert "refs = 8" in out and "cap = 4" in out
+    assert "model = " not in out and "dim = " not in out
+    assert main(eval_run + ["--refs", "2"]) == 0
+    assert _cache_lines(capsys.readouterr().out)[1].endswith(
+        f"{refs} (hit)")
+
+
 def test_eval_rejects_checkpoint_from_other_dataset(dataset, tmp_path,
                                                     capsys):
     out_dir = tmp_path / "run"
@@ -313,8 +360,6 @@ def test_resume_from_checkpoint(dataset, tmp_path, capsys):
                  "--steps", "12", "--resume",
                  str(out_dir / "checkpoint.vlpc")] + short)
     assert code == 0
-    from vlpkg import load_checkpoint
-
     _, _, step, _ = load_checkpoint(out_dir / "checkpoint.vlpc")
     assert step == 12
     capsys.readouterr()
@@ -368,7 +413,28 @@ def test_sweep_builds_each_cache_once(dataset, tmp_path, capsys,
     # one index for cap 4, one table per refs value, for four runs
     assert calls == {"compute_distances": 1, "select_references": 2}
     out = capsys.readouterr().out
-    assert out.count("reused from an earlier sweep run") == 3 + 2
+    # runs 2-4 load the index, runs 3-4 the table, from disk
+    assert out.count("(hit)") == 3 + 2
+
+
+def test_resume_keeps_the_checkpoints_norm(dataset, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    run = ["train", "--dataset", str(dataset), "--out", str(out_dir),
+           "--model", "transe", "--mode", "hlp"] + FAST
+    resume = ["--steps", "18", "--resume", str(out_dir / "checkpoint.vlpc")]
+    assert main(run + ["--norm", "l1"]) == 0
+    capsys.readouterr()
+    assert main(run + resume) == 0
+    assert "norm = l1" in capsys.readouterr().out
+    store, _, step, _ = load_checkpoint(out_dir / "checkpoint.vlpc")
+    assert (store.norm, step) == ("l1", 18)
+    # a norm named on the command line or in a config file must agree
+    cfg_file = tmp_path / "l2.cfg"
+    cfg_file.write_text("norm = l2\n")
+    for extra in (["--norm", "l2"], ["--config", str(cfg_file)]):
+        assert main(run + resume + extra) == 1
+        assert "norm=l1" in capsys.readouterr().err
+    assert load_checkpoint(out_dir / "checkpoint.vlpc")[0].norm == "l1"
 
 
 def test_resume_of_a_finished_run_validates_and_exits_cleanly(
@@ -407,8 +473,8 @@ def test_cache_dir_override(dataset, tmp_path, monkeypatch, capsys):
     assert target.parent == cache_root
     assert main(["preprocess", "--dataset", str(dataset)]) == 0
     capsys.readouterr()
-    assert (target / DIST_CACHE).is_file()
-    assert not (dataset / DIST_CACHE).exists()
+    assert (target / DIST).is_file()
+    assert not (dataset / DIST).exists()
 
 
 def test_missing_dataset_is_a_clean_error(tmp_path, capsys):

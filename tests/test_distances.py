@@ -1,3 +1,4 @@
+import copy
 import struct
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from vlpkg import compute_distances, fnv1a64, hash_file
 from vlpkg.distances import CacheError, DistanceIndex
+from vlpkg.models import ModelKind, init_parameters, save_checkpoint
 from vlpkg.synth import kg_from_id_triples
 
 from conftest import floyd_warshall
@@ -134,6 +136,28 @@ def test_cache_rejects_old_version_and_bad_row_offsets(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CacheError, match="row offsets"):
         DistanceIndex.load(path)
+
+
+def test_a_save_that_raises_partway_keeps_the_previous_file(tmp_path):
+    index = compute_distances(_random_kg(np.random.default_rng(5)), cap=5)
+    cache = tmp_path / "dist-c5.vlpd"
+    index.save(cache)
+    store = init_parameters(ModelKind.TRANSE, 4, 5, 2, seed=0)
+    ckpt = tmp_path / "checkpoint.vlpc"
+    save_checkpoint(ckpt, store)
+    before = {path: path.read_bytes() for path in (cache, ckpt)}
+
+    broken = copy.copy(index)
+    broken.dists = ["not a distance"]  # raises after header, offsets and ids
+    with pytest.raises(ValueError):
+        broken.save(cache)
+    params = store.param_arrays()
+    moments = (params, params[:-1] + [object()])  # raises in the last array
+    with pytest.raises(TypeError):
+        save_checkpoint(ckpt, store, moments, step=7)
+
+    assert {path: path.read_bytes() for path in before} == before
+    assert sorted(tmp_path.iterdir()) == sorted(before)  # no temp file left
 
 
 def test_fnv1a64_known_vectors():
