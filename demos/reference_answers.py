@@ -19,6 +19,7 @@ import time
 from vlpkg import (PreSampler, SamplerConfig, TrainConfig, augment_reciprocal,
                    compute_distances, evaluate, select_references, train)
 from vlpkg.data import FilterIndex
+from vlpkg.reference import gather_references
 from vlpkg.synth import compositional_graph
 
 kg = augment_reciprocal(compositional_graph(n_clusters=25, cluster_size=5,
@@ -33,7 +34,8 @@ print(f"test query: ({kg.vocab.entity_names[h]}, "
       f"{kg.vocab.relation_names[r]}, ?)   gold answer "
       f"{kg.vocab.entity_names[t]}")
 print("references (nearest training queries with this relation):")
-for h_i, t_i in table.lookup(h, r):
+ref_h, ref_t, mask = gather_references(table, [h], [r])
+for h_i, t_i in zip(ref_h[0, mask[0] > 0], ref_t[0, mask[0] > 0]):
     print(f"  ({kg.vocab.entity_names[h_i]}, ...) answered "
           f"{kg.vocab.entity_names[t_i]}, {dist.distance(h, h_i)} hops away")
 

@@ -12,7 +12,7 @@ from .models import (AggregatorParams, ModelKind, ParameterStore, grad_fg,
                      init_parameters, load_checkpoint, save_checkpoint,
                      score_fg, score_fg_all)
 from .reference import (ReferenceTable, context_vector, score_f, score_fc,
-                        score_fc_all, select_references)
+                        select_references)
 from .sampling import PreSampler, SamplerConfig, post_weights, selfadv_weights
 from .synth import compositional_graph, kg_from_id_triples, random_graph
 from .training import (AdamState, loss_l1, loss_l2, reference_sweep, train,
@@ -29,7 +29,7 @@ __all__ = [
     "load_dataset", "loss_l1", "loss_l2", "parse_config_file",
     "post_weights", "random_graph", "rank_triple",
     "reference_sweep", "rmp_classify", "save_checkpoint", "score_f",
-    "score_fc", "score_fc_all", "score_fg", "score_fg_all",
+    "score_fc", "score_fg", "score_fg_all",
     "select_references", "selfadv_weights", "train", "train_step",
     "write_report",
 ]

@@ -260,10 +260,6 @@ def cmd_train(args):
     lines, index, table, presampler = _prepare(cfg, kg, train_hash,
                                                auto=not args.no_auto)
     echo_config(cfg, train_hash, lines)
-    os.makedirs(cfg.out, exist_ok=True)
-    with open(Path(cfg.out) / "config.txt", "w", encoding="utf-8") as handle:
-        for key, value in cfg.to_items():
-            handle.write(f"{key} = {value}\n")
     result = train(cfg, kg, table=table, presampler=presampler,
                    dist_index=index, out_dir=cfg.out, resume=args.resume,
                    train_hash=train_hash)

@@ -15,23 +15,22 @@ Selection is one stable sort: the relation's training pairs, ordered by
 d(h, h_i). It is precomputed once per dataset and cached in format 3 (magic
 ``VLPR``): a header recording N, the cap of the distances used, the train
 hash and the key and pair counts, then the keys, the per-key counts and the
-pairs, each written whole. Each key stores one spare reference beyond N so
-the query's own training answer can be masked out during training without
-shrinking the reference set.
+pairs, each written whole. In memory the table is the same three arrays,
+with the counts held as offsets. Each key stores one spare reference beyond
+N so the query's own training answer can be masked out during training
+without shrinking the reference set.
 """
 
 from __future__ import annotations
 
-import logging
+import functools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distances import CacheError, write_file
-from .models import query_batch, query_pullback
-
-logger = logging.getLogger(__name__)
+from .models import query_batch, query_pullback, score_fg
 
 DEFAULT_N_REFS = 8
 
@@ -42,47 +41,44 @@ _HEADER = struct.Struct("<4sIIIQQQ")
 
 _BLOCK = 256  # query heads per block of dense distance rows
 
-_EMPTY_PAIRS = np.zeros((0, 2), dtype=np.int64)
-
 
 class ReferenceTable:
     """(h, r) -> up to N+1 reference pairs (h_i, t_i), selection order.
 
-    Order: graph distance d(h, h_i) ascending, then training frequency of h_i
-    descending, then h_i id, then t_i id. Keys cover every (h, r) query seen
-    in any split; keys whose relation has no training pairs map to the empty
-    list (the aggregator then pools nothing and t' = tanh(W_agg [0 ; q])).
+    The cache file's three arrays, read-only: ``keys`` (K, 2) sorted by
+    (h, r) without repeats, and ``pairs`` (P, 2), of which key k owns rows
+    ``indptr[k]:indptr[k+1]``. Order within a key: graph distance d(h, h_i)
+    ascending, then training frequency of h_i descending, then h_i id, then
+    t_i id. Keys cover every (h, r) query seen in any split; keys whose
+    relation has no training pairs own no rows (the aggregator then pools
+    nothing and t' = tanh(W_agg [0 ; q])).
     """
 
-    def __init__(self, n_refs, entries, train_hash=0, cap=0):
+    def __init__(self, n_refs, keys, indptr, pairs, train_hash=0, cap=0):
         self.n_refs = int(n_refs)
-        self.entries = entries
+        self.keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        for arr in (self.keys, self.indptr, self.pairs):
+            arr.flags.writeable = False
+        self.codes = (self.keys[:, 0] << 32) | self.keys[:, 1]  # (h, r) order
         self.train_hash = int(train_hash)
         self.cap = int(cap)  # of the distance index the references came from
 
-    def lookup(self, h, r, exclude_tail=None):
-        """References for one query, truncated to N.
-
-        With ``exclude_tail`` set (training), the query's own pair
-        (h, exclude_tail) is masked out before truncation.
-        """
-        arr = self.entries.get((int(h), int(r)))
-        if arr is None or len(arr) == 0:
-            return _EMPTY_PAIRS
-        if exclude_tail is not None:
-            keep = ~((arr[:, 0] == h) & (arr[:, 1] == exclude_tail))
-            arr = arr[keep]
-        return arr[:self.n_refs]
+    @functools.cached_property
+    def entries(self):
+        """{(h, r): that key's rows of ``pairs``}, built once on first use,
+        for per-key readers; batches go through ``gather_references``."""
+        bounds = self.indptr.tolist()
+        return {key: self.pairs[a:b] for key, a, b in
+                zip(map(tuple, self.keys.tolist()), bounds, bounds[1:])}
 
     def save(self, path):
-        keys = sorted(self.entries)
-        arrays = [self.entries[key] for key in keys]
-        counts = np.fromiter(map(len, arrays), dtype="u1", count=len(keys))
-        pairs = np.concatenate([_EMPTY_PAIRS, *arrays])
         write_file(path, _HEADER.pack(MAGIC, VERSION, self.n_refs, self.cap,
-                                      len(keys), self.train_hash, len(pairs)),
-                   ((np.array(keys).reshape(-1, 2), "<u4"), (counts, "u1"),
-                    (pairs, "<u4")))
+                                      len(self.keys), self.train_hash,
+                                      len(self.pairs)),
+                   ((self.keys, "<u4"), (np.diff(self.indptr), "u1"),
+                    (self.pairs, "<u4")))
 
     @classmethod
     def load(cls, path):
@@ -106,16 +102,17 @@ class ReferenceTable:
         pairs = np.frombuffer(data, "<u4", 2 * n_pairs, size - 8 * n_pairs)
         if counts.sum() != n_pairs or (n_keys and counts.max() > n_refs + 1):
             raise CacheError(f"{path}: counts disagree with pair count")
-        pairs = pairs.reshape(-1, 2).astype(np.int64)
-        entries = dict(zip(map(tuple, keys.reshape(-1, 2).tolist()),
-                           np.split(pairs, np.cumsum(counts)[:-1])))
-        return cls(n_refs, entries, train_hash, cap)
+        indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        table = cls(n_refs, keys, indptr, pairs, train_hash, cap)
+        if np.any(np.diff(table.codes) <= 0):
+            raise CacheError(f"{path}: keys out of order or repeated")
+        return table
 
 
 def query_keys(kg):
-    """Distinct (h, r) queries over all splits, sorted."""
+    """Distinct (h, r) queries over all splits, sorted: a (K, 2) array."""
     triples = np.concatenate([kg.train, kg.valid, kg.test])
-    return list(map(tuple, np.unique(triples[:, :2], axis=0).tolist()))
+    return np.unique(triples[:, :2], axis=0).astype(np.int64).reshape(-1, 2)
 
 
 def select_references(kg, index, n_refs=DEFAULT_N_REFS, train_hash=0):
@@ -123,42 +120,56 @@ def select_references(kg, index, n_refs=DEFAULT_N_REFS, train_hash=0):
     if not 0 <= n_refs <= 254:
         raise ValueError("n_refs must be in [0, 254]")
     freq = kg.entity_frequency()
-    keys = np.array(query_keys(kg), dtype=np.int64).reshape(-1, 2)
-    entries = {}
+    keys = query_keys(kg)
+    per_relation = np.bincount(kg.train[:, 1], minlength=kg.n_relations)
+    counts = np.minimum(per_relation[keys[:, 1]], n_refs + 1)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    out = np.empty((indptr[-1], 2), dtype=np.int64)
     for r in np.unique(keys[:, 1]).tolist():
-        heads = keys[keys[:, 1] == r, 0]
+        rows = np.flatnonzero(keys[:, 1] == r)
         pairs = kg.relation_pairs(r)
         # tie order within one distance: frequency desc, then h_i, then t_i
         pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0], -freq[pairs[:, 0]]))]
-        for start in range(0, len(heads), _BLOCK):
-            block = heads[start:start + _BLOCK]
-            dist = index.distances_from(block)[:, pairs[:, 0]]
+        for start in range(0, len(rows), _BLOCK):
+            block = rows[start:start + _BLOCK]
+            dist = index.distances_from(keys[block, 0])[:, pairs[:, 0]]
             order = np.argsort(dist, axis=1, kind="stable")[:, :n_refs + 1]
-            entries.update(zip([(h, r) for h in block.tolist()],
-                               pairs[order]))
-    return ReferenceTable(n_refs, entries, train_hash, index.cap)
+            slots = indptr[block][:, None] + np.arange(order.shape[1])
+            out[slots] = pairs[order]
+    return ReferenceTable(n_refs, keys, indptr, out, train_hash, index.cap)
 
 
 # ---------------------------------------------------------------------------
 # aggregation
 
 
-def gather_references(table, h_ids, r_ids, exclude_tails=None, n_refs=None):
-    """Pad per-query reference lists into (B, N) id arrays plus a mask."""
-    n = table.n_refs if n_refs is None else n_refs
-    b = len(h_ids)
-    ref_h = np.zeros((b, n), dtype=np.int64)
-    ref_t = np.zeros((b, n), dtype=np.int64)
-    mask = np.zeros((b, n))
-    for i in range(b):
-        excl = None if exclude_tails is None else int(exclude_tails[i])
-        arr = table.lookup(int(h_ids[i]), int(r_ids[i]), exclude_tail=excl)
-        m = min(len(arr), n)
-        if m:
-            ref_h[i, :m] = arr[:m, 0]
-            ref_t[i, :m] = arr[:m, 1]
-            mask[i, :m] = 1.0
-    return ref_h, ref_t, mask
+def gather_references(table, h_ids, r_ids, exclude_tails=None):
+    """References of a batch of queries as (B, N) id arrays plus a mask.
+
+    Row i holds the first N pairs of key (h_i, r_i), padded with id 0 and
+    mask 0; an (h, r) that is not a key gets none. With ``exclude_tails``
+    (training), the query's own pair (h_i, exclude_tails[i]) is dropped
+    first and the spare (N+1)-th pair moves up.
+    """
+    n = table.n_refs
+    h = np.asarray(h_ids, dtype=np.int64)
+    codes = (h << 32) | np.asarray(r_ids, dtype=np.int64)
+    # left and right insertion points differ only at a key: else first == stop
+    first = table.indptr[np.searchsorted(table.codes, codes, side="left")]
+    stop = table.indptr[np.searchsorted(table.codes, codes, side="right")]
+    slots = first[:, None] + np.arange(n + 1)
+    live = slots < stop[:, None]
+    pairs = table.pairs if len(table.pairs) else np.zeros((1, 2), np.int64)
+    ref = pairs[np.where(live, slots, 0)]
+    if exclude_tails is not None:  # drop the own pair, keep the rest in order
+        t = np.asarray(exclude_tails)[:, None]
+        live &= (ref[..., 0] != h[:, None]) | (ref[..., 1] != t)
+        order = np.argsort(~live, axis=1, kind="stable")
+        ref = np.take_along_axis(ref, order[..., None], axis=1)
+        live = np.take_along_axis(live, order, axis=1)
+    live = live[:, :n]
+    return (np.where(live, ref[:, :n, 0], 0), np.where(live, ref[:, :n, 1], 0),
+            live.astype(np.float64))
 
 
 @dataclass
@@ -267,8 +278,7 @@ def context_vector(store, table, h, r, exclude_tail=None):
 
 
 # ---------------------------------------------------------------------------
-# cosine scoring (single-query public kernels; elementwise, bit-stable
-# against their all-entities counterparts)
+# cosine scoring
 
 
 def cosine_all(t_prime, entities):
@@ -281,26 +291,13 @@ def cosine_all(t_prime, entities):
         return np.where(denom == 0, 0.0, dots / np.where(denom == 0, 1.0, denom))
 
 
-def cosine_single(t_prime, entities, t):
-    """cos(t', entities[t]) as a python float, via ``cosine_all``."""
-    return float(cosine_all(t_prime, entities[[t]])[0])
-
-
 def score_fc(store, table, h, r, t, exclude_tail=None):
     """Cosine score of one candidate tail against the context vector."""
     t_prime = context_vector(store, table, h, r, exclude_tail=exclude_tail)
-    return cosine_single(t_prime, store.entities, t)
-
-
-def score_fc_all(store, table, h, r, exclude_tail=None):
-    """Cosine scores of every entity; row t equals score_fc(..., t) bit-exactly."""
-    t_prime = context_vector(store, table, h, r, exclude_tail=exclude_tail)
-    return cosine_all(t_prime, store.entities)
+    return float(cosine_all(t_prime, store.entities[[t]])[0])
 
 
 def score_f(store, table, h, r, t, lam, exclude_tail=None):
     """Combined score f = f_c + lambda * f_g."""
-    from .models import score_fg
-
     return (score_fc(store, table, h, r, t, exclude_tail=exclude_tail)
             + lam * score_fg(store, h, r, t))

@@ -330,7 +330,8 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
 
     Checkpoints (final and best-by-validation-MRR) are written under
     ``out_dir`` when given, atomically, so an interrupted run keeps its last
-    good files. ``resume`` restores parameters, moments and the step counter
+    good files; ``config.txt`` is written there once a resume has passed
+    its checks. ``resume`` restores parameters, moments and the step counter
     from a checkpoint and continues as if never interrupted.
     """
     cfg.validated()
@@ -366,6 +367,10 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
     log_path = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "config.txt"), "w",
+                  encoding="utf-8") as handle:
+            handle.writelines(f"{key} = {value}\n"
+                              for key, value in cfg.to_items())
         result.final_path = os.path.join(out_dir, "checkpoint.vlpc")
         result.best_path = os.path.join(out_dir, "best.vlpc")
         log_path = os.path.join(out_dir, "train.log.tsv")

@@ -29,12 +29,11 @@ from scipy.stats import chisquare
 
 from vlpkg import (ModelKind, PreSampler, SamplerConfig, TrainConfig,
                    augment_reciprocal, compute_distances, evaluate, grad_fg,
-                   init_parameters, load_dataset, loss_l1, loss_l2, score_fg,
-                   select_references, train)
+                   init_parameters, load_dataset, loss_l1, loss_l2, score_f,
+                   score_fg, select_references, train)
 from vlpkg.data import FilterIndex
 from vlpkg.evaluation import candidate_scores, rank_from_scores
 from vlpkg.models import entity_width
-from vlpkg.reference import context_vector, cosine_single
 from vlpkg.sampling import negative_weights, post_weights
 from vlpkg.synth import compositional_graph, kg_from_id_triples, random_graph
 from vlpkg.training import GradBuffer, backward, forward, reference_sweep
@@ -188,9 +187,7 @@ def test_filtered_metrics_match_sort_oracle(capsys):
                 scalar = [score_fg(store, h, r, x)
                           for x in range(kg.n_entities)]
             else:
-                t_prime = context_vector(store, table, h, r)
-                scalar = [cosine_single(t_prime, store.entities, x)
-                          + lam * score_fg(store, h, r, x)
+                scalar = [score_f(store, table, h, r, x, lam)
                           for x in range(kg.n_entities)]
             ranks.append(_oracle_rank(np.array(scalar), t,
                                       findex.tails(h, r)))

@@ -437,6 +437,19 @@ def test_resume_keeps_the_checkpoints_norm(dataset, tmp_path, capsys):
     assert load_checkpoint(out_dir / "checkpoint.vlpc")[0].norm == "l1"
 
 
+def test_rejected_resume_keeps_the_runs_config(dataset, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    run = ["train", "--dataset", str(dataset), "--out", str(out_dir),
+           "--model", "transe", "--mode", "hlp", "--norm", "l1", "--dim", "8",
+           "--steps", "6"]
+    assert main(run) == 0
+    written = (out_dir / "config.txt").read_bytes()
+    assert main(run + ["--resume", str(out_dir / "checkpoint.vlpc"),
+                       "--norm", "l2", "--dim", "16"]) == 1
+    assert "norm=l1" in capsys.readouterr().err
+    assert (out_dir / "config.txt").read_bytes() == written
+
+
 def test_resume_of_a_finished_run_validates_and_exits_cleanly(
         dataset, tmp_path, capsys):
     out_dir = tmp_path / "run"

@@ -1,0 +1,42 @@
+"""The names the benchmark in ``perfbench/`` uses from the package.
+
+perfbench's own smoke test runs the whole benchmark and sits outside the
+default test paths, so these checks keep a rename or deletion in the package
+from breaking ``perfbench/run.py --trace 1`` unnoticed.
+"""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from vlpkg import compute_distances, select_references
+from vlpkg.synth import random_graph
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture()
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("tracing")
+
+
+def test_every_traced_target_exists(tracing):
+    # the tracer looks each target up in the owner's own namespace
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _, _ in tracing.TARGETS
+               if attr not in owner.__dict__]
+    assert not missing
+
+
+def test_table_exposes_what_the_runner_reads():
+    kg = random_graph(n_entities=12, n_relations=2, n_train=40, n_valid=5,
+                      n_test=5, seed=2)
+    table = select_references(kg, compute_distances(kg, cap=4), n_refs=3,
+                              train_hash=9)
+    assert (table.n_refs, table.train_hash, table.cap) == (3, 9, 4)
+    assert table.entries.keys() == {tuple(k) for k in table.keys.tolist()}
+    for key, arr in table.entries.items():
+        assert isinstance(arr, np.ndarray) and arr.shape[1:] == (2,)
+        assert np.array_equal(arr, table.entries[key])

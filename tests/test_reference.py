@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from vlpkg import (ModelKind, compute_distances, init_parameters,
-                   score_f, score_fc, score_fc_all, score_fg,
-                   select_references)
+                   score_f, score_fc, score_fg, select_references)
 from vlpkg.distances import CacheError
+from vlpkg.evaluation import candidate_scores
 from vlpkg.models import query_batch
 from vlpkg.reference import (ReferenceTable, aggregate_batch,
                              aggregate_pullback, context_vector, cosine_all,
-                             cosine_single, gather_references, query_keys)
+                             gather_references, query_keys)
 from vlpkg.synth import kg_from_id_triples, random_graph
 
 from conftest import floyd_warshall
@@ -78,19 +78,72 @@ def test_keys_cover_valid_and_test_queries():
     assert (4, 1) in table.entries
     # relation 1 has no training pairs at all
     assert len(table.entries[(4, 1)]) == 0
-    assert table.lookup(4, 1).shape == (0, 2)
+    assert gather_references(table, [4], [1])[2].sum() == 0
 
 
-def test_lookup_masks_own_answer_without_shrinking():
+def _gathered(table, h, r, exclude_tail=None):
+    """The live (h_i, t_i) pairs of one gathered query."""
+    ref_h, ref_t, mask = gather_references(
+        table, [h], [r], None if exclude_tail is None else [exclude_tail])
+    live = mask[0] > 0
+    return list(zip(ref_h[0, live].tolist(), ref_t[0, live].tolist()))
+
+
+def test_gather_masks_own_answer_without_shrinking():
     kg = kg_from_id_triples(
         8, 1, [(0, 0, 1), (2, 0, 3), (4, 0, 5), (6, 0, 7), (0, 0, 2)])
     index = compute_distances(kg, cap=4)
     table = select_references(kg, index, n_refs=2)
-    full = table.lookup(0, 0)
-    masked = table.lookup(0, 0, exclude_tail=1)
+    full = _gathered(table, 0, 0)
+    masked = _gathered(table, 0, 0, exclude_tail=1)
     assert len(full) == 2
     assert len(masked) == 2
-    assert (0, 1) not in {tuple(p) for p in masked}
+    assert (0, 1) not in masked
+
+
+def _gather_oracle(table, h_ids, r_ids, exclude_tails):
+    """Per query: the key's pairs from ``entries``, the own pair dropped,
+    cut to N, padded with id 0 and mask 0."""
+    n = table.n_refs
+    ref_h = np.zeros((len(h_ids), n), dtype=np.int64)
+    ref_t = np.zeros((len(h_ids), n), dtype=np.int64)
+    mask = np.zeros((len(h_ids), n))
+    for i, (h, r, t) in enumerate(zip(h_ids, r_ids, exclude_tails)):
+        pairs = [tuple(p) for p in table.entries.get((h, r), [])]
+        pairs = [p for p in pairs if p != (h, t)][:n]
+        for j, (h_i, t_i) in enumerate(pairs):
+            ref_h[i, j], ref_t[i, j], mask[i, j] = h_i, t_i, 1.0
+    return ref_h, ref_t, mask
+
+
+def test_gather_matches_per_query_oracle():
+    # relation 0: head 0 has three pairs, so with N = 2 the key (0, 0)
+    # holds three references and the own pair (0, 2) sits in the middle;
+    # relation 1 has one pair (fewer than N + 1); relation 2 has none.
+    train = [(0, 0, 1), (0, 0, 2), (0, 0, 3), (4, 0, 5), (6, 0, 7),
+             (1, 1, 4)]
+    kg = kg_from_id_triples(9, 3, train, test=[(8, 2, 0), (2, 1, 3)])
+    table = select_references(kg, compute_distances(kg, cap=4), n_refs=2)
+    middle = [tuple(p) for p in table.entries[(0, 0)]]
+    assert len(middle) == 3 and middle[1] == (0, 2)
+    assert len(table.entries[(2, 1)]) == 1
+    assert len(table.entries[(8, 2)]) == 0
+    assert (5, 1) not in table.entries
+    h_ids = [0, 0, 2, 8, 5, 4, 0, 0, 2]
+    r_ids = [0, 0, 1, 2, 1, 0, 0, 0, 1]
+    tails = [2, 1, 3, 0, 0, 5, 2, 8, 3]
+    for excluded in (None, tails):
+        got = gather_references(table, np.array(h_ids), np.array(r_ids),
+                                None if excluded is None else np.array(excluded))
+        want = _gather_oracle(table, h_ids, r_ids,
+                              excluded or [-1] * len(h_ids))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.flags.c_contiguous
+            np.testing.assert_array_equal(g, w)
+        ref_h, ref_t, mask = got
+        assert not ref_h[mask == 0].any() and not ref_t[mask == 0].any()
+    # the own pair in the middle slot is dropped and the spare moves up
+    assert list(zip(got[0][0].tolist(), got[1][0].tolist())) == [(0, 1), (0, 3)]
 
 
 def test_self_pair_is_first_reference():
@@ -136,9 +189,14 @@ def test_table_load_rejects_corruption(tmp_path):
     with pytest.raises(CacheError, match="counts"):
         ReferenceTable.load(path)
     # a key with more than N+1 references
-    ReferenceTable(1, {(0, 0): np.zeros((3, 2), dtype=np.int64)}).save(path)
+    ReferenceTable(1, [[0, 0]], [0, 3], np.zeros((3, 2))).save(path)
     with pytest.raises(CacheError, match="counts"):
         ReferenceTable.load(path)
+    # keys out of order, and a repeated key
+    for keys in ([[1, 0], [0, 0]], [[0, 1], [0, 1]]):
+        ReferenceTable(1, keys, [0, 1, 2], np.zeros((2, 2))).save(path)
+        with pytest.raises(CacheError, match="keys"):
+            ReferenceTable.load(path)
 
 
 def _setup(kind=ModelKind.ROTATE, seed=4):
@@ -184,7 +242,7 @@ def test_aggregation_oracle_single_query():
     h, r = int(kg.test[0, 0]), int(kg.test[0, 1])
     q = query_batch(store, h, r)
     refs = [(store.entities[t_i], q - query_batch(store, h_i, r))
-            for h_i, t_i in table.lookup(h, r)]
+            for h_i, t_i in _gathered(table, h, r)]
     assert len(refs) >= 2
     agg = store.agg
     pooled = np.mean([agg.w_node @ k + agg.w_edge @ s for k, s in refs], axis=0)
@@ -226,11 +284,15 @@ def test_cosine_kernels_agree_and_guard_zero_vectors():
     t_prime = rng.normal(size=6)
     allscores = cosine_all(t_prime, entities)
     for t in range(9):
-        assert allscores[t] == cosine_single(t_prime, entities, t)
+        if t != 4:
+            want = (t_prime @ entities[t]
+                    / (np.linalg.norm(t_prime) * np.linalg.norm(entities[t])))
+            assert allscores[t] == pytest.approx(want, rel=1e-12)
     assert allscores[4] == 0.0
     unit = entities[3] / np.linalg.norm(entities[3])
-    assert cosine_single(entities[3], entities, 3) == pytest.approx(1.0)
-    assert abs(cosine_single(unit * -2.0, entities, 3) + 1.0) < 1e-12
+    assert cosine_all(entities[3], entities)[3] == pytest.approx(1.0)
+    assert abs(cosine_all(unit * -2.0, entities)[3] + 1.0) < 1e-12
+    assert not cosine_all(np.zeros(6), entities).any()
 
 
 def test_combined_score_is_cosine_plus_weighted_triple_score():
@@ -244,6 +306,7 @@ def test_combined_score_is_cosine_plus_weighted_triple_score():
 def test_fc_all_bit_equal_single():
     kg, table, store = _setup(kind=ModelKind.COMPLEX)
     for h, r, _ in kg.test[:4]:
-        all_fc = score_fc_all(store, table, int(h), int(r))
+        all_fc = candidate_scores(store, int(h), int(r), "fc-only", 0.0,
+                                  table=table)
         for t in range(kg.n_entities):
             assert all_fc[t] == score_fc(store, table, int(h), int(r), t)

@@ -101,8 +101,7 @@ def test_l2_loss_matches_direct_formula():
     its references, so the oracle recomputes t' with that exclusion."""
     from scipy.special import log_expit
 
-    from vlpkg import score_fg
-    from vlpkg.reference import context_vector, cosine_single
+    from vlpkg import score_f, score_fg
 
     kg, table, store = _setup(ModelKind.ROTATE)
     gamma, lam = 2.0, 0.4
@@ -115,11 +114,8 @@ def test_l2_loss_matches_direct_formula():
         for i, (h, r, t) in enumerate(batch):
             h, r, t = int(h), int(r), int(t)
             if mode == "vlp":
-                t_prime = context_vector(store, table, h, r, exclude_tail=t)
-
                 def f(x):
-                    return (cosine_single(t_prime, store.entities, x)
-                            + lam * score_fg(store, h, r, x))
+                    return score_f(store, table, h, r, x, lam, exclude_tail=t)
 
             else:
                 def f(x):
