@@ -310,7 +310,7 @@ def cmd_eval(args):
                       lam=cfg.lam, mode=mode, filter_index=filter_index,
                       threads=cfg.threads, keep_ranks=args.dump_ranks)
 
-    out_dir = Path(cfg.out if cfg.out != "run" else
+    out_dir = Path(cfg.out if "out" in given else
                    os.path.dirname(os.path.abspath(args.checkpoint)))
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.tsv"

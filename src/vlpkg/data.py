@@ -320,20 +320,8 @@ def _swap_rmp(cls):
     return {"1-1": "1-1", "1-N": "N-1", "N-1": "1-N", "N-N": "N-N"}[cls]
 
 
-def distance_split(kg, index):
-    """Assign test triples to head-tail distance buckets {1, 2, 3, >=4}.
-
-    Returns a dict mapping bucket (int; 4 stands for >=4) to row indices into
-    ``kg.test``. Distance is measured on the undirected training graph; a
-    self-loop test triple (distance 0) lands in bucket 1.
-    """
-    buckets = {1: [], 2: [], 3: [], 4: []}
-    for row, (h, _, t) in enumerate(kg.test):
-        buckets[distance_bucket(index.distance(int(h), int(t)))].append(row)
-    return {k: np.array(v, dtype=np.int64) for k, v in buckets.items()}
-
-
 def distance_bucket(d):
+    """Head-tail distance bucket: 1 (distance <= 1), 2, 3 or 4 (>= 4)."""
     if d <= 1:
         return 1
     return int(min(d, 4))

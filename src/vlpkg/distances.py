@@ -108,11 +108,13 @@ class DistanceIndex:
         i = source * self.cap + distance
         return self.ids[self.ring_offsets[i]:self.ring_offsets[i + 1]]
 
-    def ring_sizes(self, source):
-        """Count of ids at each exact distance 0..cap-1, plus the remainder
-        bucket at index cap (everything at distance >= cap)."""
-        off = self.ring_offsets[source * self.cap:(source + 1) * self.cap + 1]
-        return np.append(np.diff(off), self.n_entities - (off[-1] - off[0]))
+    def ring_sizes(self, sources):
+        """Count of ids at each distance 0..cap-1, plus the remainder bucket
+        at index cap (distance >= cap): ``np.shape(sources) + (cap + 1,)``."""
+        first = np.asarray(sources, dtype=np.int64)[..., None] * self.cap
+        off = self.ring_offsets[first + np.arange(self.cap + 1)]
+        rest = self.n_entities - (off[..., -1:] - off[..., :1])
+        return np.concatenate([np.diff(off), rest], axis=-1)
 
     def distance(self, a, b):
         """Hop count between a and b, saturated at cap."""

@@ -4,10 +4,11 @@ Pre-sampling draws candidate tails t' for a positive (h, r, t) from
 
     p_0(h, r, t') = exp(-alpha0 * d_g(h, t')) / Z(h)
 
-realized exactly through the truncated distance index: pick a distance bucket
-with probability proportional to |bucket| * exp(-alpha0 * d) (entities beyond
-the cap share the cap bucket), then uniformly inside the bucket. Post-weights
-then redistribute the loss over the drawn negatives: the relative-distance
+realized exactly through the truncated distance index, for a batch of heads at
+once: pick a distance bucket with probability proportional to |bucket| *
+exp(-alpha0 * d) (entities beyond the cap share the cap bucket), then an id
+uniformly inside it, by rejection for the cap bucket. Post-weights then
+redistribute the loss over the drawn negatives: the relative-distance
 scheme rises with the negative score up to c + tau and falls beyond it, the
 self-adversarial baseline rises monotonically, and the uniform baseline
 weights all negatives equally.
@@ -23,21 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import softmax
 
-DEFAULT_ALPHA0 = 1.0
-DEFAULT_ALPHA1 = 1.0
-DEFAULT_ALPHA2 = 1.0
-DEFAULT_TAU = 1.0
-
 SAMPLER_MODES = ("uniform", "selfadv", "red")
 
 
 @dataclass
 class SamplerConfig:
     mode: str = "red"
-    alpha0: float = DEFAULT_ALPHA0
-    alpha1: float = DEFAULT_ALPHA1
-    alpha2: float = DEFAULT_ALPHA2
-    tau: float = DEFAULT_TAU
+    alpha0: float = 1.0
+    alpha1: float = 1.0
+    alpha2: float = 1.0
+    tau: float = 1.0
     n_negatives: int = 64
     use_pre: bool = True    # red only: distance-based pre-sampling
     use_post: bool = True   # red only: relative-distance post-weights
@@ -78,10 +74,11 @@ class PreSampler:
         self.alpha0 = float(alpha0)
         self._decay = np.exp(-self.alpha0 * np.arange(index.cap + 1))
 
-    def bucket_weights(self, source):
-        """Normalized bucket probabilities, one per distance 0..cap."""
-        w = self.index.ring_sizes(source) * self._decay
-        return w / w.sum()
+    def bucket_weights(self, sources):
+        """Normalized bucket probabilities, one per distance 0..cap, for one
+        source or each of an array: ``np.shape(sources) + (cap + 1,)``."""
+        w = self.index.ring_sizes(sources) * self._decay
+        return w / w.sum(axis=-1, keepdims=True)
 
     def probabilities(self, source):
         """Dense exact p_0(source, .) over all entities (test oracle)."""
@@ -89,52 +86,38 @@ class PreSampler:
         w = np.exp(-self.alpha0 * d)
         return w / w.sum()
 
-    def sample(self, source, l, rng):
-        """l i.i.d. draws from p_0(source, .), with replacement."""
-        cap = self.index.cap
-        weights = self.bucket_weights(source)
-        buckets = rng.choice(cap + 1, size=l, p=weights)
-        out = np.empty(l, dtype=np.int64)
-        for d in np.unique(buckets):
-            slots = np.flatnonzero(buckets == d)
-            if d < cap:
-                ring = self.index.ring(source, int(d))
-                out[slots] = ring[rng.integers(len(ring), size=len(slots))]
-            else:
-                out[slots] = self._sample_beyond_cap(source, len(slots), rng)
-        return out
+    def sample(self, sources, l, rng):
+        """l i.i.d. int64 draws from p_0(s, .) for one source s, shape (l,),
+        or for each of an array of sources, ``np.shape(sources) + (l,)``.
 
-    def _sample_beyond_cap(self, source, k, rng):
-        """k uniform draws from the ids at distance >= cap, by rejection.
-
-        A round holds about twice the candidates that k accepted draws need
-        in expectation, n / |beyond| each, so one round nearly always
-        suffices. The cap bucket is picked with probability at most
-        |beyond| * exp(-alpha0 * cap), so a sample costs at most about
-        2n * exp(-alpha0 * cap) candidates in expectation without any
-        per-source cache.
+        The bucket comes by inverse CDF over ``bucket_weights``; a ring d < cap
+        is an integer offset into its slice of ``index.ids``. A draw in the cap
+        bucket rejects uniform candidates unless ``distances_from(s) == cap``,
+        2n / |beyond| of them a round, so it ends in a round w.p. ~1 - e^-2.
         """
-        n = self.index.n_entities
-        beyond = n - len(self.index.row(source)[0])
-        out = np.empty(k, dtype=np.int64)
-        filled = 0
-        while filled < k:
-            cand = rng.integers(n, size=2 * (k - filled) * n // beyond + 16)
-            keep = cand[self._beyond_cap_mask(source, cand)]
-            take = min(len(keep), k - filled)
-            out[filled:filled + take] = keep[:take]
-            filled += take
-        return out
-
-    def _beyond_cap_mask(self, source, candidates):
-        mask = np.ones(len(candidates), dtype=bool)
-        for d in range(self.index.cap):
-            ring = self.index.ring(source, d)
-            if len(ring) == 0:
-                continue
-            pos = np.minimum(np.searchsorted(ring, candidates), len(ring) - 1)
-            mask &= ring[pos] != candidates
-        return mask
+        index, cap, n = self.index, self.index.cap, self.index.n_entities
+        flat = np.asarray(sources, dtype=np.int64).ravel()
+        cdf = np.cumsum(self.bucket_weights(flat), axis=-1)
+        cdf /= cdf[:, -1:]  # exactly 1 last: an empty cap bucket never wins
+        u = rng.random((len(flat), l, 1))
+        bucket = (u >= cdf[:, None, :-1]).sum(axis=-1).ravel()
+        out = np.empty(len(bucket), dtype=np.int64)
+        inner = np.flatnonzero(bucket < cap)
+        at = flat[inner // l] * cap + bucket[inner]
+        lo, hi = index.ring_offsets[at], index.ring_offsets[at + 1]
+        out[inner] = index.ids[lo + rng.integers(hi - lo)]
+        todo = np.flatnonzero(bucket == cap)  # draws still pending
+        rows, row_of = np.unique(todo // l, return_inverse=True)
+        far = index.distances_from(flat[rows]) == cap
+        per = 2 * n // far.sum(axis=1)  # candidates per pending draw, by row
+        while len(todo):
+            owner = np.repeat(np.arange(len(todo)), per[row_of])
+            cand = rng.integers(n, size=len(owner))
+            hit = np.flatnonzero(far[row_of[owner], cand])
+            got, first = np.unique(owner[hit], return_index=True)
+            out[todo[got]] = cand[hit[first]]
+            todo, row_of = np.delete(todo, got), np.delete(row_of, got)
+        return out.reshape(np.shape(sources) + (l,))
 
 
 def draw_negative_batch(config, n_entities, h_ids, rng, presampler=None):
@@ -144,7 +127,7 @@ def draw_negative_batch(config, n_entities, h_ids, rng, presampler=None):
         return rng.integers(n_entities, size=(len(h_ids), l))
     if presampler is None:
         raise ValueError("distance-based pre-sampling needs a PreSampler")
-    return np.stack([presampler.sample(int(h), l, rng) for h in h_ids])
+    return presampler.sample(h_ids, l, rng)
 
 
 def post_weights(c, negatives, alpha1, alpha2, tau):
@@ -173,9 +156,7 @@ def selfadv_weights(negatives, alpha1):
 
 
 def uniform_weights(shape):
-    arr = np.empty(shape, dtype=np.float64)
-    arr.fill(1.0 / arr.shape[-1])
-    return arr
+    return np.full(shape, 1.0 / shape[-1])
 
 
 def negative_weights(config, pos_scores, neg_scores):

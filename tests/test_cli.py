@@ -250,6 +250,22 @@ def test_eval_reports_and_dumps_ranks(dataset, tmp_path, capsys):
     assert len(ranks) == int(rows[0][2])  # one line per ranked triple
 
 
+def test_eval_writes_to_an_explicit_out_run(dataset, tmp_path, monkeypatch,
+                                          capsys):
+    # "run" is also the default of --out; given explicitly it still wins
+    # over the checkpoint's directory
+    train_dir = tmp_path / "train"
+    assert main(["train", "--dataset", str(dataset), "--out", str(train_dir),
+                 "--model", "transe", "--mode", "hlp"] + FAST) == 0
+    monkeypatch.chdir(tmp_path)
+    assert main(["eval", "--dataset", str(dataset), "--mode", "fg-only",
+                 "--checkpoint", str(train_dir / "checkpoint.vlpc"),
+                 "--cap", "4", "--out", "run", "--dump-ranks"]) == 0
+    assert (tmp_path / "run" / "report.tsv").is_file()
+    assert (tmp_path / "run" / "ranks.tsv").is_file()
+    assert not (train_dir / "report.tsv").exists()
+
+
 def test_eval_keeps_the_training_runs_reference_cache(dataset, tmp_path,
                                                       capsys):
     run = tmp_path / "run"

@@ -4,8 +4,7 @@ import pytest
 from vlpkg import augment_reciprocal, compute_distances, load_dataset, rmp_classify
 from vlpkg.data import (DatasetError, DatasetNotFoundError, FilterIndex,
                         ParseError, Vocabulary, base_relation,
-                        distance_bucket, distance_split,
-                        is_reciprocal_relation)
+                        distance_bucket, is_reciprocal_relation)
 from vlpkg.synth import kg_from_id_triples, name_triples, write_dataset
 
 
@@ -181,19 +180,3 @@ def test_distance_buckets():
     assert distance_bucket(3) == 3
     assert distance_bucket(4) == 4
     assert distance_bucket(9) == 4
-
-
-def test_distance_split_partitions_test_rows():
-    # chain 0-1-2-3-4-5 in train, test pairs at hop distance 1..5
-    train = [(i, 0, i + 1) for i in range(5)]
-    test = [(0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 0, 4), (0, 0, 5)]
-    kg = kg_from_id_triples(6, 1, train, test=test)
-    index = compute_distances(kg, cap=8)
-    split = distance_split(kg, index)
-    assert sorted(split) == [1, 2, 3, 4]
-    assert split[1].tolist() == [0]
-    assert split[2].tolist() == [1]
-    assert split[3].tolist() == [2]
-    assert split[4].tolist() == [3, 4]
-    total = sum(len(rows) for rows in split.values())
-    assert total == len(kg.test)

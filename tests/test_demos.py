@@ -1,6 +1,7 @@
-"""The fast demos run to the end: DistanceIndex and PreSampler driven
-directly, reproducible training runs with resume (which also select
-references), and the shell walk-through of the command line."""
+"""The demos run to the end: DistanceIndex and PreSampler driven directly,
+reproducible training runs with resume (which also select references), the
+quickstart, reference answers and score geometries walk-throughs, and the
+shell walk-through of the command line."""
 
 import os
 import subprocess
@@ -22,6 +23,9 @@ def _env(**extra):
     ("distance_rings.py", "round-trip ok"),
     ("negative_sampling.py", "20000 draws landed at distances"),
     ("reproducible_runs.py", "DIFFER as expected"),
+    ("quickstart.py", "for random scoring"),
+    ("reference_answers.py", "reference aggregation adds"),
+    ("score_geometries.py", "test MRR"),
 ])
 def test_demo_runs(name, expect):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],

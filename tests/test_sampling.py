@@ -71,6 +71,62 @@ def test_beyond_cap_sampling_both_branches():
     assert pval2 > 0.001
 
 
+def test_one_batched_call_matches_each_heads_distribution():
+    """One sample call over several heads: each row against its oracle."""
+    line = kg_from_id_triples(12, 1, [(i, 0, i + 1) for i in range(11)])
+    star = kg_from_id_triples(30, 1, [(0, 0, i) for i in range(1, 28)])
+    rand = random_graph(n_entities=60, n_relations=2, n_train=150, n_valid=0,
+                        n_test=0, seed=9)
+    # star head 1 has a tiny complement: only the isolated 28 and 29
+    for kg, cap, heads in ((line, 2, [0, 5, 11, 0]), (star, 3, [1, 0, 28]),
+                           (rand, 4, [0, 7, 31, 59])):
+        sampler = PreSampler(compute_distances(kg, cap=cap), alpha0=0.5)
+        draws = sampler.sample(np.array(heads), 20_000,
+                               np.random.default_rng(11))
+        for h, row in zip(heads, draws):
+            counts = np.bincount(row, minlength=kg.n_entities)
+            expected = sampler.probabilities(h) * len(row)
+            keep = expected > 0
+            assert (counts[~keep] == 0).all()
+            _, p = stats.chisquare(counts[keep], expected[keep])
+            assert p > 0.001, f"head {h}: chi-square p = {p}"
+
+
+def test_sample_shape_and_dtype(small_kg, small_index):
+    sampler = PreSampler(small_index, alpha0=1.0)
+    rng = np.random.default_rng(2)
+    n = small_kg.n_entities
+    one = sampler.sample(3, 9, rng)
+    assert one.shape == (9,) and one.dtype == np.int64
+    heads = np.arange(n)
+    many = sampler.sample(heads, 9, rng)
+    assert many.shape == (n, 9) and many.dtype == np.int64
+    assert many.min() >= 0 and many.max() < n
+    assert sampler.sample(heads.reshape(-1, 1), 4, rng).shape == (n, 1, 4)
+    assert sampler.bucket_weights(heads).shape == (n, small_index.cap + 1)
+    np.testing.assert_array_equal(sampler.bucket_weights(heads)[3],
+                                  sampler.bucket_weights(3))
+
+
+def test_draw_negative_batch_calls_sample_once(small_kg, small_index,
+                                               monkeypatch):
+    calls = []
+    real = PreSampler.sample
+
+    def counted(self, sources, l, rng):
+        calls.append(np.shape(sources))
+        return real(self, sources, l, rng)
+
+    monkeypatch.setattr(PreSampler, "sample", counted)
+    cfg = SamplerConfig(mode="red", n_negatives=6)
+    h_ids = small_kg.train[:13, 0]
+    neg = draw_negative_batch(cfg, small_kg.n_entities, h_ids,
+                              np.random.default_rng(0),
+                              PreSampler(small_index, cfg.alpha0))
+    assert calls == [(13,)]
+    assert neg.shape == (13, 6)
+
+
 def test_small_alpha0_approaches_uniform(small_index):
     sampler = PreSampler(small_index, alpha0=1e-9)
     p = sampler.probabilities(0)
