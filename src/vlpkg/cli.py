@@ -21,8 +21,9 @@ from .config import (CONFIG_KEYS, ConfigError, apply_values,
                      build_config, parse_config_file, parse_value)
 from .data import DatasetError, augment_reciprocal, load_dataset
 from .distances import CacheError, DistanceIndex, compute_distances, hash_file
-from .evaluation import (EVAL_MODES, evaluate, format_rows, format_table,
-                         read_report, write_ranks, write_report)
+from .evaluation import (EVAL_MODES, SECTIONS, evaluate, format_rows,
+                         format_table, read_report, write_ranks,
+                         write_report)
 from .models import load_checkpoint
 from .reference import ReferenceTable, select_references
 from .sampling import PreSampler
@@ -191,8 +192,7 @@ def build_parser():
                    choices=("combined",) + EVAL_MODES,
                    help="score used for ranking")
     p.add_argument("--split", default="test",
-                   choices=("test", "valid", "overall", "distance",
-                            "relation", "rmp"),
+                   choices=("test", "valid") + SECTIONS,
                    help="data split to evaluate, or a breakdown table to "
                         "print (breakdowns imply the test split)")
     p.add_argument("--dump-ranks", action="store_true",
@@ -207,7 +207,7 @@ def build_parser():
     p = sub.add_parser("report", help="print tables from a report.tsv")
     p.add_argument("report", help="path to a report.tsv")
     p.add_argument("--section", default="all",
-                   choices=("overall", "distance", "relation", "rmp", "all"))
+                   choices=SECTIONS + ("all",))
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("sweep", help="grid-search over config keys")
@@ -275,8 +275,7 @@ def cmd_eval(args):
         raise ConfigError(["--dataset is required"])
     mode = "combined-f" if args.mode == "combined" else args.mode
     split = "valid" if args.split == "valid" else "test"
-    section = (args.split if args.split in ("overall", "distance", "relation",
-                                            "rmp") else "overall")
+    section = args.split if args.split in SECTIONS else "overall"
 
     store, _, step, ck_hash = load_checkpoint(args.checkpoint)
     norm_from_checkpoint(cfg, given, store)
@@ -329,8 +328,7 @@ def cmd_eval(args):
 
 def cmd_report(args):
     rows = read_report(args.report)
-    sections = ([args.section] if args.section != "all"
-                else ["overall", "distance", "relation", "rmp"])
+    sections = [args.section] if args.section != "all" else SECTIONS
     blocks = []
     for section in sections:
         cells = [row[1:] for row in rows if row[0] == section]

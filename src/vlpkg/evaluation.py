@@ -26,6 +26,8 @@ HITS_AT = (1, 3, 10)
 
 BUCKET_LABELS = {1: "1", 2: "2", 3: "3", 4: ">=4"}
 
+SECTIONS = ("overall", "distance", "relation", "rmp")  # of a report
+
 
 @dataclass
 class RankResult:
@@ -99,8 +101,11 @@ def rank_triple(store, triple, filter_index, mode="fg-only", lam=0.5,
     h, r, t = (int(x) for x in triple)
     scores = candidate_scores(store, h, r, mode, lam, table=table)
     rank = rank_from_scores(scores, t, filter_index.tails(h, r))
-    bucket = (distance_bucket(dist_index.distance(h, t))
-              if dist_index is not None else None)
+    bucket = None
+    if dist_index is not None:
+        d = dist_index.distance(h, t)
+        if d < dist_index.cap or d >= 4:  # a pair at a cap < 4 may be farther
+            bucket = distance_bucket(d)
     return RankResult(head=h, relation=r, tail=t, rank=rank, bucket=bucket)
 
 
@@ -155,28 +160,22 @@ def evaluate(store, kg, split="test", table=None, dist_index=None, lam=0.5,
 
 
 def report_lines(report):
-    """report.tsv lines: section, key, count, value."""
-    lines = [("overall", "MRR", report.n, f"{report.mrr:.6f}")]
-    for k in HITS_AT:
-        lines.append(("overall", f"H@{k}", report.n, f"{report.hits[k]:.6f}"))
-    for bucket in sorted(report.per_bucket):
-        cell = report.per_bucket[bucket]
-        lines.append(("distance", BUCKET_LABELS[bucket], cell.count,
-                      f"{cell.mrr:.6f}"))
-    for name in sorted(report.per_relation):
-        cell = report.per_relation[name]
-        lines.append(("relation", name, cell.count, f"{cell.mrr:.6f}"))
-    for direction, cls in sorted(report.per_rmp):
-        cell = report.per_rmp[(direction, cls)]
-        lines.append(("rmp", f"{direction}/{cls}", cell.count,
-                      f"{cell.mrr:.6f}"))
+    """report.tsv rows: (section, key, count, value), in SECTIONS order."""
+    lines = [("overall", "MRR", report.n, report.mrr)]
+    lines += [("overall", f"H@{k}", report.n, report.hits[k]) for k in HITS_AT]
+    lines += [("distance", BUCKET_LABELS[b], c.count, c.mrr)
+              for b, c in sorted(report.per_bucket.items())]
+    lines += [("relation", name, c.count, c.mrr)
+              for name, c in sorted(report.per_relation.items())]
+    lines += [("rmp", f"{d}/{cls}", c.count, c.mrr)
+              for (d, cls), c in sorted(report.per_rmp.items())]
     return lines
 
 
 def write_report(report, path):
     with open(path, "w", encoding="utf-8") as handle:
         for section, key, count, value in report_lines(report):
-            handle.write(f"{section}\t{key}\t{count}\t{value}\n")
+            handle.write(f"{section}\t{key}\t{count}\t{value:.6f}\n")
 
 
 def read_report(path):
@@ -194,20 +193,9 @@ def read_report(path):
 
 def format_table(report, section="overall"):
     """Human-readable aligned table for one report section."""
-    if section == "overall":
-        rows = [("MRR", report.n, report.mrr)]
-        rows += [(f"H@{k}", report.n, report.hits[k]) for k in HITS_AT]
-    elif section == "distance":
-        rows = [(BUCKET_LABELS[b], c.count, c.mrr)
-                for b, c in sorted(report.per_bucket.items())]
-    elif section == "relation":
-        rows = [(name, c.count, c.mrr)
-                for name, c in sorted(report.per_relation.items())]
-    elif section == "rmp":
-        rows = [(f"{d}/{cls}", c.count, c.mrr)
-                for (d, cls), c in sorted(report.per_rmp.items())]
-    else:
+    if section not in SECTIONS:
         raise ValueError(f"unknown report section {section!r}")
+    rows = [line[1:] for line in report_lines(report) if line[0] == section]
     if not rows:
         return f"({section}: no cells)"
     return format_rows(rows)

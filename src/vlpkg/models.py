@@ -184,6 +184,12 @@ def _split(x):
     return x[..., :d], x[..., d:]
 
 
+def _relation_parts(kind, r):
+    """(real, imag) of a complex relation: its halves, or e^{i phi} for
+    rotate's phases."""
+    return _split(r) if kind == ModelKind.COMPLEX else (np.cos(r), np.sin(r))
+
+
 def query_batch(store, h_ids, r_ids):
     """Query vectors q = query(h, r) for ids or id arrays of equal shape;
     returns (..., d_k)."""
@@ -194,14 +200,9 @@ def query_batch(store, h_ids, r_ids):
         return h + r
     if kind == ModelKind.DISTMULT:
         return h * r
-    if kind == ModelKind.COMPLEX:
-        hr, hi = _split(h)
-        rr, ri = _split(r)
-        return np.concatenate([hr * rr - hi * ri, hr * ri + hi * rr], axis=-1)
-    # rotate: multiply by unit-modulus e^{i phi}
-    hr, hi = _split(h)
-    c, s = np.cos(r), np.sin(r)
-    return np.concatenate([hr * c - hi * s, hr * s + hi * c], axis=-1)
+    hr, hi = _split(h)  # complex and rotate: the complex product h * r
+    rr, ri = _relation_parts(kind, r)
+    return np.concatenate([hr * rr - hi * ri, hr * ri + hi * rr], axis=-1)
 
 
 def query_pullback(store, h_ids, r_ids, upstream):
@@ -217,21 +218,16 @@ def query_pullback(store, h_ids, r_ids, upstream):
     r = store.relations[r_ids]
     if kind == ModelKind.DISTMULT:
         return upstream * r, upstream * h
-    if kind == ModelKind.COMPLEX:
-        hr, hi = _split(h)
-        rr, ri = _split(r)
-        ur, ui = _split(upstream)
-        dh = np.concatenate([ur * rr + ui * ri, -ur * ri + ui * rr], axis=-1)
-        dr = np.concatenate([ur * hr + ui * hi, -ur * hi + ui * hr], axis=-1)
-        return dh, dr
     hr, hi = _split(h)
-    c, s = np.cos(r), np.sin(r)
+    rr, ri = _relation_parts(kind, r)
     ur, ui = _split(upstream)
-    dh = np.concatenate([ur * c + ui * s, -ur * s + ui * c], axis=-1)
-    qr = hr * c - hi * s
-    qi = hr * s + hi * c
-    dphi = ur * (-qi) + ui * qr
-    return dh, dphi
+    dh = np.concatenate([ur * rr + ui * ri, -ur * ri + ui * rr], axis=-1)
+    if kind == ModelKind.COMPLEX:
+        return dh, np.concatenate([ur * hr + ui * hi, -ur * hi + ui * hr],
+                                  axis=-1)
+    qr = hr * rr - hi * ri  # rotate: d/dphi of q is i * q
+    qi = hr * ri + hi * rr
+    return dh, ur * (-qi) + ui * qr
 
 
 def pair_scores(store, q, k):

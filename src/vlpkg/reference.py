@@ -214,56 +214,31 @@ def aggregate_batch(store, q, r_ids, ref_h, ref_t, mask):
     return t_prime, cache
 
 
-@dataclass
-class AggGrads:
-    """Backward outputs of the aggregation, ready for scatter-adds.
+def aggregate_pullback(store, cache, d_t_prime, buf):
+    """Chain an upstream gradient on t' back through the aggregation.
 
-    d_q feeds the caller's own query pullback; the flat reference arrays are
-    already filtered down to real (unmasked) slots.
+    Adds the weight gradients and the rows of the real (unmasked) reference
+    slots to the GradBuffer ``buf``; returns the gradient on q, which feeds
+    the caller's own query pullback.
     """
-
-    d_q: np.ndarray
-    d_w_node: np.ndarray
-    d_w_edge: np.ndarray
-    d_w_agg: np.ndarray
-    ref_t_ids: np.ndarray
-    d_ref_t: np.ndarray
-    ref_h_ids: np.ndarray
-    d_ref_h: np.ndarray
-    ref_r_ids: np.ndarray
-    d_ref_r: np.ndarray
-
-
-def aggregate_pullback(store, cache, d_t_prime):
-    """Chain an upstream gradient on t' back through the aggregation."""
     agg = store.agg
     d_a = agg.d_a
     d_pre = d_t_prime * (1.0 - cache.t_prime * cache.t_prime)
-    d_w_agg = d_pre.T @ cache.z
     d_z = d_pre @ agg.w_agg
-    d_pooled = d_z[:, :d_a]
     d_q = d_z[:, d_a:].copy()
-    d_msg = (d_pooled / cache.denom[:, None])[:, None, :] * cache.mask[..., None]
-    d_w_node = np.einsum("bna,bnk->ak", d_msg, cache.k_refs)
-    d_w_edge = np.einsum("bna,bnk->ak", d_msg, cache.s_refs)
-    d_k_refs = d_msg @ agg.w_node
+    d_msg = (d_z[:, :d_a] / cache.denom[:, None])[:, None, :] * cache.mask[..., None]
+    buf.add_dense(2, np.einsum("bna,bnk->ak", d_msg, cache.k_refs))
+    buf.add_dense(3, np.einsum("bna,bnk->ak", d_msg, cache.s_refs))
+    buf.add_dense(4, d_pre.T @ cache.z)
     d_s_refs = d_msg @ agg.w_edge
     d_q += d_s_refs.sum(axis=1)
     d_h_refs, d_r_refs = query_pullback(store, cache.ref_h, cache.r_full,
                                         -d_s_refs)
     live = cache.mask > 0
-    return AggGrads(
-        d_q=d_q,
-        d_w_node=d_w_node,
-        d_w_edge=d_w_edge,
-        d_w_agg=d_w_agg,
-        ref_t_ids=cache.ref_t[live],
-        d_ref_t=d_k_refs[live],
-        ref_h_ids=cache.ref_h[live],
-        d_ref_h=d_h_refs[live],
-        ref_r_ids=cache.r_full[live],
-        d_ref_r=d_r_refs[live],
-    )
+    buf.add_entities(cache.ref_t[live], (d_msg @ agg.w_node)[live])
+    buf.add_entities(cache.ref_h[live], d_h_refs[live])
+    buf.add_relations(cache.r_full[live], d_r_refs[live])
+    return d_q
 
 
 def context_vector(store, table, h, r, exclude_tail=None):

@@ -75,51 +75,40 @@ class AdamState:
 
 
 class GradBuffer:
-    """Dense gradient accumulators plus touched-row tracking.
+    """One gradient accumulator and one touched-row mask per parameter array,
+    in ``store.param_arrays()`` order.
 
-    Entity and relation gradients are scatter-added; the touched masks let
-    the optimizer skip rows that received no gradient, keeping them
+    The optimizer skips rows that received no gradient, keeping them
     bit-identical through a step.
     """
 
     def __init__(self, store):
-        self.d_ent = np.zeros_like(store.entities)
-        self.d_rel = np.zeros_like(store.relations)
-        self.d_agg = [np.zeros_like(store.agg.w_node),
-                      np.zeros_like(store.agg.w_edge),
-                      np.zeros_like(store.agg.w_agg)]
-        self.ent_touched = np.zeros(store.n_entities, dtype=bool)
-        self.rel_touched = np.zeros(store.n_relations, dtype=bool)
-        self.agg_touched = False
+        self.grads = [np.zeros_like(a) for a in store.param_arrays()]
+        self.touched = [np.zeros(len(a), dtype=bool)
+                        for a in store.param_arrays()]
 
-    def add_entities(self, ids, grads):
+    def add_rows(self, i, ids, rows):
+        """Scatter-add ``rows`` into the rows ``ids`` of parameter ``i``."""
         ids = np.asarray(ids).reshape(-1)
-        np.add.at(self.d_ent, ids, grads.reshape(-1, grads.shape[-1]))
-        self.ent_touched[ids] = True
+        np.add.at(self.grads[i], ids, rows.reshape(-1, rows.shape[-1]))
+        self.touched[i][ids] = True
 
-    def add_entities_dense(self, grads):
-        self.d_ent += grads
-        self.ent_touched[:] = True
+    def add_entities(self, ids, rows):
+        self.add_rows(0, ids, rows)
 
-    def add_relations(self, ids, grads):
-        ids = np.asarray(ids).reshape(-1)
-        np.add.at(self.d_rel, ids, grads.reshape(-1, grads.shape[-1]))
-        self.rel_touched[ids] = True
+    def add_relations(self, ids, rows):
+        self.add_rows(1, ids, rows)
 
-    def add_agg(self, d_w_node, d_w_edge, d_w_agg):
-        self.d_agg[0] += d_w_node
-        self.d_agg[1] += d_w_edge
-        self.d_agg[2] += d_w_agg
-        self.agg_touched = True
+    def add_dense(self, i, grad):
+        """Add a gradient over every row of parameter ``i``."""
+        self.grads[i] += grad
+        self.touched[i][:] = True
 
     def merge(self, other):
-        self.d_ent += other.d_ent
-        self.d_rel += other.d_rel
-        for mine, theirs in zip(self.d_agg, other.d_agg):
+        for mine, theirs in zip(self.grads, other.grads):
             mine += theirs
-        self.ent_touched |= other.ent_touched
-        self.rel_touched |= other.rel_touched
-        self.agg_touched |= other.agg_touched
+        for mine, theirs in zip(self.touched, other.touched):
+            mine |= theirs
 
 
 def adam_apply(store, adam, buf, lr):
@@ -128,26 +117,18 @@ def adam_apply(store, adam, buf, lr):
     t = adam.step
     c1 = 1.0 - BETA1 ** t
     c2 = 1.0 - BETA2 ** t
-    params = store.param_arrays()
-    grads = [buf.d_ent, buf.d_rel] + buf.d_agg
-    for i, (param, grad) in enumerate(zip(params, grads)):
-        if i == 0:
-            rows = np.flatnonzero(buf.ent_touched)
-        elif i == 1:
-            rows = np.flatnonzero(buf.rel_touched)
-        else:
-            rows = np.arange(param.shape[0]) if buf.agg_touched else ()
+    for param, grad, touched, m_arr, v_arr in zip(
+            store.param_arrays(), buf.grads, buf.touched, adam.m, adam.v):
+        rows = np.flatnonzero(touched)
         if len(rows) == 0:
             continue
         g = grad[rows].astype(np.float64)
-        m = adam.m[i][rows].astype(np.float64)
-        v = adam.v[i][rows].astype(np.float64)
-        m = BETA1 * m + (1.0 - BETA1) * g
-        v = BETA2 * v + (1.0 - BETA2) * g * g
+        m = BETA1 * m_arr[rows].astype(np.float64) + (1.0 - BETA1) * g
+        v = BETA2 * v_arr[rows].astype(np.float64) + (1.0 - BETA2) * g * g
         update = lr * (m / c1) / (np.sqrt(v / c2) + EPS)
         param[rows] = (param[rows].astype(np.float64) - update).astype(param.dtype)
-        adam.m[i][rows] = m.astype(adam.m[i].dtype)
-        adam.v[i][rows] = v.astype(adam.v[i].dtype)
+        m_arr[rows] = m.astype(m_arr.dtype)
+        v_arr[rows] = v.astype(v_arr.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +240,9 @@ def backward(store, fwd, buf):
         gi = fwd.d_cos * inv_tn[:, None]
         gi *= inv_en
         d_t = gi @ ents - (gc.sum(1) * inv_tn ** 2)[:, None] * t_prime
-        buf.add_entities_dense(
-            gi.T @ t_prime - (gc.sum(0) * inv_en ** 2)[:, None] * ents)
-        agg = aggregate_pullback(store, fwd.agg, d_t)
-        d_q += agg.d_q
-        buf.add_agg(agg.d_w_node, agg.d_w_edge, agg.d_w_agg)
-        buf.add_entities(agg.ref_t_ids, agg.d_ref_t)
-        buf.add_entities(agg.ref_h_ids, agg.d_ref_h)
-        buf.add_relations(agg.ref_r_ids, agg.d_ref_r)
+        buf.add_dense(0, gi.T @ t_prime
+                      - (gc.sum(0) * inv_en ** 2)[:, None] * ents)
+        d_q += aggregate_pullback(store, fwd.agg, d_t, buf)
     d_h, d_r = query_pullback(store, fwd.h, fwd.r, d_q)
     buf.add_entities(fwd.h, d_h)
     buf.add_relations(fwd.r, d_r)

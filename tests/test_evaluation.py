@@ -122,6 +122,33 @@ def test_rank_triple_reports_bucket(small_kg, small_index):
     assert res.bucket == min(max(d, 1), 4)
 
 
+@pytest.mark.parametrize("cap", [2, 3])
+def test_buckets_below_cap_4_leave_out_pairs_beyond_the_cap(cap, small_kg):
+    """At cap < 4 a pair at the cap may be farther than its exact bucket:
+    each row's bucket is its cap-8 bucket, or None beyond the cap."""
+    from vlpkg import augment_reciprocal, compute_distances
+    from vlpkg.synth import random_graph
+
+    sparse = augment_reciprocal(random_graph(200, 3, 300, 20, 40, seed=5))
+    seen = {"near": 0, "beyond": 0}
+    for kg in (sparse, small_kg):
+        store = init_parameters(ModelKind.TRANSE, 4, kg.n_entities,
+                                kg.n_relations, seed=0)
+        wide = compute_distances(kg, cap=8)
+        low = evaluate(store, kg, "test", keep_ranks=True,
+                       dist_index=compute_distances(kg, cap=cap)).ranks
+        high = evaluate(store, kg, "test", dist_index=wide,
+                        keep_ranks=True).ranks
+        for a, b in zip(low, high):
+            if wide.distance(b.head, b.tail) >= cap:
+                seen["beyond"] += 1
+                assert a.bucket is None
+            else:
+                seen["near"] += 1
+                assert a.bucket == b.bucket is not None
+    assert seen["near"] and seen["beyond"]
+
+
 def test_random_scores_land_inside_three_sigma(small_kg):
     """Analytic MRR mean/variance for random ranking, checked empirically."""
     mean, var = random_baseline(small_kg)

@@ -69,9 +69,8 @@ def test_loss_gradients_match_finite_differences(kind, mode):
             return _total_loss(store, table, batch, neg, w, mode, gamma, lam,
                                alpha)
 
-        analytic = [buf.d_ent, buf.d_rel] + buf.d_agg
         arrays = store.param_arrays()
-        for got, arr in zip(analytic, arrays):
+        for got, arr in zip(buf.grads, arrays):
             fd = fd_array(value, arr)
             worst = max(worst, max_rel_err(got, fd))
     assert worst < 1e-6, f"{kind.value}/{mode}: rel err {worst:.3e}"
@@ -141,9 +140,10 @@ def test_adam_matches_reference_implementation():
     for t in range(1, 6):
         grads = [rng.normal(size=a.shape) for a in ref_params]
         buf = GradBuffer(store)
-        buf.add_entities_dense(grads[0])
+        buf.add_dense(0, grads[0])
         buf.add_relations(np.arange(2), grads[1])
-        buf.add_agg(grads[2], grads[3], grads[4])
+        for i in (2, 3, 4):
+            buf.add_dense(i, grads[i])
         adam_apply(store, adam, buf, lr)
         for p, m, v, g in zip(ref_params, ref_m, ref_v, grads):
             m[:] = BETA1 * m + (1 - BETA1) * g
@@ -250,6 +250,40 @@ def test_vlp_step_gathers_and_pulls_back_references_once_per_chunk(
                    stream_rng(0, RNG_STEP, 1), table=table, pool=pool)
     assert calls == {"gather_references": threads,
                      "aggregate_pullback": threads}
+
+
+@pytest.mark.parametrize("mode", ["vlp", "hlp"])
+def test_thread_chunks_merge_to_the_single_thread_gradient(mode, monkeypatch):
+    """Two thread chunks, merged, give the one-chunk step's gradients and
+    touched rows (up to float summation order)."""
+    import concurrent.futures
+
+    import vlpkg.training
+
+    kg = random_graph(n_entities=60, n_relations=3, n_train=80, n_valid=4,
+                      n_test=4, seed=2)
+    table = select_references(kg, compute_distances(kg, cap=3), n_refs=2)
+    store = init_parameters("rotate", 4, kg.n_entities, kg.n_relations,
+                            seed=2, dtype=np.float64)
+    seen = []
+    monkeypatch.setattr(vlpkg.training, "adam_apply",
+                        lambda store, adam, buf, lr: seen.append(buf))
+    for threads in (1, 2):
+        cfg = TrainConfig(dataset="x", model="rotate", mode=mode, dim=4,
+                          batch=8, lr=0.01, steps=1, threads=threads,
+                          sampler=SamplerConfig(mode="selfadv",
+                                                n_negatives=3))
+        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+            train_step(store, AdamState.zeros(store), cfg, kg.train[:8],
+                       stream_rng(0, RNG_STEP, 1), table=table, pool=pool)
+    one, two = seen
+    for a, b in zip(one.grads, two.grads):
+        np.testing.assert_allclose(b, a, rtol=1e-5, atol=1e-12)
+    for a, b in zip(one.touched, two.touched):
+        np.testing.assert_array_equal(b, a)
+    if mode == "hlp":  # partial masks, so a chunk's lost rows would show
+        assert 0 < one.touched[0].sum() < kg.n_entities
+    assert all(t.all() for t in one.touched[2:]) == (mode == "vlp")
 
 
 def test_postweight_scores_are_fg_or_the_combined_score():
