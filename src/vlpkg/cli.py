@@ -24,7 +24,7 @@ from .distances import CacheError, DistanceIndex, compute_distances, hash_file
 from .evaluation import (EVAL_MODES, SECTIONS, evaluate, format_rows,
                          format_table, read_report, write_ranks,
                          write_report)
-from .models import load_checkpoint
+from .models import check_fits, load_checkpoint
 from .reference import ReferenceTable, select_references
 from .sampling import PreSampler
 from .training import train
@@ -284,15 +284,7 @@ def cmd_eval(args):
                        cfg.norm, store.norm)
         store.norm = cfg.norm
     kg, train_hash = load_augmented(cfg.dataset)
-    if ck_hash and ck_hash != train_hash:
-        raise CacheError(
-            f"checkpoint was trained on train-hash {ck_hash:#018x} but "
-            f"{cfg.dataset} hashes to {train_hash:#018x}")
-    if store.n_entities != kg.n_entities or store.n_relations != kg.n_relations:
-        raise CacheError(
-            f"checkpoint shape ({store.n_entities} entities, "
-            f"{store.n_relations} relations) does not match dataset "
-            f"({kg.n_entities}, {kg.n_relations})")
+    check_fits(store, ck_hash, kg, train_hash)
 
     index, table, lines = load_caches(
         cfg, kg, train_hash, refs=mode in ("combined-f", "fc-only"),

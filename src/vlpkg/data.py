@@ -290,34 +290,20 @@ def rmp_classify(kg):
 
     Uses average tails-per-head and heads-per-tail with a threshold of
     ``RMP_THRESHOLD`` on each axis. A relation without training triples is
-    classified from its reciprocal with the axes swapped, else 1-1.
+    1-1 (with reciprocal relations its mirror has none either).
     """
     classes = {}
-    pending = []
     for r in range(kg.n_relations):
         pairs = kg.relation_pairs(r)
         if len(pairs) == 0:
-            pending.append(r)
+            classes[r] = "1-1"
             continue
         tph = len(pairs) / len(np.unique(pairs[:, 0]))
         hpt = len(pairs) / len(np.unique(pairs[:, 1]))
         many_tails = tph >= RMP_THRESHOLD
         many_heads = hpt >= RMP_THRESHOLD
         classes[r] = RMP_CLASSES[2 * many_heads + many_tails]
-    half = kg.n_relations // 2 if kg.reciprocal else 0
-    for r in pending:
-        partner = None
-        if kg.reciprocal:
-            partner = r - half if r >= half else r + half
-        if partner in classes:
-            classes[r] = _swap_rmp(classes[partner])
-        else:
-            classes[r] = "1-1"
     return classes
-
-
-def _swap_rmp(cls):
-    return {"1-1": "1-1", "1-N": "N-1", "N-1": "1-N", "N-N": "N-N"}[cls]
 
 
 def distance_bucket(d):

@@ -28,7 +28,7 @@ DEFAULT_CAP = 8
 
 MAGIC = b"VLPD"
 VERSION = 2
-_HEADER = struct.Struct("<4sIIQQQ")  # magic, version, cap, n, hash, pairs
+_HEADER = struct.Struct("<IIQQQ")  # after the magic: version, cap, n, hash, pairs
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -55,6 +55,38 @@ def write_file(path, header, arrays):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def read_file(path, magic, headers, layout, what):
+    """Read a file ``write_file`` wrote: ``magic``, then the header struct
+    ``headers[version]`` (its first field the uint32 version), then the
+    arrays ``layout(version, *fields)`` lists as ``(dtype, count)`` pairs.
+    The file must be exactly that long. Returns ``(version, fields,
+    arrays)``, the arrays read-only views of the file's bytes; raises
+    ``CacheError`` naming ``what`` for anything else."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if len(data) < 8 or data[:4] != magic:
+        raise CacheError(f"{path}: not a {what}")
+    (version,) = struct.unpack_from("<I", data, 4)
+    if version not in headers:
+        raise CacheError(f"{path}: unsupported {what} version {version}")
+    pos = 4 + headers[version].size
+    if len(data) < pos:
+        raise CacheError(f"{path}: truncated {what}")
+    fields = headers[version].unpack_from(data, 4)[1:]
+    parts = [(np.dtype(dtype), count)
+             for dtype, count in layout(version, *fields)]
+    size = pos + sum(dtype.itemsize * count for dtype, count in parts)
+    if len(data) < size:
+        raise CacheError(f"{path}: truncated {what}")
+    if len(data) > size:
+        raise CacheError(f"{path}: trailing bytes in {what}")
+    arrays = []
+    for dtype, count in parts:
+        arrays.append(np.frombuffer(data, dtype, count, pos))
+        pos += dtype.itemsize * count
+    return version, fields, arrays
 
 
 def fnv1a64(data, h=FNV_OFFSET):
@@ -137,32 +169,19 @@ class DistanceIndex:
         return out.reshape(sources.shape + (self.n_entities,))
 
     def save(self, path):
-        write_file(path, _HEADER.pack(MAGIC, VERSION, self.cap,
-                                      self.n_entities, self.train_hash,
-                                      len(self.ids)),
+        write_file(path, MAGIC + _HEADER.pack(VERSION, self.cap,
+                                              self.n_entities, self.train_hash,
+                                              len(self.ids)),
                    ((self.indptr, "<i8"), (self.ids, "<u4"),
                     (self.dists, "u1")))
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as handle:
-            data = handle.read()
-        if len(data) < 8 or data[:4] != MAGIC:
-            raise CacheError(f"{path}: not a distance cache")
-        (version,) = struct.unpack_from("<I", data, 4)
-        if version != VERSION:
-            raise CacheError(f"{path}: unsupported version {version}")
-        if len(data) < _HEADER.size:
-            raise CacheError(f"{path}: truncated distance cache")
-        _, _, cap, n, train_hash, pairs = _HEADER.unpack_from(data)
-        size = _HEADER.size + 8 * (n + 1) + 5 * pairs
-        if len(data) < size:
-            raise CacheError(f"{path}: truncated distance cache")
-        if len(data) > size:
-            raise CacheError(f"{path}: trailing bytes in distance cache")
-        indptr = np.frombuffer(data, "<i8", n + 1, _HEADER.size)
-        ids = np.frombuffer(data, "<u4", pairs, _HEADER.size + 8 * (n + 1))
-        dists = np.frombuffer(data, "u1", pairs, size - pairs)
+        _, (cap, n, train_hash, pairs), (indptr, ids, dists) = read_file(
+            path, MAGIC, {VERSION: _HEADER},
+            lambda _, cap, n, train_hash, pairs: (
+                ("<i8", n + 1), ("<u4", pairs), ("u1", pairs)),
+            "distance cache")
         if (indptr[0] != 0 or indptr[-1] != pairs
                 or (np.diff(indptr) < 0).any()):
             raise CacheError(f"{path}: row offsets disagree with pair count")

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distances import CacheError, write_file
+from .distances import CacheError, read_file, write_file
 
 DEFAULT_GAMMA = 6.0
 NORMS = ("l1", "l2")
@@ -81,19 +81,12 @@ def relation_width(kind, dim):
 @dataclass
 class AggregatorParams:
     """Weights of the reference aggregator (kept with the model parameters
-    so a single checkpoint restores everything)."""
+    so a single checkpoint restores everything). The aggregator is as wide
+    as an entity vector."""
 
-    w_node: np.ndarray  # (d_a, d_k) applied to reference answer embeddings
-    w_edge: np.ndarray  # (d_a, d_k) applied to query-difference vectors
-    w_agg: np.ndarray   # (d_k, d_a + d_k) applied to [pooled ; query]
-
-    @property
-    def d_a(self):
-        return self.w_node.shape[0]
-
-    @property
-    def d_k(self):
-        return self.w_node.shape[1]
+    w_node: np.ndarray  # (d_k, d_k) applied to reference answer embeddings
+    w_edge: np.ndarray  # (d_k, d_k) applied to query-difference vectors
+    w_agg: np.ndarray   # (d_k, 2 d_k) applied to [pooled ; query]
 
 
 @dataclass
@@ -134,7 +127,7 @@ class ParameterStore:
 
 
 def init_parameters(kind, dim, n_entities, n_relations, seed, gamma=DEFAULT_GAMMA,
-                    d_a=None, dtype=np.float32, norm="l2"):
+                    dtype=np.float32, norm="l2"):
     """Seed-determined uniform initialisation.
 
     Distance models use the margin-scaled bound (gamma + 2) / dim, dot models
@@ -145,8 +138,6 @@ def init_parameters(kind, dim, n_entities, n_relations, seed, gamma=DEFAULT_GAMM
     if norm not in NORMS:
         raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
     d_k = entity_width(kind, dim)
-    if d_a is None:
-        d_a = d_k
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     if is_distance_kind(kind):
         bound = (gamma + 2.0) / dim
@@ -165,9 +156,9 @@ def init_parameters(kind, dim, n_entities, n_relations, seed, gamma=DEFAULT_GAMM
         return rng.uniform(-b, b, size=(fan_out, fan_in)).astype(dtype)
 
     agg = AggregatorParams(
-        w_node=glorot(d_a, d_k),
-        w_edge=glorot(d_a, d_k),
-        w_agg=glorot(d_k, d_a + d_k),
+        w_node=glorot(d_k, d_k),
+        w_edge=glorot(d_k, d_k),
+        w_agg=glorot(d_k, 2 * d_k),
     )
     return ParameterStore(
         kind=kind,
@@ -317,25 +308,43 @@ def save_checkpoint(path, store, moments=None, step=0, train_hash=0):
     write_file(path, header, arrays + [(step, "<u8")])
 
 
+def check_fits(store, ck_hash, kg, train_hash):
+    """Raise ValueError unless a checkpoint (its store and train hash) fits
+    the graph ``kg`` whose training file hashes to ``train_hash``. A hash of
+    0 is unknown and not compared."""
+    if ck_hash and train_hash and ck_hash != train_hash:
+        raise ValueError(f"checkpoint train-hash {ck_hash:#018x} != dataset "
+                         f"{train_hash:#018x}")
+    if (store.n_entities, store.n_relations) != (kg.n_entities,
+                                                 kg.n_relations):
+        raise ValueError(
+            f"checkpoint has {store.n_entities} entities and "
+            f"{store.n_relations} relations, the dataset {kg.n_entities} "
+            f"and {kg.n_relations}")
+
+
+def _checkpoint_shapes(code, space, dim, n_ent, n_rel, *_):
+    """Shapes of ``param_arrays()`` from a checkpoint header's fields; the
+    aggregator is as wide as an entity vector. An unknown model code is
+    rejected once the file is read."""
+    kind = _CODE_KINDS.get(code)
+    d_k = entity_width(kind, dim)
+    return [(n_ent, d_k), (n_rel, relation_width(kind, dim)),
+            (d_k, d_k), (d_k, d_k), (d_k, 2 * d_k)]
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (store, (m, v), step, train_hash).
 
-    The aggregator width d_a is not in the header; it is recovered from the
-    byte count of the trailing float payload. Format-1 files record no norm
-    and load as l2.
+    The arrays are copies, so they stay writable. Format-1 files record no
+    norm and load as l2.
     """
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if len(data) < 8 or data[:4] != CHECKPOINT_MAGIC:
-        raise CacheError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version not in _CHECKPOINT_HEADERS:
-        raise CacheError(f"{path}: unsupported checkpoint version {version}")
-    header = 4 + _CHECKPOINT_HEADERS[version].size
-    if len(data) < header + 8:
-        raise CacheError(f"{path}: truncated checkpoint")
-    _, code, space, dim, n_ent, n_rel, train_hash, *norm_code = (
-        _CHECKPOINT_HEADERS[version].unpack_from(data, 4))
+    version, fields, arrays = read_file(
+        path, CHECKPOINT_MAGIC, _CHECKPOINT_HEADERS,
+        lambda _, *fields: [("<f4", a * b) for a, b in
+                            _checkpoint_shapes(*fields)] * 3 + [("<u8", 1)],
+        "checkpoint")
+    code, space, dim, n_ent, n_rel, train_hash, *norm_code = fields
     if version == 1:
         logger.warning("%s: format-1 checkpoint records no norm; using l2",
                        path)
@@ -349,37 +358,14 @@ def load_checkpoint(path):
     kind = _CODE_KINDS[code]
     if space != (1 if is_complex_kind(kind) else 0):
         raise CacheError(f"{path}: embedding-space flag disagrees with model")
-    payload = len(data) - header - 8
-    if payload < 0 or payload % 4:
-        raise CacheError(f"{path}: truncated checkpoint")
-    n_floats = payload // 4
-    d_k = entity_width(kind, dim)
-    base = n_ent * d_k + n_rel * relation_width(kind, dim)
-    if n_floats % 3:
-        raise CacheError(f"{path}: checkpoint float count not divisible by 3")
-    agg_floats = n_floats // 3 - base
-    # agg holds 2 (d_a, d_k) maps and one (d_k, d_a + d_k) map
-    d_a, rem = divmod(agg_floats - d_k * d_k, 3 * d_k)
-    if rem or d_a <= 0:
-        raise CacheError(f"{path}: inconsistent aggregator payload")
-
-    shapes = [(n_ent, d_k), (n_rel, relation_width(kind, dim)),
-              (d_a, d_k), (d_a, d_k), (d_k, d_a + d_k)]
-    pos = header
-    groups = []
-    for _ in range(3):
-        arrays = []
-        for shape in shapes:
-            count = shape[0] * shape[1]
-            arr = np.frombuffer(data, dtype="<f4", count=count, offset=pos)
-            arrays.append(arr.reshape(shape).copy())
-            pos += 4 * count
-        groups.append(arrays)
-    (step,) = struct.unpack_from("<Q", data, pos)
-    params, m_list, v_list = groups
+    *floats, step = arrays
+    shapes = _checkpoint_shapes(*fields)
+    params, m_list, v_list = (
+        [arr.reshape(shape).copy() for arr, shape in zip(floats[i:i + 5], shapes)]
+        for i in (0, 5, 10))
     store = ParameterStore(
         kind=kind, dim=dim, entities=params[0], relations=params[1],
         agg=AggregatorParams(params[2], params[3], params[4]),
         norm=norm,
     )
-    return store, (m_list, v_list), step, train_hash
+    return store, (m_list, v_list), int(step[0]), train_hash

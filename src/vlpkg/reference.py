@@ -29,15 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import CacheError, write_file
+from .distances import CacheError, read_file, write_file
 from .models import query_batch, query_pullback, score_fg
 
 DEFAULT_N_REFS = 8
 
 MAGIC = b"VLPR"
 VERSION = 3
-# magic, version, N, cap, key count, train hash, pair count
-_HEADER = struct.Struct("<4sIIIQQQ")
+# after the magic: version, N, cap, key count, train hash, pair count
+_HEADER = struct.Struct("<IIIQQQ")
 
 _BLOCK = 256  # query heads per block of dense distance rows
 
@@ -74,32 +74,20 @@ class ReferenceTable:
                 zip(map(tuple, self.keys.tolist()), bounds, bounds[1:])}
 
     def save(self, path):
-        write_file(path, _HEADER.pack(MAGIC, VERSION, self.n_refs, self.cap,
-                                      len(self.keys), self.train_hash,
-                                      len(self.pairs)),
+        write_file(path, MAGIC + _HEADER.pack(VERSION, self.n_refs, self.cap,
+                                              len(self.keys), self.train_hash,
+                                              len(self.pairs)),
                    ((self.keys, "<u4"), (np.diff(self.indptr), "u1"),
                     (self.pairs, "<u4")))
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as handle:
-            data = handle.read()
-        if len(data) < 8 or data[:4] != MAGIC:
-            raise CacheError(f"{path}: not a reference cache")
-        (version,) = struct.unpack_from("<I", data, 4)
-        if version != VERSION:
-            raise CacheError(f"{path}: unsupported version {version}")
-        if len(data) < _HEADER.size:
-            raise CacheError(f"{path}: truncated reference cache")
-        _, _, n_refs, cap, n_keys, train_hash, n_pairs = _HEADER.unpack_from(data)
-        size = _HEADER.size + 9 * n_keys + 8 * n_pairs
-        if len(data) < size:
-            raise CacheError(f"{path}: truncated reference cache")
-        if len(data) > size:
-            raise CacheError(f"{path}: trailing bytes in reference cache")
-        keys = np.frombuffer(data, "<u4", 2 * n_keys, _HEADER.size)
-        counts = np.frombuffer(data, "u1", n_keys, _HEADER.size + 8 * n_keys)
-        pairs = np.frombuffer(data, "<u4", 2 * n_pairs, size - 8 * n_pairs)
+        _, (n_refs, cap, n_keys, train_hash, n_pairs), (keys, counts, pairs) = (
+            read_file(path, MAGIC, {VERSION: _HEADER},
+                      lambda _, n_refs, cap, n_keys, train_hash, n_pairs: (
+                          ("<u4", 2 * n_keys), ("u1", n_keys),
+                          ("<u4", 2 * n_pairs)),
+                      "reference cache"))
         if counts.sum() != n_pairs or (n_keys and counts.max() > n_refs + 1):
             raise CacheError(f"{path}: counts disagree with pair count")
         indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
@@ -222,11 +210,11 @@ def aggregate_pullback(store, cache, d_t_prime, buf):
     the caller's own query pullback.
     """
     agg = store.agg
-    d_a = agg.d_a
+    d_k = store.d_k
     d_pre = d_t_prime * (1.0 - cache.t_prime * cache.t_prime)
     d_z = d_pre @ agg.w_agg
-    d_q = d_z[:, d_a:].copy()
-    d_msg = (d_z[:, :d_a] / cache.denom[:, None])[:, None, :] * cache.mask[..., None]
+    d_q = d_z[:, d_k:].copy()
+    d_msg = (d_z[:, :d_k] / cache.denom[:, None])[:, None, :] * cache.mask[..., None]
     buf.add_dense(2, np.einsum("bna,bnk->ak", d_msg, cache.k_refs))
     buf.add_dense(3, np.einsum("bna,bnk->ak", d_msg, cache.s_refs))
     buf.add_dense(4, d_pre.T @ cache.z)

@@ -37,9 +37,9 @@ import numpy as np
 from scipy.special import expit, log_expit, logsumexp
 
 from . import data, evaluation  # looked up per call: callers may patch them
-from .models import (init_parameters, load_checkpoint, pair_score_pullback,
-                     pair_scores, query_batch, query_pullback,
-                     save_checkpoint)
+from .models import (check_fits, init_parameters, load_checkpoint,
+                     pair_score_pullback, pair_scores, query_batch,
+                     query_pullback, save_checkpoint)
 from .reference import (aggregate_batch, aggregate_pullback,
                         gather_references, select_references)
 from .sampling import PreSampler, draw_negative_batch, negative_weights
@@ -327,10 +327,7 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
                 f"checkpoint is {store.kind.value} d={store.dim} "
                 f"norm={store.norm}, config says {cfg.model} d={cfg.dim} "
                 f"norm={cfg.norm}")
-        if train_hash and ck_hash and train_hash != ck_hash:
-            raise ValueError(
-                f"checkpoint train-hash {ck_hash:#018x} != dataset "
-                f"{train_hash:#018x}")
+        check_fits(store, ck_hash, kg, train_hash)
         adam = AdamState(m=m, v=v, step=start_step)
     else:
         store = init_parameters(cfg.model, cfg.dim, kg.n_entities,

@@ -162,7 +162,7 @@ def test_rmp_reciprocal_swaps_axes():
     assert classes[1] == "N-1"
 
 
-def test_rmp_relation_without_training_triples_uses_partner():
+def test_rmp_relation_without_training_triples_is_one_to_one():
     kg = augment_reciprocal(
         kg_from_id_triples(6, 2,
                            [(0, 0, 1), (0, 0, 2), (3, 0, 4), (3, 0, 5)],

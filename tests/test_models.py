@@ -177,14 +177,17 @@ def test_checkpoint_records_the_norm(tmp_path, caplog):
         load_checkpoint(path)
 
 
-def test_checkpoint_recovers_aggregator_width(tmp_path):
-    # d_a differs from the entity width and is not stored in the header
-    store = init_parameters(ModelKind.DISTMULT, 6, 5, 2, seed=0, d_a=11)
+# rotate d = 8 has 16-wide entity vectors and aggregator, so 36 * 16 bytes
+# are one more (or one fewer) aggregator row in each of the three groups
+@pytest.mark.parametrize("extra", [-1, 1, -36 * 16, 36 * 16])
+def test_checkpoint_must_be_exactly_its_layout(tmp_path, extra):
+    store = _store(ModelKind.ROTATE, dim=8, n_ent=20, n_rel=3)
     path = tmp_path / "model.vlpc"
     save_checkpoint(path, store)
-    loaded, _, _, _ = load_checkpoint(path)
-    assert loaded.agg.d_a == 11
-    assert np.array_equal(loaded.agg.w_node, store.agg.w_node)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:extra] if extra < 0 else blob + b"\x00" * extra)
+    with pytest.raises(CacheError, match="truncated|trailing"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -5,6 +5,7 @@ default test paths, so these checks keep a rename or deletion in the package
 from breaking ``perfbench/run.py --trace 1`` unnoticed.
 """
 
+import argparse
 import importlib
 from pathlib import Path
 
@@ -21,6 +22,12 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     return importlib.import_module("tracing")
+
+
+@pytest.fixture()
+def runner(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("runner")
 
 
 def test_every_traced_target_exists(tracing):
@@ -40,3 +47,14 @@ def test_table_exposes_what_the_runner_reads():
     for key, arr in table.entries.items():
         assert isinstance(arr, np.ndarray) and arr.shape[1:] == (2,)
         assert np.array_equal(arr, table.entries[key])
+
+
+@pytest.mark.parametrize("name", ["rand5k-vlp", "rand5k-hlp"])
+def test_caches_pass_the_runners_reload_check(runner, tmp_path, name):
+    # the correctness gate the benchmark applies to both cache loaders
+    bench = runner.Run(runner.WORKLOADS[name],
+                       argparse.Namespace(quick=True, seed=1), tmp_path)
+    bench.wl.write_inputs(bench.data_dir, 1, quick=True)
+    prep, _ = bench.set_up()
+    bench.check_caches(prep)
+    assert (bench.failed, bench.notes) == (0, [])

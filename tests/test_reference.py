@@ -232,7 +232,7 @@ def test_aggregate_empty_reference_list_uses_zero_pool():
     store = init_parameters(ModelKind.ROTATE, 5, kg.n_entities,
                             kg.n_relations, seed=4, dtype=np.float64)
     q = query_batch(store, 4, 1)
-    want = np.tanh(store.agg.w_agg @ np.concatenate([np.zeros(store.agg.d_a), q]))
+    want = np.tanh(store.agg.w_agg @ np.concatenate([np.zeros(store.d_k), q]))
     np.testing.assert_allclose(context_vector(store, table, 4, 1), want,
                                rtol=1e-12)
 

@@ -8,7 +8,7 @@ from vlpkg.sampling import draw_negative_batch, negative_weights
 from vlpkg.training import (BETA1, BETA2, EPS, GradBuffer, RNG_STEP,
                             adam_apply, backward, forward, postweight_scores,
                             stream_rng)
-from vlpkg.synth import random_graph
+from vlpkg.synth import kg_from_id_triples, random_graph
 
 from conftest import fd_array, max_rel_err
 
@@ -388,6 +388,19 @@ def test_resume_rejects_mismatched_model_and_hash(tmp_path):
     with pytest.raises(ValueError, match="train-hash"):
         train(_train_cfg(steps=8), kg, table=table, presampler=pre,
               dist_index=index, resume=ckpt, train_hash=43)
+
+
+def test_resume_rejects_a_graph_with_other_entity_counts(tmp_path):
+    kg, _, _ = _setup(ModelKind.ROTATE, seed=9)
+    cfg = _train_cfg(mode="hlp", steps=4,
+                     sampler=SamplerConfig(mode="uniform", n_negatives=4))
+    train(cfg, kg, out_dir=tmp_path / "run", train_hash=42)
+    # the same triples over one more entity, with the same train hash
+    wider = kg_from_id_triples(kg.n_entities + 1, kg.n_relations, kg.train,
+                               kg.valid, kg.test)
+    with pytest.raises(ValueError, match="entities"):
+        train(_train_cfg(mode="hlp", steps=8, sampler=cfg.sampler), wider,
+              resume=tmp_path / "run" / "checkpoint.vlpc", train_hash=42)
 
 
 def test_train_writes_log_and_best_checkpoint(tmp_path):
