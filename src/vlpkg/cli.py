@@ -27,7 +27,7 @@ from .evaluation import (EVAL_MODES, SECTIONS, evaluate, format_rows,
 from .models import check_fits, load_checkpoint
 from .reference import ReferenceTable, select_references
 from .sampling import PreSampler
-from .training import train
+from .training import check_resume, train
 
 logger = logging.getLogger("vlpkg")
 
@@ -162,7 +162,10 @@ def resolve_config(args):
     if getattr(args, "config", None):
         file_values = parse_config_file(args.config)
     values = cli_values(args)
-    return build_config(file_values, values), set(file_values) | set(values)
+    cfg = build_config(file_values, values)
+    if not cfg.dataset:
+        raise ConfigError(["--dataset is required"])
+    return cfg, set(file_values) | set(values)
 
 
 def build_parser():
@@ -226,8 +229,6 @@ def build_parser():
 
 def cmd_preprocess(args):
     cfg, _ = resolve_config(args)
-    if not cfg.dataset:
-        raise ConfigError(["--dataset is required"])
     kg, train_hash = load_augmented(cfg.dataset)
     index, _, lines = load_caches(cfg, kg, train_hash, refs=True)
     echo_config(cfg, train_hash, lines + [
@@ -252,11 +253,11 @@ def _prepare(cfg, kg, train_hash, auto):
 
 def cmd_train(args):
     cfg, given = resolve_config(args)
-    if not cfg.dataset:
-        raise ConfigError(["--dataset is required"])
-    if args.resume:
-        norm_from_checkpoint(cfg, given, load_checkpoint(args.resume)[0])
     kg, train_hash = load_augmented(cfg.dataset)
+    if args.resume:  # checked before any cache is built
+        store, _, _, ck_hash = load_checkpoint(args.resume)
+        norm_from_checkpoint(cfg, given, store)
+        check_resume(cfg, store, ck_hash, kg, train_hash)
     lines, index, table, presampler = _prepare(cfg, kg, train_hash,
                                                auto=not args.no_auto)
     echo_config(cfg, train_hash, lines)
@@ -271,8 +272,6 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg, given = resolve_config(args)
-    if not cfg.dataset:
-        raise ConfigError(["--dataset is required"])
     mode = "combined-f" if args.mode == "combined" else args.mode
     split = "valid" if args.split == "valid" else "test"
     section = args.split if args.split in SECTIONS else "overall"
@@ -338,22 +337,20 @@ def parse_grid_file(path):
 
 def cmd_sweep(args):
     base, _ = resolve_config(args)
-    if not base.dataset:
-        raise ConfigError(["--dataset is required"])
     grid = parse_grid_file(args.grid)
     keys = sorted(grid)
     combos = list(itertools.product(*(grid[k] for k in keys)))
     print(f"# sweep over {keys}: {len(combos)} runs")
+    configs = [apply_values(base, dict(zip(keys, combo))).validated()
+               for combo in combos]  # every run is checked before the first
 
     os.makedirs(base.out, exist_ok=True)
     summary_path = Path(base.out) / "sweep.tsv"
     rows = []
     loaded = {}  # dataset dir -> (kg, train hash); a grid may vary dataset
-    for i, combo in enumerate(combos):
+    for i, (combo, cfg) in enumerate(zip(combos, configs)):
         values = dict(zip(keys, combo))
-        cfg = apply_values(base, values)
         cfg.out = str(Path(base.out) / f"sweep-{i:03d}")
-        cfg.validated()
         if cfg.dataset not in loaded:
             loaded[cfg.dataset] = load_augmented(cfg.dataset)
         kg, train_hash = loaded[cfg.dataset]

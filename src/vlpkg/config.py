@@ -7,6 +7,7 @@ the command line overrides the file value. Unknown keys are errors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .models import NORMS, ModelKind
@@ -49,35 +50,7 @@ class TrainConfig:
     postweight_score: str = "fg"
 
     def validate(self):
-        # choices of sampler fields are checked by SamplerConfig.validate
-        errors = [f"{key.name} must be one of {key.choices}, "
-                  f"got {key.get(self)!r}"
-                  for key in KEYS if key.choices and "." not in key.field
-                  and key.get(self) not in key.choices]
-        errors.extend(self.sampler.validate())
-        if self.dim < 1:
-            errors.append("dim must be >= 1")
-        if self.batch < 1:
-            errors.append("batch must be >= 1")
-        if self.lr <= 0:
-            errors.append("lr must be > 0")
-        if self.steps < 0:
-            errors.append("steps must be >= 0")
-        if self.gamma <= 0:
-            errors.append("gamma must be > 0")
-        if self.lam < 0:
-            errors.append("lambda must be >= 0")
-        if self.alpha < 0:
-            errors.append("alpha must be >= 0")
-        if self.refs < 0 or self.refs > 254:
-            errors.append("refs must be in [0, 254]")
-        if not 1 <= self.cap <= 255:
-            errors.append("cap must be in [1, 255]")
-        if self.threads < 1:
-            errors.append("threads must be >= 1")
-        if self.eval_every < 0:
-            errors.append("eval-every must be >= 0")
-        return errors
+        return [p for p in (key.problem(self) for key in KEYS) if p]
 
     def validated(self):
         errors = self.validate()
@@ -103,7 +76,9 @@ def _render(value):
 
 @dataclass(frozen=True)
 class ConfigKey:
-    """One config-file key (and ``--flag``) and the TrainConfig field it sets."""
+    """One config-file key (and ``--flag``), the TrainConfig field it sets
+    and the rule its value must meet: ``choices``, or bounds ``low`` (>=),
+    ``above`` (>) and ``high`` (<=). A float must also be finite."""
 
     name: str
     field: str            # TrainConfig attribute; "sampler.x" for sampler fields
@@ -111,6 +86,9 @@ class ConfigKey:
     help: str
     choices: tuple = None
     negated: bool = False  # a true value sets the field to False
+    low: float = None
+    above: float = None
+    high: float = None
 
     def _owner(self, cfg):
         owner, _, attr = self.field.rpartition(".")
@@ -125,6 +103,21 @@ class ConfigKey:
         owner, attr = self._owner(cfg)
         setattr(owner, attr, not value if self.negated else value)
 
+    def problem(self, cfg):
+        """Why this key's value in ``cfg`` is invalid, or None; NaN fails."""
+        value = self.get(cfg)
+        if self.choices and value not in self.choices:
+            return f"{self.name} must be one of {self.choices}, got {value!r}"
+        if self.type is float and not math.isfinite(value):
+            return f"{self.name} must be finite, got {value}"
+        if self.high is not None and not self.low <= value <= self.high:
+            return f"{self.name} must be in [{self.low}, {self.high}]"
+        if self.low is not None and not value >= self.low:
+            return f"{self.name} must be >= {self.low}"
+        if self.above is not None and not value > self.above:
+            return f"{self.name} must be > {self.above}"
+        return None
+
 
 KEYS = (
     ConfigKey("dataset", "dataset", str,
@@ -135,32 +128,38 @@ KEYS = (
               "hlp: plain triple scoring; vlp: reference aggregation", MODES),
     ConfigKey("sampler", "sampler.mode", str, "negative sampler",
               SAMPLER_MODES),
-    ConfigKey("dim", "dim", int, "embedding dimension (per complex component)"),
-    ConfigKey("batch", "batch", int, "batch size"),
-    ConfigKey("lr", "lr", float, "Adam learning rate"),
-    ConfigKey("steps", "steps", int, "total optimization steps"),
-    ConfigKey("gamma", "gamma", float, "margin in the sampled loss"),
+    ConfigKey("dim", "dim", int, "embedding dimension (per complex component)",
+              low=1),
+    ConfigKey("batch", "batch", int, "batch size", low=1),
+    ConfigKey("lr", "lr", float, "Adam learning rate", above=0),
+    ConfigKey("steps", "steps", int, "total optimization steps", low=0),
+    ConfigKey("gamma", "gamma", float, "margin in the sampled loss",
+              above=0),
     ConfigKey("lambda", "lam", float,
-              "weight of f_g inside the combined score f"),
+              "weight of f_g inside the combined score f", low=0),
     ConfigKey("alpha", "alpha", float,
-              "weight of the sampled loss in the total loss"),
-    ConfigKey("alpha0", "sampler.alpha0", float, "pre-sampling temperature"),
+              "weight of the sampled loss in the total loss", low=0),
+    ConfigKey("alpha0", "sampler.alpha0", float, "pre-sampling temperature",
+              above=0),
     ConfigKey("alpha1", "sampler.alpha1", float,
-              "post-sampling rise temperature"),
+              "post-sampling rise temperature", above=0),
     ConfigKey("alpha2", "sampler.alpha2", float,
-              "post-sampling fall temperature"),
-    ConfigKey("tau", "sampler.tau", float, "post-sampling margin"),
-    ConfigKey("negs", "sampler.n_negatives", int, "negatives per positive"),
-    ConfigKey("refs", "refs", int, "references per query (N)"),
-    ConfigKey("cap", "cap", int, "graph-distance truncation"),
+              "post-sampling fall temperature", above=0),
+    ConfigKey("tau", "sampler.tau", float, "post-sampling margin", low=0),
+    ConfigKey("negs", "sampler.n_negatives", int, "negatives per positive",
+              low=1),
+    ConfigKey("refs", "refs", int, "references per query (N)", low=0,
+              high=254),
+    ConfigKey("cap", "cap", int, "graph-distance truncation", low=1,
+              high=255),
     ConfigKey("seed", "seed", int,
-              "rng seed (runs are pure functions of config + seed)"),
+              "rng seed (runs are pure functions of config + seed)", low=0),
     ConfigKey("threads", "threads", int,
-              "worker threads for preprocessing/training/evaluation"),
+              "worker threads for preprocessing/training/evaluation", low=1),
     ConfigKey("out", "out", str, "output directory"),
     ConfigKey("norm", "norm", str, "transe distance norm", NORMS),
     ConfigKey("eval-every", "eval_every", int,
-              "validation period in steps (0: only at the end)"),
+              "validation period in steps (0: only at the end)", low=0),
     ConfigKey("postweight-score", "postweight_score", str,
               "score feeding post-weights", POSTWEIGHT_SCORES),
     ConfigKey("no-pre", "sampler.use_pre", bool,

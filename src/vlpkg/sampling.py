@@ -38,19 +38,6 @@ class SamplerConfig:
     use_pre: bool = True    # red only: distance-based pre-sampling
     use_post: bool = True   # red only: relative-distance post-weights
 
-    def validate(self):
-        errors = []
-        if self.mode not in SAMPLER_MODES:
-            errors.append(f"sampler must be one of {SAMPLER_MODES}, got {self.mode!r}")
-        for name in ("alpha0", "alpha1", "alpha2"):
-            if getattr(self, name) <= 0:
-                errors.append(f"{name} must be > 0")
-        if self.tau < 0:
-            errors.append("tau must be >= 0")
-        if self.n_negatives < 1:
-            errors.append("negs must be >= 1")
-        return errors
-
     @property
     def pre_mode(self):
         if self.mode == "red" and self.use_pre:
@@ -68,7 +55,7 @@ class PreSampler:
     """Exact sampler for p_0 built on a truncated distance index."""
 
     def __init__(self, index, alpha0):
-        if alpha0 <= 0:
+        if not alpha0 > 0:
             raise ValueError("alpha0 must be > 0")
         self.index = index
         self.alpha0 = float(alpha0)
@@ -137,9 +124,9 @@ def post_weights(c, negatives, alpha1, alpha2, tau):
     alpha2 past it (the formula keeps its alpha1*tau drop at the boundary).
     c may be a scalar or an array broadcastable against ``negatives``.
     """
-    if alpha1 <= 0 or alpha2 <= 0:
+    if not (alpha1 > 0 and alpha2 > 0):
         raise ValueError("post-sampling temperatures must be > 0")
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("tau must be >= 0")
     n = np.asarray(negatives, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
@@ -149,7 +136,7 @@ def post_weights(c, negatives, alpha1, alpha2, tau):
 
 def selfadv_weights(negatives, alpha1):
     """Self-adversarial weights softmax(alpha1 * n) along the last axis."""
-    if alpha1 <= 0:
+    if not alpha1 > 0:
         raise ValueError("alpha1 must be > 0")
     n = np.asarray(negatives, dtype=np.float64)
     return softmax(alpha1 * n, axis=-1)

@@ -300,6 +300,17 @@ class TrainResult:
     valid_report: object = None  # last validation EvalReport; None: no valid split
 
 
+def check_resume(cfg, store, ck_hash, kg, train_hash):
+    """Reject a checkpoint of another model, dim or norm, or dataset."""
+    if (store.kind.value, store.dim, store.norm) != (cfg.model, cfg.dim,
+                                                     cfg.norm):
+        raise ValueError(
+            f"checkpoint is {store.kind.value} d={store.dim} "
+            f"norm={store.norm}, config says {cfg.model} d={cfg.dim} "
+            f"norm={cfg.norm}")
+    check_fits(store, ck_hash, kg, train_hash)
+
+
 def train(cfg, kg, table=None, presampler=None, dist_index=None,
           out_dir=None, resume=None, train_hash=0):
     """Run the training loop; returns a TrainResult.
@@ -321,13 +332,7 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
 
     if resume is not None:
         store, (m, v), start_step, ck_hash = load_checkpoint(resume)
-        if (store.kind.value, store.dim, store.norm) != (cfg.model, cfg.dim,
-                                                         cfg.norm):
-            raise ValueError(
-                f"checkpoint is {store.kind.value} d={store.dim} "
-                f"norm={store.norm}, config says {cfg.model} d={cfg.dim} "
-                f"norm={cfg.norm}")
-        check_fits(store, ck_hash, kg, train_hash)
+        check_resume(cfg, store, ck_hash, kg, train_hash)
         adam = AdamState(m=m, v=v, step=start_step)
     else:
         store = init_parameters(cfg.model, cfg.dim, kg.n_entities,
@@ -337,7 +342,7 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
         start_step = 0
 
     result = TrainResult(store=store, adam=adam)
-    log_path = None
+    best_mrr = -1.0
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "config.txt"), "w",
@@ -347,6 +352,11 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
         result.final_path = os.path.join(out_dir, "checkpoint.vlpc")
         result.best_path = os.path.join(out_dir, "best.vlpc")
         log_path = os.path.join(out_dir, "train.log.tsv")
+        if resume is not None and os.path.isfile(log_path):  # keep its best
+            with open(log_path, encoding="utf-8") as handle:
+                rows = [line.split("\t") for line in handle]
+            best_mrr = max((float(row[4]) for row in rows
+                            if int(row[0]) <= start_step), default=-1.0)
         log_handle = open(log_path, "a" if resume else "w", encoding="utf-8")
     else:
         log_handle = None
@@ -354,7 +364,6 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
     batches_per_epoch = max(1, -(-len(train_triples) // cfg.batch))
     perm = None
     perm_epoch = -1
-    best_mrr = -1.0
     t0 = time.perf_counter()
     filter_index = data.FilterIndex(kg) if len(kg.valid) else None
     pool = (concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads)

@@ -460,10 +460,41 @@ def test_rejected_resume_keeps_the_runs_config(dataset, tmp_path, capsys):
            "--steps", "6"]
     assert main(run) == 0
     written = (out_dir / "config.txt").read_bytes()
+    (dataset / DIST).unlink()
     assert main(run + ["--resume", str(out_dir / "checkpoint.vlpc"),
                        "--norm", "l2", "--dim", "16"]) == 1
     assert "norm=l1" in capsys.readouterr().err
     assert (out_dir / "config.txt").read_bytes() == written
+    assert not list(dataset.glob("*.vlp?"))  # checked before any cache
+
+
+def test_resume_keeps_the_best_checkpoint(dataset, tmp_path, capsys):
+    run = ["train", "--dataset", str(dataset), "--model", "rotate",
+           "--mode", "hlp", "--dim", "8", "--batch", "16", "--lr", "2.0",
+           "--eval-every", "4", "--sampler", "selfadv", "--negs", "4"]
+    whole, cut = tmp_path / "whole", tmp_path / "cut"
+    assert main(run + ["--steps", "40", "--out", str(whole)]) == 0
+    assert load_checkpoint(whole / "best.vlpc")[2] < 24  # before the cut
+    assert main(run + ["--steps", "24", "--out", str(cut)]) == 0
+    assert main(run + ["--steps", "40", "--out", str(cut), "--resume",
+                       str(cut / "checkpoint.vlpc")]) == 0
+    for name in ("best.vlpc", "checkpoint.vlpc"):
+        assert (whole / name).read_bytes() == (cut / name).read_bytes()
+
+
+def test_bad_values_fail_before_any_cache_is_built(dataset, tmp_path, capsys):
+    run = ["train", "--dataset", str(dataset), "--out",
+           str(tmp_path / "r")] + FAST
+    for flag, value in [("alpha0", "nan"), ("seed", "-1"), ("gamma", "nan"),
+                        ("tau", "inf"), ("lr", "-inf")]:
+        assert main(run + [f"--{flag}={value}"]) == 1
+        assert f"config error: {flag} must be" in capsys.readouterr().err
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("seed = 0,-1\n")  # the bad value is the second run's
+    assert main(["sweep", "--grid", str(grid)] + run[1:]) == 1
+    assert "config error: seed must be" in capsys.readouterr().err
+    assert not list(dataset.glob("*.vlp?"))
+    assert not (tmp_path / "r").exists()
 
 
 def test_resume_of_a_finished_run_validates_and_exits_cleanly(

@@ -1,5 +1,6 @@
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from vlpkg import ConfigError, TrainConfig, build_config, parse_config_file
@@ -93,9 +94,62 @@ def test_validation_collects_all_violations():
 
 def test_validation_checks_nested_sampler():
     cfg = TrainConfig(sampler=TrainConfig().sampler.__class__(
-        mode="red", alpha0=-3.0, n_negatives=0))
+        mode="nope", alpha0=-1.0, n_negatives=0))
     problems = cfg.validate()
-    assert any("alpha0" in p for p in problems)
+    assert problems == [
+        "sampler must be one of ('uniform', 'selfadv', 'red'), got 'nope'",
+        "alpha0 must be > 0", "negs must be >= 1"]
+
+
+def _with(key, value):
+    cfg = TrainConfig()
+    key.set(cfg, value)
+    return cfg
+
+
+def _past(key, bound, direction):
+    """The next value of the key's type past ``bound`` in ``direction``."""
+    if key.type is int:
+        return bound + direction
+    return float(np.nextafter(bound, direction * np.inf))
+
+
+RULED = [key for key in KEYS
+         if key.choices or key.low is not None or key.above is not None]
+
+
+@pytest.mark.parametrize("key", RULED, ids=lambda key: key.name)
+def test_every_rule_accepts_its_bounds_and_rejects_past_them(key):
+    """Each value at a bound passes; the next one past it, and for a float
+    NaN and either infinity, fail with the key's own message."""
+    good = list(key.choices or ())
+    bad = ["not-a-choice"] if key.choices else []
+    if key.low is not None:
+        good.append(key.low)
+        bad.append(_past(key, key.low, -1))
+    if key.above is not None:
+        good.append(_past(key, key.above, 1))
+        bad.append(key.above)
+    if key.high is not None:
+        good.append(key.high)
+        bad.append(_past(key, key.high, 1))
+    if key.type is float:
+        bad += [float("nan"), float("inf"), float("-inf")]
+    for value in good:
+        assert _with(key, value).validate() == [], value
+    for value in bad:
+        problem = key.problem(_with(key, value))
+        assert problem and problem.startswith(f"{key.name} must be"), value
+        assert _with(key, value).validate() == [problem]
+
+
+def test_rule_messages_keep_their_wording():
+    cfg = TrainConfig(dim=0, gamma=0.0, refs=255, cap=0, seed=-1,
+                      lr=float("nan"))
+    assert cfg.validate() == [
+        "dim must be >= 1", "lr must be finite, got nan", "gamma must be > 0",
+        "refs must be in [0, 254]", "cap must be in [1, 255]",
+        "seed must be >= 0"]
 
 
 def test_eval_mode_follows_training_mode():

@@ -58,3 +58,9 @@ def test_caches_pass_the_runners_reload_check(runner, tmp_path, name):
     prep, _ = bench.set_up()
     bench.check_caches(prep)
     assert (bench.failed, bench.notes) == (0, [])
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_every_workload_config_validates(runner, quick):
+    for workload in runner.WORKLOADS.values():
+        assert workload.train_config(quick).validate() == [], workload.name
