@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vlpkg import (PreSampler, SamplerConfig, compute_distances, post_weights,
-                   selfadv_weights)
+from vlpkg import (ConfigError, PreSampler, SamplerConfig, TrainConfig,
+                   compute_distances, post_weights, selfadv_weights)
 from vlpkg.sampling import (draw_negative_batch, negative_weights,
                             uniform_weights)
 from vlpkg.synth import kg_from_id_triples, random_graph
@@ -212,6 +212,17 @@ def test_ablation_switches_change_modes():
     assert SamplerConfig(mode="selfadv").pre_mode == "uniform"
     assert SamplerConfig(mode="selfadv").post_mode == "selfadv"
     assert SamplerConfig(mode="uniform").post_mode == "uniform"
+
+
+def test_sampler_config_validation_collects_problems():
+    # a SamplerConfig is checked through the TrainConfig that holds it:
+    # every bad sampler key is reported in one pass, not just the first
+    bad = SamplerConfig(mode="nope", alpha0=-1.0, n_negatives=0)
+    problems = TrainConfig(sampler=bad).validate()
+    assert len(problems) >= 3
+    with pytest.raises(ConfigError) as info:
+        TrainConfig(sampler=bad).validated()
+    assert info.value.problems == problems
 
 
 def test_draw_negative_batch_shapes_and_uniform_mode(small_kg, small_index):
