@@ -13,7 +13,8 @@ import tempfile
 from pathlib import Path
 
 from vlpkg import (PreSampler, SamplerConfig, TrainConfig, augment_reciprocal,
-                   compute_distances, select_references, train)
+                   compute_distances, load_checkpoint, select_references,
+                   train)
 from vlpkg.synth import random_graph
 
 
@@ -43,7 +44,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
     run(tmp / "c", steps=150, seed=12)
     c = run(tmp / "c", steps=300, seed=12,
-            resume=tmp / "c" / "checkpoint.vlpc")
+            resume=load_checkpoint(tmp / "c" / "checkpoint.vlpc"))
     print(f"interrupted at 150 and resumed:    "
           f"{'same bytes' if a == c else 'DIFFER'}")
 

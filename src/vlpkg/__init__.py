@@ -15,8 +15,7 @@ from .reference import (ReferenceTable, context_vector, score_f, score_fc,
                         select_references)
 from .sampling import PreSampler, SamplerConfig, post_weights, selfadv_weights
 from .synth import compositional_graph, kg_from_id_triples, random_graph
-from .training import (AdamState, loss_l1, loss_l2, reference_sweep, train,
-                       train_step)
+from .training import AdamState, loss_l1, loss_l2, train, train_step
 
 __all__ = [
     "AdamState", "AggregatorParams", "ConfigError", "DistanceIndex",
@@ -27,9 +26,8 @@ __all__ = [
     "context_vector", "evaluate", "fnv1a64", "grad_fg",
     "hash_file", "init_parameters", "kg_from_id_triples", "load_checkpoint",
     "load_dataset", "loss_l1", "loss_l2", "parse_config_file",
-    "post_weights", "random_graph", "rank_triple",
-    "reference_sweep", "rmp_classify", "save_checkpoint", "score_f",
-    "score_fc", "score_fg", "score_fg_all",
+    "post_weights", "random_graph", "rank_triple", "rmp_classify",
+    "save_checkpoint", "score_f", "score_fc", "score_fg", "score_fg_all",
     "select_references", "selfadv_weights", "train", "train_step",
     "write_report",
 ]

@@ -14,8 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import (CONFIG_KEYS, ConfigError, apply_values,
                      build_config, parse_config_file, parse_value)
@@ -30,15 +28,6 @@ from .sampling import PreSampler
 from .training import check_resume, train
 
 logger = logging.getLogger("vlpkg")
-
-_EMPTY_TAILS = np.array([], dtype=np.int64)
-
-
-class _NoFilter:
-    """Debug stand-in for FilterIndex: the unfiltered ranking setting."""
-
-    def tails(self, h, r):
-        return _EMPTY_TAILS
 
 
 def cache_dir_for(dataset_dir):
@@ -200,8 +189,6 @@ def build_parser():
                         "print (breakdowns imply the test split)")
     p.add_argument("--dump-ranks", action="store_true",
                    help="also write ranks.tsv (h, r, t, rank, bucket)")
-    p.add_argument("--unfiltered", action="store_true",
-                   help="debug: rank without removing known-true tails")
     p.add_argument("--no-auto", action="store_true")
     add_config_flags(p, ["dataset", "lambda", "refs", "cap", "threads",
                          "norm", "out"])
@@ -239,8 +226,11 @@ def cmd_preprocess(args):
     return 0
 
 
-def _prepare(cfg, kg, train_hash, auto):
-    """Caches and presampler for one training run."""
+def _train_run(cfg, kg, train_hash, auto, echo=(), resume=None):
+    """One training run into ``cfg.out``: load or build the caches it needs,
+    echo its configuration with the extra ``echo`` lines, and train it from
+    scratch or from ``resume``, a loaded checkpoint. Returns the
+    TrainResult."""
     index = table = presampler = None
     lines = []
     if cfg.mode == "vlp" or cfg.sampler.pre_mode == "distance":
@@ -248,22 +238,21 @@ def _prepare(cfg, kg, train_hash, auto):
                                           refs=cfg.mode == "vlp", auto=auto)
     if cfg.sampler.pre_mode == "distance":
         presampler = PreSampler(index, cfg.sampler.alpha0)
-    return lines, index, table, presampler
+    echo_config(cfg, train_hash, lines + list(echo))
+    return train(cfg, kg, table=table, presampler=presampler,
+                 dist_index=index, out_dir=cfg.out, resume=resume,
+                 train_hash=train_hash)
 
 
 def cmd_train(args):
     cfg, given = resolve_config(args)
     kg, train_hash = load_augmented(cfg.dataset)
-    if args.resume:  # checked before any cache is built
-        store, _, _, ck_hash = load_checkpoint(args.resume)
+    resume = load_checkpoint(args.resume) if args.resume else None
+    if resume is not None:  # checked before any cache is built
+        store, _, _, ck_hash = resume
         norm_from_checkpoint(cfg, given, store)
         check_resume(cfg, store, ck_hash, kg, train_hash)
-    lines, index, table, presampler = _prepare(cfg, kg, train_hash,
-                                               auto=not args.no_auto)
-    echo_config(cfg, train_hash, lines)
-    result = train(cfg, kg, table=table, presampler=presampler,
-                   dist_index=index, out_dir=cfg.out, resume=args.resume,
-                   train_hash=train_hash)
+    result = _train_run(cfg, kg, train_hash, not args.no_auto, resume=resume)
     print(f"final checkpoint: {result.final_path}")
     if result.valid_report is not None:
         print(format_table(result.valid_report))
@@ -295,10 +284,9 @@ def cmd_eval(args):
         ("split", split),
     ], keys=args.config_keys)
 
-    filter_index = _NoFilter() if args.unfiltered else None
     report = evaluate(store, kg, split, table=table, dist_index=index,
-                      lam=cfg.lam, mode=mode, filter_index=filter_index,
-                      threads=cfg.threads, keep_ranks=args.dump_ranks)
+                      lam=cfg.lam, mode=mode, threads=cfg.threads,
+                      keep_ranks=args.dump_ranks)
 
     out_dir = Path(cfg.out if "out" in given else
                    os.path.dirname(os.path.abspath(args.checkpoint)))
@@ -354,13 +342,8 @@ def cmd_sweep(args):
         if cfg.dataset not in loaded:
             loaded[cfg.dataset] = load_augmented(cfg.dataset)
         kg, train_hash = loaded[cfg.dataset]
-        lines, index, table, presampler = _prepare(cfg, kg, train_hash,
-                                                   auto=not args.no_auto)
-        echo_config(cfg, train_hash,
-                    lines + [("sweep-run", f"{i + 1}/{len(combos)}")])
-        result = train(cfg, kg, table=table, presampler=presampler,
-                       dist_index=index, out_dir=cfg.out,
-                       train_hash=train_hash)
+        result = _train_run(cfg, kg, train_hash, not args.no_auto,
+                            echo=[("sweep-run", f"{i + 1}/{len(combos)}")])
         rows.append(list(combo) + [result.final_valid_mrr])
         print(f"run {i}: " + " ".join(f"{k}={v}" for k, v in values.items())
               + f" -> valid MRR {result.final_valid_mrr:.4f}")

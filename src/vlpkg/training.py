@@ -31,18 +31,17 @@ import concurrent.futures
 import logging
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit, log_expit, logsumexp
 
 from . import data, evaluation  # looked up per call: callers may patch them
-from .models import (check_fits, init_parameters, load_checkpoint,
-                     pair_score_pullback, pair_scores, query_batch,
-                     query_pullback, save_checkpoint)
-from .reference import (aggregate_batch, aggregate_pullback,
-                        gather_references, select_references)
-from .sampling import PreSampler, draw_negative_batch, negative_weights
+from .models import (check_fits, init_parameters, pair_score_pullback,
+                     pair_scores, query_batch, query_pullback,
+                     save_checkpoint)
+from .reference import aggregate_batch, aggregate_pullback, gather_references
+from .sampling import draw_negative_batch, negative_weights
 
 logger = logging.getLogger(__name__)
 
@@ -318,8 +317,10 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
     Checkpoints (final and best-by-validation-MRR) are written under
     ``out_dir`` when given, atomically, so an interrupted run keeps its last
     good files; ``config.txt`` is written there once a resume has passed
-    its checks. ``resume`` restores parameters, moments and the step counter
-    from a checkpoint and continues as if never interrupted.
+    its checks. ``resume`` is a loaded checkpoint, the tuple
+    ``(store, (m, v), step, train_hash)``: the run continues from those
+    parameters, moments and step as if never interrupted, and trains the
+    tuple's arrays in place.
     """
     cfg.validated()
     train_triples = kg.train
@@ -331,7 +332,7 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
         raise ValueError("distance pre-sampling needs a presampler")
 
     if resume is not None:
-        store, (m, v), start_step, ck_hash = load_checkpoint(resume)
+        store, (m, v), start_step, ck_hash = resume
         check_resume(cfg, store, ck_hash, kg, train_hash)
         adam = AdamState(m=m, v=v, step=start_step)
     else:
@@ -423,28 +424,3 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
             log_handle.close()
     return result
 
-
-def reference_sweep(cfg, kg, n_values, dist_index, train_hash=0, out_dir=None):
-    """Train and evaluate once per reference count N; returns [(N, MRR)].
-
-    N = 0 runs the same pipeline with empty reference lists (the aggregator
-    pools nothing), not a separate code path.
-    """
-    if not len(n_values):
-        raise ValueError("n_values must be non-empty")
-    rows = []
-    for n in n_values:
-        sub = replace(cfg, refs=int(n), sampler=replace(cfg.sampler))
-        table = select_references(kg, dist_index, n_refs=int(n),
-                                  train_hash=train_hash)
-        presampler = (PreSampler(dist_index, sub.sampler.alpha0)
-                      if sub.sampler.pre_mode == "distance" else None)
-        sub_out = None if out_dir is None else f"{out_dir}/refs-{int(n)}"
-        result = train(sub, kg, table=table, presampler=presampler,
-                       dist_index=dist_index, out_dir=sub_out,
-                       train_hash=train_hash)
-        report = evaluation.evaluate(result.store, kg, "test", table=table,
-                                     dist_index=dist_index, lam=sub.lam,
-                                     mode=sub.eval_mode, threads=sub.threads)
-        rows.append((int(n), report.mrr))
-    return rows

@@ -5,6 +5,7 @@ import pytest
 
 import vlpkg.cli
 import vlpkg.evaluation
+import vlpkg.models
 from vlpkg.cli import build_parser, cache_dir_for, main, parse_grid_file
 from vlpkg.config import ConfigError
 from vlpkg.distances import DistanceIndex
@@ -326,27 +327,6 @@ def test_eval_uses_the_norm_the_checkpoint_was_trained_with(dataset, tmp_path,
     assert reports["l2"] != reports["l1"]
 
 
-def test_eval_unfiltered_never_beats_filtered(dataset, tmp_path, capsys):
-    out_dir = tmp_path / "run"
-    main(["train", "--dataset", str(dataset), "--out", str(out_dir),
-          "--model", "distmult", "--mode", "hlp"] + FAST)
-    capsys.readouterr()
-
-    def run_eval(extra):
-        main(["eval", "--dataset", str(dataset), "--mode", "fg-only",
-              "--checkpoint", str(out_dir / "checkpoint.vlpc"),
-              "--cap", "4"] + extra)
-        capsys.readouterr()
-        rows = [line.split("\t") for line in
-                (out_dir / "report.tsv").read_text().splitlines()]
-        return float(next(r[3] for r in rows
-                          if r[0] == "overall" and r[1] == "MRR"))
-
-    filtered = run_eval([])
-    unfiltered = run_eval(["--unfiltered"])
-    assert filtered >= unfiltered
-
-
 def test_report_command_renders_sections(dataset, tmp_path, capsys):
     out_dir = tmp_path / "run"
     main(["train", "--dataset", str(dataset), "--out", str(out_dir),
@@ -378,6 +358,23 @@ def test_resume_from_checkpoint(dataset, tmp_path, capsys):
     assert code == 0
     _, _, step, _ = load_checkpoint(out_dir / "checkpoint.vlpc")
     assert step == 12
+    capsys.readouterr()
+
+
+def test_resume_reads_the_checkpoint_once(dataset, tmp_path, capsys,
+                                          monkeypatch):
+    out_dir = tmp_path / "run"
+    ckpt = out_dir / "checkpoint.vlpc"
+    run = ["train", "--dataset", str(dataset), "--out", str(out_dir),
+           "--model", "transe", "--mode", "hlp"] + FAST
+    reads = []
+    read = vlpkg.models.read_file
+    monkeypatch.setattr(vlpkg.models, "read_file", lambda path, *rest: (
+        reads.append(str(path)) or read(path, *rest)))
+    assert main(run) == 0
+    assert main(run + ["--steps", "18", "--resume", str(ckpt)]) == 0
+    assert reads.count(str(ckpt)) == 1
+    assert load_checkpoint(ckpt)[2] == 18
     capsys.readouterr()
 
 
@@ -431,6 +428,27 @@ def test_sweep_builds_each_cache_once(dataset, tmp_path, capsys,
     out = capsys.readouterr().out
     # runs 2-4 load the index, runs 3-4 the table, from disk
     assert out.count("(hit)") == 3 + 2
+
+
+def test_sweep_over_the_reference_count(dataset, tmp_path, capsys):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("n = 0,2\n")  # the alias of refs
+    base = tmp_path / "base.cfg"
+    base.write_text("model = distmult\nmode = vlp\ndim = 8\nbatch = 16\n"
+                    "steps = 6\nlr = 0.05\nnegs = 4\ncap = 4\n"
+                    "eval-every = 0\n")
+    out_dir = tmp_path / "sweep"
+    code = main(["sweep", "--dataset", str(dataset), "--config", str(base),
+                 "--grid", str(grid), "--out", str(out_dir)])
+    assert code == 0
+    capsys.readouterr()
+    lines = (out_dir / "sweep.tsv").read_text().strip().splitlines()
+    assert lines[0] == "refs\tvalid_mrr"
+    rows = [line.split("\t") for line in lines[1:]]
+    assert [row[0] for row in rows] == ["0", "2"]
+    assert all(0 < float(row[1]) <= 1 for row in rows)
+    for n in (0, 2):
+        assert (dataset / f"refs-c4-n{n}.vlpr").is_file()
 
 
 def test_resume_keeps_the_checkpoints_norm(dataset, tmp_path, capsys):

@@ -347,6 +347,8 @@ def _train_cfg(mode="vlp", steps=24, **over):
 
 def _train_bits(tmp_path, tag, cfg, kg, table, pre, index, resume=None):
     out = tmp_path / tag
+    if resume is not None:
+        resume = load_checkpoint(resume)
     result = train(cfg, kg, table=table, presampler=pre, dist_index=index,
                    out_dir=out, resume=resume, train_hash=42)
     return result, (out / "checkpoint.vlpc").read_bytes()
@@ -380,7 +382,7 @@ def test_resume_rejects_mismatched_model_and_hash(tmp_path):
     cfg = _train_cfg(steps=4)
     train(cfg, kg, table=table, presampler=pre, dist_index=index,
           out_dir=tmp_path / "run", train_hash=42)
-    ckpt = tmp_path / "run" / "checkpoint.vlpc"
+    ckpt = load_checkpoint(tmp_path / "run" / "checkpoint.vlpc")
     wrong_model = _train_cfg(steps=8, model="transe")
     with pytest.raises(ValueError, match="checkpoint"):
         train(wrong_model, kg, table=table, presampler=pre, dist_index=index,
@@ -400,7 +402,8 @@ def test_resume_rejects_a_graph_with_other_entity_counts(tmp_path):
                                kg.valid, kg.test)
     with pytest.raises(ValueError, match="entities"):
         train(_train_cfg(mode="hlp", steps=8, sampler=cfg.sampler), wider,
-              resume=tmp_path / "run" / "checkpoint.vlpc", train_hash=42)
+              resume=load_checkpoint(tmp_path / "run" / "checkpoint.vlpc"),
+              train_hash=42)
 
 
 def test_train_writes_log_and_best_checkpoint(tmp_path):
