@@ -6,7 +6,7 @@ with caches and report files.
 
 from vlpkg import (PreSampler, SamplerConfig, TrainConfig, augment_reciprocal,
                    compute_distances, evaluate, select_references, train)
-from vlpkg.evaluation import format_table, random_baseline
+from vlpkg.evaluation import format_table, random_baseline, report_lines
 from vlpkg.synth import compositional_graph
 
 # clustered graph with a planted two-hop rule, so there is actually
@@ -44,6 +44,7 @@ report = evaluate(result.store, kg, "test", table=table, dist_index=dist,
 chance, _ = random_baseline(kg)
 print(f"test MRR {report.mrr:.3f} vs {chance:.3f} for random scoring")
 print()
-print(format_table(report, section="overall"))
+lines = report_lines(report)
+print(format_table(lines, section="overall"))
 print()
-print(format_table(report, section="distance"))
+print(format_table(lines, section="distance"))

@@ -7,7 +7,7 @@ from .config import ConfigError, TrainConfig, build_config, parse_config_file
 from .data import (FilterIndex, KnowledgeGraph, Vocabulary, augment_reciprocal,
                    load_dataset, rmp_classify)
 from .distances import DistanceIndex, compute_distances, fnv1a64, hash_file
-from .evaluation import EvalReport, evaluate, rank_triple, write_report
+from .evaluation import EvalReport, evaluate, write_report
 from .models import (AggregatorParams, ModelKind, ParameterStore, grad_fg,
                      init_parameters, load_checkpoint, save_checkpoint,
                      score_fg, score_fg_all)
@@ -26,7 +26,7 @@ __all__ = [
     "context_vector", "evaluate", "fnv1a64", "grad_fg",
     "hash_file", "init_parameters", "kg_from_id_triples", "load_checkpoint",
     "load_dataset", "loss_l1", "loss_l2", "parse_config_file",
-    "post_weights", "random_graph", "rank_triple", "rmp_classify",
+    "post_weights", "random_graph", "rmp_classify",
     "save_checkpoint", "score_f", "score_fc", "score_fg", "score_fg_all",
     "select_references", "selfadv_weights", "train", "train_step",
     "write_report",

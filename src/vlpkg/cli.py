@@ -19,9 +19,8 @@ from .config import (CONFIG_KEYS, ConfigError, apply_values,
                      build_config, parse_config_file, parse_value)
 from .data import DatasetError, augment_reciprocal, load_dataset
 from .distances import CacheError, DistanceIndex, compute_distances, hash_file
-from .evaluation import (EVAL_MODES, SECTIONS, evaluate, format_rows,
-                         format_table, read_report, write_ranks,
-                         write_report)
+from .evaluation import (EVAL_MODES, SECTIONS, evaluate, format_table,
+                         read_report, report_lines, write_ranks, write_report)
 from .models import check_fits, load_checkpoint
 from .reference import ReferenceTable, select_references
 from .sampling import PreSampler
@@ -255,7 +254,7 @@ def cmd_train(args):
     result = _train_run(cfg, kg, train_hash, not args.no_auto, resume=resume)
     print(f"final checkpoint: {result.final_path}")
     if result.valid_report is not None:
-        print(format_table(result.valid_report))
+        print(format_table(report_lines(result.valid_report)))
     return 0
 
 
@@ -298,22 +297,20 @@ def cmd_eval(args):
         ranks_path = out_dir / "ranks.tsv"
         write_ranks(report.ranks, ranks_path)
         print(f"ranks: {ranks_path}")
-    print(format_table(report, "overall"))
+    lines = report_lines(report)
+    print(format_table(lines))
     if section != "overall":
         print()
-        print(format_table(report, section))
+        print(format_table(lines, section))
     return 0
 
 
 def cmd_report(args):
     rows = read_report(args.report)
     sections = [args.section] if args.section != "all" else SECTIONS
-    blocks = []
-    for section in sections:
-        cells = [row[1:] for row in rows if row[0] == section]
-        if cells:
-            blocks.append(f"[{section}]\n" + format_rows(cells, "value"))
-    print("\n\n".join(blocks))
+    present = {row[0] for row in rows}
+    print("\n\n".join(f"[{section}]\n" + format_table(rows, section, "value")
+                      for section in sections if section in present))
     return 0
 
 

@@ -254,18 +254,6 @@ def augment_reciprocal(kg):
     )
 
 
-def base_relation(kg, relation):
-    """Original relation id for a possibly-reciprocal relation id."""
-    if not kg.reciprocal:
-        return relation
-    half = kg.n_relations // 2
-    return relation if relation < half else relation - half
-
-
-def is_reciprocal_relation(kg, relation):
-    return kg.reciprocal and relation >= kg.n_relations // 2
-
-
 class FilterIndex:
     """All known-true tails per (head, relation) over train + valid + test.
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (FilterIndex, base_relation, distance_bucket,
-                   is_reciprocal_relation, rmp_classify)
+from .data import FilterIndex, distance_bucket, rmp_classify
 from .models import score_fg_all
 from .reference import context_vector, cosine_all
 
@@ -36,8 +35,6 @@ class RankResult:
     tail: int
     rank: float
     bucket: int | None = None
-    rmp: str | None = None
-    direction: str = "tail"
 
 
 @dataclass
@@ -95,63 +92,52 @@ def rank_from_scores(scores, gold, known_tails):
     return 1.0 + greater + 0.5 * ties
 
 
-def rank_triple(store, triple, filter_index, mode="fg-only", lam=0.5,
-                table=None, dist_index=None):
-    """RankResult for a single test triple (see module docstring)."""
-    h, r, t = (int(x) for x in triple)
-    scores = candidate_scores(store, h, r, mode, lam, table=table)
-    rank = rank_from_scores(scores, t, filter_index.tails(h, r))
-    bucket = None
-    if dist_index is not None:
-        d = dist_index.distance(h, t)
-        if d < dist_index.cap or d >= 4:  # a pair at a cap < 4 may be farther
-            bucket = distance_bucket(d)
-    return RankResult(head=h, relation=r, tail=t, rank=rank, bucket=bucket)
-
-
 def evaluate(store, kg, split="test", table=None, dist_index=None, lam=0.5,
              mode="fg-only", filter_index=None, threads=1, keep_ranks=False):
-    """Rank every triple of a split and aggregate the full report."""
+    """Rank every triple of a split once, then read the report from those
+    ranks in split order."""
     triples = kg.split(split)
     if filter_index is None:
         filter_index = FilterIndex(kg)
-    classes = rmp_classify(kg)
 
-    def rank_rows(rows):
+    def rank_rows(rows):  # (rank, distance bucket or None) per row
         out = []
-        for row in rows:
-            res = rank_triple(store, triples[row], filter_index, mode, lam,
-                              table, dist_index)
-            res.rmp = classes.get(base_relation(kg, res.relation))
-            if is_reciprocal_relation(kg, res.relation):
-                res.direction = "head"
-            out.append(res)
+        for h, r, t in triples[rows].tolist():
+            scores = candidate_scores(store, h, r, mode, lam, table)
+            rank = rank_from_scores(scores, t, filter_index.tails(h, r))
+            bucket = None
+            if dist_index is not None:
+                d = dist_index.distance(h, t)
+                if d < dist_index.cap or d >= 4:  # a pair at a cap < 4 may be farther
+                    bucket = distance_bucket(d)
+            out.append((rank, bucket))
         return out
 
     rows = np.arange(len(triples))
     if threads > 1 and len(rows) > 4 * threads:
         chunks = np.array_split(rows, 4 * threads)
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(rank_rows, chunks))
-        results = [r for part in parts for r in part]
+            ranked = [x for part in pool.map(rank_rows, chunks) for x in part]
     else:
-        results = rank_rows(rows)
+        ranked = rank_rows(rows)
 
-    report = EvalReport(n=len(results))
-    if not results:
+    report = EvalReport(n=len(ranked))
+    if not ranked:
         return report
-    ranks = np.array([r.rank for r in results])
+    ranks = np.array([rank for rank, _ in ranked])
     report.mrr = float((1.0 / ranks).mean())
     report.hits = {k: float((ranks <= k).mean()) for k in HITS_AT}
+    classes = rmp_classify(kg)
+    half = kg.n_relations // 2 if kg.reciprocal else kg.n_relations
     rel_names = kg.vocab.relation_names
-    for r in results:
-        if r.bucket is not None:
-            report.per_bucket.setdefault(r.bucket, Cell()).add(r.rank)
-        report.per_relation.setdefault(rel_names[r.relation], Cell()).add(r.rank)
-        if r.rmp is not None:
-            report.per_rmp.setdefault((r.direction, r.rmp), Cell()).add(r.rank)
-    if keep_ranks:
-        report.ranks = results
+    for (h, r, t), (rank, bucket) in zip(triples.tolist(), ranked):
+        if bucket is not None:
+            report.per_bucket.setdefault(bucket, Cell()).add(rank)
+        report.per_relation.setdefault(rel_names[r], Cell()).add(rank)
+        rmp = ("head" if r >= half else "tail", classes[r % half])
+        report.per_rmp.setdefault(rmp, Cell()).add(rank)
+        if keep_ranks:
+            report.ranks.append(RankResult(h, r, t, rank, bucket))
     return report
 
 
@@ -191,22 +177,18 @@ def read_report(path):
     return rows
 
 
-def format_table(report, section="overall"):
-    """Human-readable aligned table for one report section."""
+def format_table(lines, section="overall", value_name="MRR"):
+    """Aligned text table of one section of report rows, as given by
+    ``report_lines`` or ``read_report``."""
     if section not in SECTIONS:
         raise ValueError(f"unknown report section {section!r}")
-    rows = [line[1:] for line in report_lines(report) if line[0] == section]
+    rows = [line[1:] for line in lines if line[0] == section]
     if not rows:
         return f"({section}: no cells)"
-    return format_rows(rows)
-
-
-def format_rows(rows, value_name="MRR"):
-    """Aligned text table of (cell, count, value) rows."""
-    width = max(len(str(r[0])) for r in rows)
+    width = max(len(key) for key, _, _ in rows)
     out = [f"{'cell'.ljust(width)}  {'count':>8}  {value_name:>8}"]
     for key, count, value in rows:
-        out.append(f"{str(key).ljust(width)}  {count:>8}  {value:>8.4f}")
+        out.append(f"{key.ljust(width)}  {count:>8}  {value:>8.4f}")
     return "\n".join(out)
 
 
@@ -222,19 +204,18 @@ def random_baseline(kg, filter_index=None):
     """Analytic mean and variance of MRR under random scoring.
 
     For a query with m kept candidates the rank is uniform on 1..m, so
-    E[1/rank] = H_m / m; the variance follows from E[1/rank^2]. Queries are
-    independent, so the MRR over the test set is normal-ish with the
-    returned mean and variance (used for 3-sigma sanity bounds).
+    E[1/rank] = H_m / m and E[1/rank^2] = H2_m / m, with H and H2 the
+    harmonic numbers of order 1 and 2. Queries are independent, so the MRR
+    over the test set is normal-ish with the returned mean and variance
+    (used for 3-sigma sanity bounds).
     """
     if filter_index is None:
         filter_index = FilterIndex(kg)
-    means = []
-    variances = []
-    for h, r, t in kg.test:
-        m = kg.n_entities - len(filter_index.tails(int(h), int(r))) + 1
-        inv = 1.0 / np.arange(1, m + 1)
-        mean = inv.mean()
-        means.append(mean)
-        variances.append((inv * inv).mean() - mean * mean)
-    n = len(means)
-    return float(np.mean(means)), float(np.sum(variances) / (n * n))
+    n_ent, codes = filter_index.n_entities, filter_index.codes
+    base = (kg.test[:, 0] * filter_index.n_relations + kg.test[:, 1]) * n_ent
+    known = np.searchsorted(codes, base + n_ent) - np.searchsorted(codes, base)
+    m = n_ent - known + 1
+    k = np.arange(1.0, n_ent + 2)  # m <= |E| + 1
+    mean = np.cumsum(1.0 / k)[m - 1] / m
+    var = np.cumsum(1.0 / (k * k))[m - 1] / m - mean * mean
+    return float(np.mean(mean)), float(np.sum(var) / len(m) ** 2)

@@ -353,12 +353,15 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
         result.final_path = os.path.join(out_dir, "checkpoint.vlpc")
         result.best_path = os.path.join(out_dir, "best.vlpc")
         log_path = os.path.join(out_dir, "train.log.tsv")
-        if resume is not None and os.path.isfile(log_path):  # keep its best
+        kept = []  # a resume keeps the log rows up to its checkpoint
+        if resume is not None and os.path.isfile(log_path):
             with open(log_path, encoding="utf-8") as handle:
-                rows = [line.split("\t") for line in handle]
-            best_mrr = max((float(row[4]) for row in rows
-                            if int(row[0]) <= start_step), default=-1.0)
-        log_handle = open(log_path, "a" if resume else "w", encoding="utf-8")
+                kept = [line for line in handle
+                        if int(line.split("\t")[0]) <= start_step]
+        best_mrr = max((float(line.split("\t")[4]) for line in kept),
+                       default=-1.0)
+        log_handle = open(log_path, "w", encoding="utf-8")
+        log_handle.writelines(kept)
     else:
         log_handle = None
 

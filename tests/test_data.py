@@ -3,8 +3,7 @@ import pytest
 
 from vlpkg import augment_reciprocal, compute_distances, load_dataset, rmp_classify
 from vlpkg.data import (DatasetError, DatasetNotFoundError, FilterIndex,
-                        ParseError, Vocabulary, base_relation,
-                        distance_bucket, is_reciprocal_relation)
+                        ParseError, Vocabulary, distance_bucket)
 from vlpkg.synth import kg_from_id_triples, name_triples, write_dataset
 
 
@@ -86,10 +85,6 @@ def test_reciprocal_augmentation_mirrors_every_split():
     assert (1, 2, 0) in {tuple(row) for row in aug.train}
     names = aug.vocab.relation_names
     assert names[2] == names[0] + "^-1"
-    assert is_reciprocal_relation(aug, 2)
-    assert not is_reciprocal_relation(aug, 0)
-    assert base_relation(aug, 2) == 0
-    assert base_relation(aug, 0) == 0
 
 
 def test_double_augmentation_rejected():

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from vlpkg import (ModelKind, evaluate, init_parameters, rank_triple,
-                   select_references)
-from vlpkg.data import FilterIndex
+from vlpkg import (ModelKind, augment_reciprocal, compute_distances, evaluate,
+                   init_parameters, rmp_classify, select_references)
+from vlpkg.data import FilterIndex, distance_bucket
 from vlpkg.evaluation import (Cell, EvalReport, candidate_scores,
                               format_table, random_baseline,
                               rank_from_scores, read_report, report_lines,
                               write_ranks, write_report)
-from vlpkg.synth import kg_from_id_triples
+from vlpkg.synth import kg_from_id_triples, random_graph
 
 
 def _sort_oracle(scores, gold, known):
@@ -112,14 +112,79 @@ def test_combined_mode_equals_scalar_combined_score(small_kg, small_index):
         assert scores[t] == score_f(store, table, h, r, t, lam=0.3)
 
 
-def test_rank_triple_reports_bucket(small_kg, small_index):
+def test_kept_ranks_report_each_rows_bucket(small_kg, small_index):
     store = init_parameters(ModelKind.DISTMULT, 4, small_kg.n_entities,
                             small_kg.n_relations, seed=6)
-    findex = FilterIndex(small_kg)
-    triple = small_kg.test[0]
-    res = rank_triple(store, triple, findex, dist_index=small_index)
-    d = small_index.distance(int(triple[0]), int(triple[2]))
-    assert res.bucket == min(max(d, 1), 4)
+    report = evaluate(store, small_kg, "test", dist_index=small_index,
+                      keep_ranks=True)
+    assert len(report.ranks) == report.n
+    for res in report.ranks:
+        d = small_index.distance(res.head, res.tail)
+        assert res.bucket == min(max(d, 1), 4)
+
+
+@pytest.mark.parametrize("cap", [2, 4])
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("reciprocal", [True, False],
+                         ids=["reciprocal", "plain"])
+def test_report_cells_match_an_oracle_over_the_kept_ranks(reciprocal,
+                                                          threads, cap):
+    """Every cell recomputed from the kept ranks, ``rmp_classify`` and
+    ``DistanceIndex.distance``; a reciprocal relation is found by its name."""
+    kg = random_graph(40, 3, 200, 20, 30, seed=8)
+    if reciprocal:
+        kg = augment_reciprocal(kg)
+    index = compute_distances(kg, cap=cap)
+    store = init_parameters(ModelKind.ROTATE, 6, kg.n_entities,
+                            kg.n_relations, seed=8)
+    report = evaluate(store, kg, "test", dist_index=index, threads=threads,
+                      keep_ranks=True)
+    assert ([(x.head, x.relation, x.tail) for x in report.ranks]
+            == [tuple(row) for row in kg.test.tolist()])
+    names = kg.vocab.relation_names
+    classes = rmp_classify(kg)
+    want = {"bucket": {}, "relation": {}, "rmp": {}}
+    for x in report.ranks:
+        d = index.distance(x.head, x.tail)
+        bucket = distance_bucket(d) if d < cap or d >= 4 else None
+        assert x.bucket == bucket
+        name = names[x.relation]
+        if name.endswith("^-1"):
+            rmp = ("head", classes[names.index(name[:-3])])
+        else:
+            rmp = ("tail", classes[x.relation])
+        for section, key in (("bucket", bucket), ("relation", name),
+                             ("rmp", rmp)):
+            if key is not None:
+                want[section].setdefault(key, Cell()).add(x.rank)
+    for section, got in (("bucket", report.per_bucket),
+                         ("relation", report.per_relation),
+                         ("rmp", report.per_rmp)):
+        assert got.keys() == want[section].keys()
+        for key, cell in got.items():
+            assert cell.count == want[section][key].count
+            assert cell.inv_sum == pytest.approx(want[section][key].inv_sum,
+                                                 rel=1e-12)
+    directions = {d for d, _ in report.per_rmp}
+    assert directions == ({"head", "tail"} if reciprocal else {"tail"})
+    if cap == 2:
+        assert None in {x.bucket for x in report.ranks}
+
+
+def test_rmp_cells_label_a_reciprocal_relation_by_its_base():
+    # relation 0 is 1-N, so its mirror 2 is N-1 on its own pairs; the
+    # mirror's queries are head queries of relation 0 and take its class
+    kg = augment_reciprocal(kg_from_id_triples(
+        5, 2, [(0, 0, 1), (0, 0, 2), (0, 0, 3), (1, 1, 2)], [],
+        [(4, 0, 1), (2, 1, 3)]))
+    classes = rmp_classify(kg)
+    assert (classes[0], classes[1], classes[2]) == ("1-N", "1-1", "N-1")
+    store = init_parameters(ModelKind.TRANSE, 4, kg.n_entities,
+                            kg.n_relations, seed=0)
+    report = evaluate(store, kg, "test")
+    assert {key: c.count for key, c in report.per_rmp.items()} == {
+        ("tail", "1-N"): 1, ("tail", "1-1"): 1,
+        ("head", "1-N"): 1, ("head", "1-1"): 1}
 
 
 @pytest.mark.parametrize("cap", [2, 3])
@@ -147,6 +212,33 @@ def test_buckets_below_cap_4_leave_out_pairs_beyond_the_cap(cap, small_kg):
                 seen["near"] += 1
                 assert a.bucket == b.bucket is not None
     assert seen["near"] and seen["beyond"]
+
+
+def _baseline_loop(kg, filter_index):
+    """random_baseline one query at a time: the rank is uniform on 1..m."""
+    means, variances = [], []
+    for h, r, _ in kg.test:
+        m = kg.n_entities - len(filter_index.tails(int(h), int(r))) + 1
+        inv = 1.0 / np.arange(1, m + 1)
+        mean = inv.mean()
+        means.append(mean)
+        variances.append((inv * inv).mean() - mean * mean)
+    n = len(means)
+    return float(np.mean(means)), float(np.sum(variances) / (n * n))
+
+
+def test_random_baseline_matches_the_per_query_loop(small_kg):
+    # one query of `crowded` keeps 5 of 30 candidates
+    crowded = kg_from_id_triples(
+        30, 2, [(0, 0, t) for t in range(1, 26)] + [(1, 1, 2)], [],
+        [(0, 0, 26), (1, 1, 3), (0, 1, 5)])
+    assert crowded.n_entities - len(FilterIndex(crowded).tails(0, 0)) == 4
+    plain = random_graph(50, 3, 300, 30, 30, seed=5)
+    for kg in (small_kg, plain, crowded):
+        findex = FilterIndex(kg)
+        got = random_baseline(kg, findex)
+        assert got == pytest.approx(_baseline_loop(kg, findex), rel=1e-12)
+        assert random_baseline(kg) == got
 
 
 def test_random_scores_land_inside_three_sigma(small_kg):
@@ -182,8 +274,12 @@ def test_report_roundtrip_and_rendering(tmp_path, small_kg, small_index):
                                           "rmp"}
     lines = report_lines(report)
     assert all(len(line) == 4 for line in lines)
-    table = format_table(report, "distance")
+    table = format_table(lines, "distance")
     assert "MRR" in table
+    assert "value" in format_table(back, "distance", "value")
+    assert format_table(lines, "rmp").count("\n") == len(report.per_rmp)
+    with pytest.raises(ValueError, match="section"):
+        format_table(lines, "nowhere")
     rank_path = tmp_path / "ranks.tsv"
     write_ranks(report.ranks, rank_path)
     rows = rank_path.read_text().strip().splitlines()

@@ -7,12 +7,15 @@ from breaking ``perfbench/run.py --trace 1`` unnoticed.
 
 import argparse
 import importlib
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vlpkg import compute_distances, select_references
+from vlpkg import (FilterIndex, ModelKind, augment_reciprocal,
+                   compute_distances, evaluation, init_parameters,
+                   select_references)
 from vlpkg.synth import random_graph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -47,6 +50,26 @@ def test_table_exposes_what_the_runner_reads():
     for key, arr in table.entries.items():
         assert isinstance(arr, np.ndarray) and arr.shape[1:] == (2,)
         assert np.array_equal(arr, table.entries[key])
+
+
+def test_report_exposes_what_the_runner_reads():
+    # check_ranks reads report.ranks[row] by split row; check_mrr reads the
+    # random baseline
+    kg = augment_reciprocal(random_graph(n_entities=30, n_relations=2,
+                                         n_train=80, n_valid=5, n_test=20,
+                                         seed=4))
+    store = init_parameters(ModelKind.TRANSE, 4, kg.n_entities,
+                            kg.n_relations, seed=0)
+    filt = FilterIndex(kg)
+    report = evaluation.evaluate(store, kg, "test", filter_index=filt,
+                                 threads=2, keep_ranks=True)
+    assert len(report.ranks) == len(kg.test)
+    for got, (h, r, t) in zip(report.ranks, kg.test.tolist()):
+        assert (got.head, got.relation, got.tail) == (h, r, t)
+        assert isinstance(got.rank, float) and got.rank >= 1.0
+    baseline = evaluation.random_baseline(kg, filt)
+    assert len(baseline) == 2
+    assert all(isinstance(x, float) and math.isfinite(x) for x in baseline)
 
 
 @pytest.mark.parametrize("name", ["rand5k-vlp", "rand5k-hlp"])

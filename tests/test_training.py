@@ -373,6 +373,31 @@ def test_training_is_deterministic_and_resumable(tmp_path):
     assert resumed.adam.step == 24
 
 
+def test_resumed_log_drops_the_rows_past_its_checkpoint(tmp_path):
+    kg, table, _ = _setup(ModelKind.ROTATE, seed=9)
+    index = compute_distances(kg, cap=3)
+    from vlpkg import PreSampler
+
+    pre = PreSampler(index, 1.0)
+    cfg = _train_cfg(steps=40, eval_every=10)
+    _train_bits(tmp_path, "whole", cfg, kg, table, pre, index)
+    # a run that went on to step 40, resumed from its step-20 checkpoint
+    _train_bits(tmp_path, "cut", _train_cfg(steps=20, eval_every=10), kg,
+                table, pre, index)
+    (tmp_path / "cut" / "checkpoint.vlpc").rename(tmp_path / "step20.vlpc")
+    _train_bits(tmp_path, "cut", cfg, kg, table, pre, index,
+                resume=tmp_path / "step20.vlpc")
+    _train_bits(tmp_path, "cut", cfg, kg, table, pre, index,
+                resume=tmp_path / "step20.vlpc")
+
+    def columns(tag):
+        lines = (tmp_path / tag / "train.log.tsv").read_text().splitlines()
+        return [line.split("\t")[:5] for line in lines]
+
+    assert [row[0] for row in columns("cut")] == ["10", "20", "30", "40"]
+    assert columns("cut") == columns("whole")
+
+
 def test_resume_rejects_mismatched_model_and_hash(tmp_path):
     kg, table, _ = _setup(ModelKind.ROTATE, seed=9)
     index = compute_distances(kg, cap=3)
