@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .config import ConfigError, TrainConfig, build_config, parse_config_file
 from .data import (FilterIndex, KnowledgeGraph, Vocabulary, augment_reciprocal,
                    load_dataset, rmp_classify)
-from .distances import DistanceIndex, compute_distances, fnv1a64, hash_file
+from .distances import DistanceIndex, compute_distances, hash_file
 from .evaluation import EvalReport, evaluate, write_report
 from .models import (AggregatorParams, ModelKind, ParameterStore, grad_fg,
                      init_parameters, load_checkpoint, save_checkpoint,
@@ -23,7 +23,7 @@ __all__ = [
     "ParameterStore", "PreSampler", "ReferenceTable", "SamplerConfig",
     "TrainConfig", "Vocabulary", "augment_reciprocal",
     "build_config", "compositional_graph", "compute_distances",
-    "context_vector", "evaluate", "fnv1a64", "grad_fg",
+    "context_vector", "evaluate", "grad_fg",
     "hash_file", "init_parameters", "kg_from_id_triples", "load_checkpoint",
     "load_dataset", "loss_l1", "loss_l2", "parse_config_file",
     "post_weights", "random_graph", "rmp_classify",

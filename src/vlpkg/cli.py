@@ -8,6 +8,7 @@ opening blocks are reproductions of each other.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import logging
 import os
@@ -34,11 +35,9 @@ def cache_dir_for(dataset_dir):
     override = os.environ.get("VLP_CACHE_DIR")
     if not override:
         return Path(dataset_dir)
-    from .distances import fnv1a64
-
     abspath = os.path.abspath(dataset_dir)
-    tag = f"{os.path.basename(abspath)}-{fnv1a64(abspath.encode()) & 0xFFFFFFFF:08x}"
-    path = Path(override) / tag
+    tag = hashlib.blake2b(abspath.encode(), digest_size=4).hexdigest()
+    path = Path(override) / f"{os.path.basename(abspath)}-{tag}"
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -145,12 +144,17 @@ def cli_values(args):
 
 
 def resolve_config(args):
-    """The run's config, and the keys a config file or a flag set."""
+    """The run's config, and the keys ``--config`` or a flag set. The
+    ``config.txt`` beside the checkpoint read, if any, is the lowest layer."""
+    run = getattr(args, "checkpoint", None) or getattr(args, "resume", None)
+    run_config = Path(run).parent / "config.txt" if run else None
+    run_values = (parse_config_file(run_config)
+                  if run_config and run_config.is_file() else {})
     file_values = {}
     if getattr(args, "config", None):
         file_values = parse_config_file(args.config)
     values = cli_values(args)
-    cfg = build_config(file_values, values)
+    cfg = build_config({**run_values, **file_values}, values)
     if not cfg.dataset:
         raise ConfigError(["--dataset is required"])
     return cfg, set(file_values) | set(values)
@@ -179,9 +183,8 @@ def build_parser():
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--mode", default="combined-f",
-                   choices=("combined",) + EVAL_MODES,
-                   help="score used for ranking")
+    p.add_argument("--mode", choices=("combined",) + EVAL_MODES,
+                   help="score used for ranking (default: the run's)")
     p.add_argument("--split", default="test",
                    choices=("test", "valid") + SECTIONS,
                    help="data split to evaluate, or a breakdown table to "
@@ -260,7 +263,8 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg, given = resolve_config(args)
-    mode = "combined-f" if args.mode == "combined" else args.mode
+    mode = args.mode or cfg.eval_mode
+    mode = "combined-f" if mode == "combined" else mode
     split = "valid" if args.split == "valid" else "test"
     section = args.split if args.split in SECTIONS else "overall"
 

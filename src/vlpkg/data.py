@@ -93,6 +93,7 @@ class KnowledgeGraph:
         self.unknown_relations = tuple(unknown_relations)
         self._rel_pairs = None
         self._head_freq = None
+        self._rmp = None
 
     @property
     def n_entities(self):
@@ -274,24 +275,22 @@ class FilterIndex:
 
 
 def rmp_classify(kg):
-    """Classify every relation as 1-1 / 1-N / N-1 / N-N from training triples.
-
-    Uses average tails-per-head and heads-per-tail with a threshold of
-    ``RMP_THRESHOLD`` on each axis. A relation without training triples is
-    1-1 (with reciprocal relations its mirror has none either).
-    """
-    classes = {}
-    for r in range(kg.n_relations):
-        pairs = kg.relation_pairs(r)
-        if len(pairs) == 0:
-            classes[r] = "1-1"
-            continue
-        tph = len(pairs) / len(np.unique(pairs[:, 0]))
-        hpt = len(pairs) / len(np.unique(pairs[:, 1]))
-        many_tails = tph >= RMP_THRESHOLD
-        many_heads = hpt >= RMP_THRESHOLD
-        classes[r] = RMP_CLASSES[2 * many_heads + many_tails]
-    return classes
+    """Classify every relation as 1-1 / 1-N / N-1 / N-N from training triples,
+    once per graph: tails-per-head and heads-per-tail, each over the distinct
+    sorted (r, h) or (r, t) codes, against ``RMP_THRESHOLD``. A relation
+    without training triples averages 0/0 = NaN, which passes neither: 1-1."""
+    if kg._rmp is None:
+        h, r, t = kg.train.T
+        n_rel, n_ent = kg.n_relations, kg.n_entities
+        pairs = np.bincount(r, minlength=n_rel)
+        keys = (np.sort(r * n_ent + x) for x in (h, t))
+        heads, tails = (np.bincount(k[np.diff(k, prepend=-1) > 0] // n_ent,
+                                    minlength=n_rel) for k in keys)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            codes = (2 * (pairs / tails >= RMP_THRESHOLD)
+                     + (pairs / heads >= RMP_THRESHOLD))
+        kg._rmp = dict(enumerate(RMP_CLASSES[c] for c in codes.tolist()))
+    return kg._rmp
 
 
 def distance_bucket(d):

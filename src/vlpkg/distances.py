@@ -14,6 +14,7 @@ header, then the row offsets, ids and distances, each written whole.
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import logging
 import os
 import struct
@@ -29,10 +30,6 @@ DEFAULT_CAP = 8
 MAGIC = b"VLPD"
 VERSION = 2
 _HEADER = struct.Struct("<IIQQQ")  # after the magic: version, cap, n, hash, pairs
-
-FNV_OFFSET = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
-_U64 = (1 << 64) - 1
 
 
 class CacheError(Exception):
@@ -89,20 +86,13 @@ def read_file(path, magic, headers, layout, what):
     return version, fields, arrays
 
 
-def fnv1a64(data, h=FNV_OFFSET):
-    """64-bit FNV-1a hash of a bytes-like object, continuing from state h."""
-    for b in data:
-        h = ((h ^ b) * FNV_PRIME) & _U64
-    return h
-
-
 def hash_file(path, chunk_size=1 << 20):
-    """FNV-1a hash of a file's raw bytes, streamed in chunks."""
-    h = FNV_OFFSET
+    """64-bit BLAKE2b (RFC 7693) of a file's raw bytes, read in chunks."""
+    digest = hashlib.blake2b(digest_size=8)
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(chunk_size), b""):
-            h = fnv1a64(chunk, h)
-    return h
+            digest.update(chunk)
+    return int.from_bytes(digest.digest(), "little")
 
 
 class DistanceIndex:

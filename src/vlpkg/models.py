@@ -35,11 +35,12 @@ NORMS = ("l1", "l2")
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"VLPC"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # after the magic: version, model code, complex-space flag, dim, entities,
-# relations, train hash; format 2 adds the index of the norm in NORMS
-_CHECKPOINT_HEADERS = {1: struct.Struct("<IBBIQQQ"),
-                       2: struct.Struct("<IBBIQQQB")}
+# relations, train hash; format 2 adds the index of the norm in NORMS;
+# format 3 is format 2 with the train hash in BLAKE2b, not the older hash
+_V2 = struct.Struct("<IBBIQQQB")
+_CHECKPOINT_HEADERS = {1: struct.Struct("<IBBIQQQ"), 2: _V2, 3: _V2}
 
 
 class ModelKind(str, Enum):
@@ -337,7 +338,8 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (store, (m, v), step, train_hash).
 
     The arrays are copies, so they stay writable. Format-1 files record no
-    norm and load as l2.
+    norm and load as l2. Formats 1 and 2 predate BLAKE2b: their train hash
+    comes back as 0, which ``check_fits`` does not compare.
     """
     version, fields, arrays = read_file(
         path, CHECKPOINT_MAGIC, _CHECKPOINT_HEADERS,
@@ -345,6 +347,10 @@ def load_checkpoint(path):
                             _checkpoint_shapes(*fields)] * 3 + [("<u8", 1)],
         "checkpoint")
     code, space, dim, n_ent, n_rel, train_hash, *norm_code = fields
+    if version < 3:
+        logger.warning("%s: format-%d checkpoint's train hash predates "
+                       "BLAKE2b; not checked", path, version)
+        train_hash = 0
     if version == 1:
         logger.warning("%s: format-1 checkpoint records no norm; using l2",
                        path)

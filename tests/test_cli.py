@@ -147,6 +147,21 @@ def test_caches_are_stale_when_the_training_file_changes(dataset, capsys):
     assert all(line.endswith("(built, was stale)") for line in lines)
 
 
+def test_caches_of_another_train_hash_are_rebuilt_once(dataset, capsys):
+    # as a cache hashed before the switch to BLAKE2b reads after it
+    assert main(["preprocess", "--dataset", str(dataset)]) == 0
+    for name, cache in [(DIST, DistanceIndex), (REFS, ReferenceTable)]:
+        old = cache.load(dataset / name)
+        old.train_hash ^= 1
+        old.save(dataset / name)
+    capsys.readouterr()
+    for state in ("built, was stale", "hit"):
+        assert main(["preprocess", "--dataset", str(dataset)]) == 0
+        lines = _cache_lines(capsys.readouterr().out)
+        assert len(lines) == 2
+        assert all(line.endswith(f"({state})") for line in lines)
+
+
 def test_train_writes_artifacts_and_echoes_config(dataset, tmp_path, capsys):
     out_dir = tmp_path / "run"
     code = main(["train", "--dataset", str(dataset), "--out", str(out_dir),
@@ -275,20 +290,77 @@ def test_eval_keeps_the_training_runs_reference_cache(dataset, tmp_path,
     refs = dataset / "refs-c4-n2.vlpr"
     before = refs.read_bytes(), refs.stat().st_ino, refs.stat().st_mtime_ns
     capsys.readouterr()
-    eval_run = ["eval", "--dataset", str(dataset), "--cap", "4",
+    eval_run = ["eval", "--dataset", str(dataset),
                 "--checkpoint", str(run / "checkpoint.vlpc")]
-    # eval's default N is 8: that is another file, built beside the run's
+    # a plain eval takes the run's cap and N from its config.txt
     assert main(eval_run) == 0
     out = capsys.readouterr().out
-    assert (dataset / "refs-c4-n8.vlpr").is_file()
+    assert _cache_lines(out)[1].endswith(f"{refs} (hit)")
+    # the echo shows only the keys eval takes, not training settings
+    assert "refs = 2" in out and "cap = 4" in out
+    assert "model = " not in out and "dim = " not in out
+    # an explicit N is another file, built beside the run's
+    assert main(eval_run + ["--refs", "8"]) == 0
+    assert _cache_lines(capsys.readouterr().out)[1].endswith(
+        "refs-c4-n8.vlpr (built, was missing)")
     assert (refs.read_bytes(), refs.stat().st_ino,
             refs.stat().st_mtime_ns) == before
-    # the echo shows only the keys eval takes, not training defaults
-    assert "refs = 8" in out and "cap = 4" in out
-    assert "model = " not in out and "dim = " not in out
-    assert main(eval_run + ["--refs", "2"]) == 0
-    assert _cache_lines(capsys.readouterr().out)[1].endswith(
-        f"{refs} (hit)")
+
+
+def test_eval_without_flags_uses_the_runs_cap_refs_and_lambda(dataset,
+                                                              tmp_path,
+                                                              capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", str(dataset), "--out", str(run),
+                 "--model", "transe", "--norm", "l1", "--mode", "vlp",
+                 "--lambda", "0.3"] + FAST) == 0
+    capsys.readouterr()
+    ckpt = ["--dataset", str(dataset),
+            "--checkpoint", str(run / "checkpoint.vlpc")]
+    assert main(["eval", "--out", str(tmp_path / "plain")] + ckpt) == 0
+    out = capsys.readouterr().out
+    assert "cap = 4" in out and "refs = 2" in out and "lambda = 0.3" in out
+    assert all(line.endswith("(hit)") for line in _cache_lines(out))
+    assert not (dataset / DIST).exists()
+    assert main(["eval", "--mode", "combined-f", "--cap", "4", "--refs", "2",
+                 "--lambda", "0.3", "--norm", "l1",
+                 "--out", str(tmp_path / "flags")] + ckpt) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "plain" / "report.tsv").read_text()
+            == (tmp_path / "flags" / "report.tsv").read_text())
+
+
+def test_eval_of_an_hlp_run_ranks_fg_only_by_default(dataset, tmp_path,
+                                                    capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", str(dataset), "--out", str(run),
+                 "--model", "rotate", "--mode", "hlp"] + FAST) == 0
+    capsys.readouterr()
+    ckpt = ["--dataset", str(dataset),
+            "--checkpoint", str(run / "checkpoint.vlpc")]
+    assert main(["eval", "--out", str(tmp_path / "plain")] + ckpt) == 0
+    assert "eval-mode = fg-only" in capsys.readouterr().out
+    assert not list(dataset.glob("refs-*"))  # no aggregator to feed
+    assert main(["eval", "--mode", "fg-only",
+                 "--out", str(tmp_path / "fg")] + ckpt) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "plain" / "report.tsv").read_text()
+            == (tmp_path / "fg" / "report.tsv").read_text())
+
+
+def test_resume_without_repeating_flags_matches_an_uninterrupted_run(
+        dataset, tmp_path, capsys):
+    run = ["train", "--dataset", str(dataset), "--model", "distmult",
+           "--mode", "vlp"] + FAST
+    whole, cut = tmp_path / "whole", tmp_path / "cut"
+    assert main(run + ["--out", str(whole)]) == 0
+    assert main(run + ["--steps", "6", "--out", str(cut)]) == 0
+    # the run's config.txt supplies everything but the new step count
+    assert main(["train", "--steps", "12",
+                 "--resume", str(cut / "checkpoint.vlpc")]) == 0
+    assert "refs = 2" in capsys.readouterr().out
+    assert ((whole / "checkpoint.vlpc").read_bytes()
+            == (cut / "checkpoint.vlpc").read_bytes())
 
 
 def test_eval_rejects_checkpoint_from_other_dataset(dataset, tmp_path,

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from vlpkg import augment_reciprocal, compute_distances, load_dataset, rmp_classify
-from vlpkg.data import (DatasetError, DatasetNotFoundError, FilterIndex,
-                        ParseError, Vocabulary, distance_bucket)
-from vlpkg.synth import kg_from_id_triples, name_triples, write_dataset
+from vlpkg.data import (RMP_CLASSES, RMP_THRESHOLD, DatasetError,
+                        DatasetNotFoundError, FilterIndex, ParseError,
+                        Vocabulary, distance_bucket)
+from vlpkg.synth import (compositional_graph, kg_from_id_triples, name_triples,
+                         random_graph, write_dataset)
 
 
 def _write(tmp_path, train, valid=(), test=()):
@@ -166,6 +168,38 @@ def test_rmp_relation_without_training_triples_is_one_to_one():
     # r1 has no training pairs and neither does its mirror: default 1-1
     assert classes[1] == "1-1"
     assert classes[3] == "1-1"
+
+
+def _rmp_oracle(kg):
+    """The per-relation loop ``rmp_classify`` replaced."""
+    classes = {}
+    for r in range(kg.n_relations):
+        pairs = kg.relation_pairs(r)
+        if len(pairs) == 0:
+            classes[r] = "1-1"
+            continue
+        tph = len(pairs) / len(np.unique(pairs[:, 0]))
+        hpt = len(pairs) / len(np.unique(pairs[:, 1]))
+        classes[r] = RMP_CLASSES[2 * (hpt >= RMP_THRESHOLD)
+                                 + (tph >= RMP_THRESHOLD)]
+    return classes
+
+
+@pytest.mark.parametrize("graph", [
+    lambda: random_graph(300, 7, 1500, 40, 40, seed=3),
+    lambda: random_graph(40, 4, 300, 10, 10, seed=3),  # every relation N-N
+    lambda: compositional_graph(n_clusters=5, cluster_size=5, seed=1),
+    lambda: kg_from_id_triples(6, 3, [(0, 0, 1), (0, 0, 2), (3, 0, 4)],
+                               valid=[(0, 2, 1)]),
+], ids=["random", "dense", "compositional", "empty-relation"])
+@pytest.mark.parametrize("reciprocal", [False, True])
+def test_rmp_classify_matches_the_per_relation_loop(graph, reciprocal):
+    kg = graph()
+    if reciprocal:
+        kg = augment_reciprocal(kg)
+    classes = rmp_classify(kg)
+    assert classes == _rmp_oracle(kg)
+    assert rmp_classify(kg) is classes  # computed once per graph
 
 
 def test_distance_buckets():

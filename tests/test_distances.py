@@ -1,10 +1,11 @@
 import copy
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from vlpkg import compute_distances, fnv1a64, hash_file
+from vlpkg import compute_distances, hash_file
 from vlpkg.distances import CacheError, DistanceIndex
 from vlpkg.models import ModelKind, init_parameters, save_checkpoint
 from vlpkg.synth import kg_from_id_triples
@@ -160,15 +161,20 @@ def test_a_save_that_raises_partway_keeps_the_previous_file(tmp_path):
     assert sorted(tmp_path.iterdir()) == sorted(before)  # no temp file left
 
 
-def test_fnv1a64_known_vectors():
-    # standard 64-bit FNV-1a reference values
-    assert fnv1a64(b"") == 0xCBF29CE484222325
-    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a64(b"foobar") == 0x85944171F73967E8
+def test_hash_file_known_vectors(tmp_path):
+    # 64-bit BLAKE2b digests (``b2sum -l 64``), read as little-endian ints
+    path = tmp_path / "blob"
+    for payload, expected in [(b"", 0xB4B2797457A0A6E4),
+                              (b"a", 0x2F42665B399EF840),
+                              (b"foobar", 0xF9514A257F2F219D)]:
+        path.write_bytes(payload)
+        assert hash_file(path) == expected
 
 
 def test_hash_file_streams_whole_content(tmp_path):
     path = tmp_path / "blob"
     payload = b"0\tr\t1\n" * 1000
     path.write_bytes(payload)
-    assert hash_file(path) == fnv1a64(payload)
+    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    for chunk_size in (7, 1 << 20):
+        assert hash_file(path, chunk_size) == int.from_bytes(digest, "little")

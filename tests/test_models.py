@@ -7,8 +7,9 @@ import pytest
 from vlpkg import (ModelKind, grad_fg, init_parameters, load_checkpoint,
                    save_checkpoint, score_fg, score_fg_all)
 from vlpkg.distances import CacheError
-from vlpkg.models import (NORMS, entity_width, is_distance_kind, pair_scores,
-                          query_batch, relation_width)
+from vlpkg.models import (NORMS, check_fits, entity_width, is_distance_kind,
+                          pair_scores, query_batch, relation_width)
+from vlpkg.synth import kg_from_id_triples
 
 KINDS = list(ModelKind)
 
@@ -175,6 +176,32 @@ def test_checkpoint_records_the_norm(tmp_path, caplog):
     path.write_bytes(blob[:end] + bytes([len(NORMS)]) + blob[end + 1:])
     with pytest.raises(CacheError, match="norm"):
         load_checkpoint(path)
+
+
+def test_format2_checkpoint_loads_with_an_unknown_train_hash(tmp_path,
+                                                              caplog):
+    store = _store(ModelKind.TRANSE, dim=4, n_ent=5, n_rel=2, norm="l1",
+                   dtype=np.float32)
+    m = [np.full_like(a, 0.25) for a in store.param_arrays()]
+    path = tmp_path / "model.vlpc"
+    save_checkpoint(path, store, (m, m), step=7, train_hash=99)
+    # format 2: the same layout, but its train hash predates BLAKE2b
+    blob = path.read_bytes()
+    old = tmp_path / "v2.vlpc"
+    old.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+    with caplog.at_level(logging.WARNING):
+        loaded, (m2, v2), step, train_hash = load_checkpoint(old)
+    assert "predates BLAKE2b" in caplog.text
+    assert (train_hash, step, loaded.norm) == (0, 7, "l1")
+    for a, b in zip(store.param_arrays() + m + m,
+                    loaded.param_arrays() + m2 + v2):
+        assert np.array_equal(a, b)
+    # the unknown hash is not compared; the entity and relation counts are
+    check_fits(loaded, train_hash, kg_from_id_triples(5, 2, [(0, 0, 1)]), 12)
+    for n_ent, n_rel in [(6, 2), (5, 3)]:
+        with pytest.raises(ValueError, match="entities"):
+            check_fits(loaded, train_hash,
+                       kg_from_id_triples(n_ent, n_rel, [(0, 0, 1)]), 12)
 
 
 # rotate d = 8 has 16-wide entity vectors and aggregator, so 36 * 16 bytes
