@@ -91,8 +91,6 @@ class KnowledgeGraph:
         # valid/test names absent from train; kept and ranked normally
         self.unknown_entities = tuple(unknown_entities)
         self.unknown_relations = tuple(unknown_relations)
-        self._rel_pairs = None
-        self._head_freq = None
         self._rmp = None
 
     @property
@@ -101,8 +99,7 @@ class KnowledgeGraph:
 
     @property
     def n_relations(self):
-        n = self.vocab.n_relations
-        return n  # vocab already contains reciprocal names when augmented
+        return self.vocab.n_relations  # reciprocal names included if augmented
 
     def split(self, name):
         try:
@@ -111,33 +108,22 @@ class KnowledgeGraph:
             raise ValueError(f"unknown split {name!r}") from None
 
     def relation_pairs(self, relation):
-        """Training (head, tail) pairs of one relation, sorted by (head, tail)."""
-        if self._rel_pairs is None:
-            pairs = {}
-            tr = self.train
-            order = np.lexsort((tr[:, 2], tr[:, 0], tr[:, 1]))
-            tr = tr[order]
-            bounds = np.searchsorted(tr[:, 1], np.arange(self.n_relations + 1))
-            for r in range(self.n_relations):
-                pairs[r] = np.ascontiguousarray(tr[bounds[r]:bounds[r + 1]][:, [0, 2]])
-            self._rel_pairs = pairs
-        return self._rel_pairs[relation]
+        """Training (head, tail) pairs of one relation; sorted, as train is."""
+        return self.train[self.train[:, 1] == relation][:, [0, 2]]
 
     def entity_frequency(self):
         """Occurrences of each entity in training triples (head or tail)."""
-        if self._head_freq is None:
-            counts = np.bincount(self.train[:, 0], minlength=self.n_entities)
-            counts += np.bincount(self.train[:, 2], minlength=self.n_entities)
-            self._head_freq = counts
-        return self._head_freq
+        return np.bincount(self.train[:, [0, 2]].ravel(),
+                           minlength=self.n_entities)
 
-    def undirected_edges(self):
-        """Deduplicated undirected relation-agnostic training edges (m, 2)."""
-        tr = self.train
-        lo = np.minimum(tr[:, 0], tr[:, 2])
-        hi = np.maximum(tr[:, 0], tr[:, 2])
-        edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
-        return edges
+
+def unique_rows(arr):
+    """Distinct rows of a 2-D integer array in lexicographic order: the rows
+    sorted, each kept if it differs from the one before it."""
+    arr = arr[np.lexsort(arr.T[::-1])]
+    keep = np.ones(len(arr), dtype=bool)
+    keep[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+    return arr[keep]
 
 
 def _as_triple_array(triples):
@@ -146,8 +132,7 @@ def _as_triple_array(triples):
         return arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("triples must be an (n, 3) array")
-    arr = np.unique(arr, axis=0)
-    return arr
+    return unique_rows(arr)
 
 
 def _read_split(path):
@@ -228,9 +213,12 @@ def augment_reciprocal(kg):
     if kg.reciprocal:
         raise DatasetError("graph is already reciprocal-augmented")
     n_rel = kg.vocab.n_relations
-    names = kg.vocab.relation_names + tuple(
-        f"{name}{RECIPROCAL_SUFFIX}" for name in kg.vocab.relation_names
-    )
+    mirrored = tuple(f"{name}{RECIPROCAL_SUFFIX}"
+                     for name in kg.vocab.relation_names)
+    clash = sorted(set(mirrored) & set(kg.vocab.relation_names))
+    if clash:
+        raise DatasetError(f"reciprocal relation names already in use: {clash}")
+    names = kg.vocab.relation_names + mirrored
     vocab = Vocabulary(
         entity_names=kg.vocab.entity_names,
         relation_names=names,
@@ -266,7 +254,8 @@ class FilterIndex:
         self.n_entities = kg.n_entities
         self.n_relations = kg.n_relations
         h, r, t = np.concatenate([kg.train, kg.valid, kg.test]).T
-        self.codes = np.unique((h * self.n_relations + r) * self.n_entities + t)
+        codes = np.sort((h * self.n_relations + r) * self.n_entities + t)
+        self.codes = codes[np.diff(codes, prepend=-1) > 0]
 
     def tails(self, head, relation):
         base = (int(head) * self.n_relations + int(relation)) * self.n_entities

@@ -26,6 +26,7 @@ from scipy.sparse.csgraph import dijkstra
 logger = logging.getLogger(__name__)
 
 DEFAULT_CAP = 8
+_CHUNK = 512  # sources per dijkstra call
 
 MAGIC = b"VLPD"
 VERSION = 2
@@ -180,8 +181,7 @@ class DistanceIndex:
         return cls(n, cap, indptr, ids, dists, train_hash)
 
 
-def compute_distances(kg, cap=DEFAULT_CAP, threads=1, train_hash=0,
-                      chunk=512):
+def compute_distances(kg, cap=DEFAULT_CAP, threads=1, train_hash=0):
     """Truncated BFS from every entity on the undirected training graph.
 
     Backed by scipy's unweighted shortest-path machinery on a symmetric CSR
@@ -191,17 +191,16 @@ def compute_distances(kg, cap=DEFAULT_CAP, threads=1, train_hash=0,
     if cap < 1 or cap > 255:
         raise ValueError("cap must be in [1, 255]")
     n = kg.n_entities
-    edges = kg.undirected_edges()
-    weights = np.ones(2 * len(edges), dtype=np.int8)
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    graph = csr_matrix((weights, (rows, cols)), shape=(n, n))
+    ends = np.concatenate([kg.train[:, [0, 2]], kg.train[:, [2, 0]]])
+    # repeated pairs sum (up to 2|R| each, so float, not int8); an
+    # unweighted search reads only which entries exist
+    graph = csr_matrix((np.ones(len(ends)), ends.T), shape=(n, n))
 
     row_ids = [None] * n
     row_dists = [None] * n
 
     def run_chunk(start):
-        sources = np.arange(start, min(start + chunk, n))
+        sources = np.arange(start, min(start + _CHUNK, n))
         # limit keeps distances <= cap-1; everything else comes back inf
         dmat = dijkstra(graph, directed=False, unweighted=True,
                         indices=sources, limit=cap - 1)
@@ -213,7 +212,7 @@ def compute_distances(kg, cap=DEFAULT_CAP, threads=1, train_hash=0,
             row_ids[src] = ids[order]
             row_dists[src] = dists[order]
 
-    starts = range(0, n, chunk)
+    starts = range(0, n, _CHUNK)
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_chunk, starts))

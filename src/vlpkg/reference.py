@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import unique_rows
 from .distances import CacheError, read_file, write_file
 from .models import query_batch, query_pullback, score_fg
 
@@ -100,7 +101,7 @@ class ReferenceTable:
 def query_keys(kg):
     """Distinct (h, r) queries over all splits, sorted: a (K, 2) array."""
     triples = np.concatenate([kg.train, kg.valid, kg.test])
-    return np.unique(triples[:, :2], axis=0).astype(np.int64).reshape(-1, 2)
+    return unique_rows(triples[:, :2])
 
 
 def select_references(kg, index, n_refs=DEFAULT_N_REFS, train_hash=0):
@@ -113,7 +114,7 @@ def select_references(kg, index, n_refs=DEFAULT_N_REFS, train_hash=0):
     counts = np.minimum(per_relation[keys[:, 1]], n_refs + 1)
     indptr = np.concatenate(([0], np.cumsum(counts)))
     out = np.empty((indptr[-1], 2), dtype=np.int64)
-    for r in np.unique(keys[:, 1]).tolist():
+    for r in range(kg.n_relations):
         rows = np.flatnonzero(keys[:, 1] == r)
         pairs = kg.relation_pairs(r)
         # tie order within one distance: frequency desc, then h_i, then t_i

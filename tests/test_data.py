@@ -95,6 +95,14 @@ def test_double_augmentation_rejected():
         augment_reciprocal(augment_reciprocal(kg))
 
 
+def test_reciprocal_names_that_collide_are_rejected(tmp_path):
+    # the mirror of "r" would be a second relation named "r^-1", and the
+    # per-relation report would count two relations' queries in one cell
+    kg = load_dataset(_write(tmp_path, [("a", "r", "b"), ("b", "r^-1", "c")]))
+    with pytest.raises(DatasetError, match=r"\^-1"):
+        augment_reciprocal(kg)
+
+
 def test_filter_index_covers_all_splits():
     kg = kg_from_id_triples(5, 1, [(0, 0, 1), (0, 0, 2)], [(0, 0, 3)],
                             [(0, 0, 4)])

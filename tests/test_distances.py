@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from vlpkg import compute_distances, hash_file
+from vlpkg import augment_reciprocal, compute_distances, hash_file
 from vlpkg.distances import CacheError, DistanceIndex
 from vlpkg.models import ModelKind, init_parameters, save_checkpoint
 from vlpkg.synth import kg_from_id_triples
@@ -36,6 +36,20 @@ def test_matches_floyd_warshall_on_random_graphs():
         for source in range(kg.n_entities):
             got = index.distances_from(source)
             assert np.array_equal(got, oracle[source]), f"trial {trial}"
+
+
+def test_repeated_pairs_and_a_self_loop_match_floyd_warshall():
+    """One pair under 128 relations and their reciprocals sums to 256 in the
+    adjacency, which an 8-bit weight wraps to an explicit zero; a self-loop
+    adds a diagonal entry."""
+    chain = [(1, 0, 2), (2, 1, 3), (3, 2, 4), (5, 3, 6)]
+    triples = [(0, r, 1) for r in range(128)] + chain + [(4, 4, 4)]
+    kg = augment_reciprocal(kg_from_id_triples(8, 128, triples))
+    edges = [(int(h), int(t)) for h, _, t in kg.train]
+    for cap in (2, 4, 8):
+        index = compute_distances(kg, cap=cap)
+        oracle = floyd_warshall(kg.n_entities, edges, cap)
+        assert np.array_equal(index.distances_from(np.arange(8)), oracle)
 
 
 def test_single_pair_distance_agrees_with_dense_row():

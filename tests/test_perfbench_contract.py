@@ -72,7 +72,7 @@ def test_report_exposes_what_the_runner_reads():
     assert all(isinstance(x, float) and math.isfinite(x) for x in baseline)
 
 
-@pytest.mark.parametrize("name", ["rand5k-vlp", "rand5k-hlp"])
+@pytest.mark.parametrize("name", ["rand5k-vlp", "rand5k-hlp", "comp-vlp"])
 def test_caches_pass_the_runners_reload_check(runner, tmp_path, name):
     # the correctness gate the benchmark applies to both cache loaders
     bench = runner.Run(runner.WORKLOADS[name],
