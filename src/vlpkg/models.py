@@ -222,14 +222,26 @@ def query_pullback(store, h_ids, r_ids, upstream):
     return dh, ur * (-qi) + ui * qr
 
 
-def pair_scores(store, q, k):
-    """Similarity along the last axis of broadcast-compatible q and k."""
-    if is_distance_kind(store.kind):
-        delta = k - q
-        if store.kind == ModelKind.TRANSE and store.norm == "l1":
-            return -np.abs(delta).sum(axis=-1)
-        return -np.sqrt((delta * delta).sum(axis=-1))
-    return (q * k).sum(axis=-1)
+def pair_scores(store, q, k, direction=False):
+    """Similarity along the last axis of broadcast-compatible q and k.
+
+    With ``direction=True`` returns (scores, g): for a distance model g is
+    d score / d k, the unit vector -delta / |delta| (-sign(delta) for l1,
+    0 at delta == 0), which ``pair_score_pullback`` takes in place of
+    recomputing it; for a dot model g is None.
+    """
+    if not is_distance_kind(store.kind):
+        s = (q * k).sum(axis=-1)
+        return (s, None) if direction else s
+    delta = k - q
+    if store.kind == ModelKind.TRANSE and store.norm == "l1":
+        s = -np.abs(delta).sum(axis=-1)
+        return (s, -np.sign(delta)) if direction else s
+    n = np.sqrt((delta * delta).sum(axis=-1))
+    if not direction:
+        return -n
+    np.divide(delta, -np.where(n > 0, n, 1.0)[..., None], out=delta)
+    return -n, delta
 
 
 def score_fg(store, h, r, t):
@@ -246,24 +258,29 @@ def score_fg_all(store, h, r):
     return pair_scores(store, query_batch(store, h, r), store.entities)
 
 
-def pair_score_pullback(store, q, k, upstream):
+def pair_score_pullback(store, q, k, upstream, direction=None):
     """Gradient of ``upstream * pair_scores(q, k)`` wrt q and k.
 
-    upstream broadcasts against the score shape; returns (dq, dk) shaped like
-    q and k. The distance gradient at delta == 0 uses the zero subgradient.
+    q and k have one rank and upstream broadcasts against the score shape;
+    returns (dq, dk): dk is shaped like the broadcast of q and k, dq is
+    summed back to q's shape. A distance model takes the ``direction``
+    that ``pair_scores(..., direction=True)`` returned, and then reads
+    only q's shape and not k; without it, it computes the direction anew.
     """
     u = np.asarray(upstream)[..., None]
-    if is_distance_kind(store.kind):
-        delta = k - q
-        if store.kind == ModelKind.TRANSE and store.norm == "l1":
-            g = -np.sign(delta)
-        else:
-            n = np.sqrt((delta * delta).sum(axis=-1, keepdims=True))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                g = np.where(n > 0, -delta / np.where(n > 0, n, 1), 0.0)
-        dk = u * g
-        return -dk, dk
-    return u * k, u * q
+    if not is_distance_kind(store.kind):
+        return _sum_to(u * k, np.shape(q)), u * q
+    if direction is None:
+        direction = pair_scores(store, q, k, direction=True)[1]
+    dk = u * direction
+    return -_sum_to(dk, np.shape(q)), dk
+
+
+def _sum_to(x, shape):
+    """``x`` summed over the axes on which broadcasting stretched ``shape``,
+    an array shape of the same rank."""
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and x.shape[i] > 1)
+    return x.sum(axis=axes, keepdims=True)
 
 
 @dataclass

@@ -216,15 +216,17 @@ def aggregate_pullback(store, cache, d_t_prime, buf):
     d_z = d_pre @ agg.w_agg
     d_q = d_z[:, d_k:].copy()
     d_msg = (d_z[:, :d_k] / cache.denom[:, None])[:, None, :] * cache.mask[..., None]
-    buf.add_dense(2, np.einsum("bna,bnk->ak", d_msg, cache.k_refs))
-    buf.add_dense(3, np.einsum("bna,bnk->ak", d_msg, cache.s_refs))
+    # 2-D GEMMs: numpy runs a 3-D @ 2-D matmul as one small GEMM per row
+    flat = d_msg.reshape(-1, d_k)
+    buf.add_dense(2, flat.T @ cache.k_refs.reshape(-1, d_k))
+    buf.add_dense(3, flat.T @ cache.s_refs.reshape(-1, d_k))
     buf.add_dense(4, d_pre.T @ cache.z)
-    d_s_refs = d_msg @ agg.w_edge
+    d_s_refs = (flat @ agg.w_edge).reshape(d_msg.shape)
     d_q += d_s_refs.sum(axis=1)
     d_h_refs, d_r_refs = query_pullback(store, cache.ref_h, cache.r_full,
                                         -d_s_refs)
     live = cache.mask > 0
-    buf.add_entities(cache.ref_t[live], (d_msg @ agg.w_node)[live])
+    buf.add_entities(cache.ref_t[live], d_msg[live] @ agg.w_node)
     buf.add_entities(cache.ref_h[live], d_h_refs[live])
     buf.add_relations(cache.r_full[live], d_r_refs[live])
     return d_q

@@ -9,9 +9,13 @@ same positive triple,
 
 L1 is the cross-entropy of the softmax over cosine scores of all entities;
 L2 is the margin sigmoid loss over drawn negatives, weighted by detached
-post-sampling weights. Both are computed in 32-bit parameters with 64-bit
-loss accumulation, and every gradient here is hand-derived and checked
-against central finite differences in the test suite.
+post-sampling weights. Both read scores in the parameters' dtype (float32
+by default) and accumulate their values and softmax/sigmoid terms in
+float64; their gradients are added back in the parameters' dtype. Every
+gradient here is hand-derived and checked against central finite
+differences in the test suite. Adam keeps its moments in the parameters'
+dtype and updates parameters and moments in place in that dtype, with no
+float64 round trip.
 
 A step draws its negatives, then splits the batch into one chunk per
 thread. A chunk runs one ``forward``: q, f_g of the candidates [t | negatives]
@@ -34,7 +38,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, log_expit, logsumexp
+from scipy.sparse import csr_matrix
+from scipy.special import expit, log_expit
 
 from . import data, evaluation  # looked up per call: callers may patch them
 from .models import (check_fits, init_parameters, pair_score_pullback,
@@ -87,10 +92,25 @@ class GradBuffer:
                         for a in store.param_arrays()]
 
     def add_rows(self, i, ids, rows):
-        """Scatter-add ``rows`` into the rows ``ids`` of parameter ``i``."""
+        """Scatter-add ``rows`` into the rows ``ids`` of parameter ``i``.
+
+        One sparse (distinct ids x len(ids)) product sums each id's rows in
+        the order given; the sums are then added to the parameter's rows.
+        """
         ids = np.asarray(ids).reshape(-1)
-        np.add.at(self.grads[i], ids, rows.reshape(-1, rows.shape[-1]))
-        self.touched[i][ids] = True
+        grad, touched = self.grads[i], self.touched[i]
+        present = np.bincount(ids, minlength=len(grad)) > 0
+        distinct = np.flatnonzero(present)
+        slot = np.cumsum(present) - 1  # id -> its row of the product
+        gather = csr_matrix((np.ones(len(ids), dtype=rows.dtype),
+                             (slot[ids], np.arange(len(ids)))),
+                            shape=(len(distinct), len(ids)))
+        sums = gather @ rows.reshape(len(ids), rows.shape[-1])
+        if len(distinct) == len(grad):
+            grad += sums  # every row: no gather and write-back
+        else:
+            grad[distinct] += sums
+        touched |= present
 
     def add_entities(self, ids, rows):
         self.add_rows(0, ids, rows)
@@ -111,7 +131,10 @@ class GradBuffer:
 
 
 def adam_apply(store, adam, buf, lr):
-    """One bias-corrected Adam update restricted to touched rows."""
+    """One bias-corrected Adam update restricted to touched rows, in place
+    and in each parameter's dtype. An array with at least half its rows
+    touched is updated whole and its untouched rows are put back; otherwise
+    its touched rows are gathered, updated and written back."""
     adam.step += 1
     t = adam.step
     c1 = 1.0 - BETA1 ** t
@@ -119,15 +142,32 @@ def adam_apply(store, adam, buf, lr):
     for param, grad, touched, m_arr, v_arr in zip(
             store.param_arrays(), buf.grads, buf.touched, adam.m, adam.v):
         rows = np.flatnonzero(touched)
-        if len(rows) == 0:
-            continue
-        g = grad[rows].astype(np.float64)
-        m = BETA1 * m_arr[rows].astype(np.float64) + (1.0 - BETA1) * g
-        v = BETA2 * v_arr[rows].astype(np.float64) + (1.0 - BETA2) * g * g
-        update = lr * (m / c1) / (np.sqrt(v / c2) + EPS)
-        param[rows] = (param[rows].astype(np.float64) - update).astype(param.dtype)
-        m_arr[rows] = m.astype(m_arr.dtype)
-        v_arr[rows] = v.astype(v_arr.dtype)
+        if 2 * len(rows) >= len(touched):
+            rest = np.flatnonzero(~touched)
+            kept = param[rest], m_arr[rest], v_arr[rest]
+            _adam_update(param, grad, m_arr, v_arr, lr, c1, c2)
+            param[rest], m_arr[rest], v_arr[rest] = kept
+        elif len(rows):
+            p, m, v = param[rows], m_arr[rows], v_arr[rows]
+            _adam_update(p, grad[rows], m, v, lr, c1, c2)
+            param[rows], m_arr[rows], v_arr[rows] = p, m, v
+
+
+def _adam_update(p, g, m, v, lr, c1, c2):
+    """Adam's update of the moments ``m``, ``v`` and of ``p``, in place."""
+    step = g * (1.0 - BETA1)
+    m *= BETA1
+    m += step
+    np.multiply(g, g, out=step)
+    step *= 1.0 - BETA2
+    v *= BETA2
+    v += step
+    np.divide(v, c2, out=step)
+    np.sqrt(step, out=step)
+    step += EPS
+    np.divide(m, step, out=step)
+    step *= lr / c1
+    p -= step
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +183,16 @@ class Forward:
     r: np.ndarray
     cand: np.ndarray     # (B, 1 + l) ids: the gold tail, then the negatives
     q: np.ndarray        # (B, d_k) query vectors
-    k: np.ndarray        # (B, 1 + l, d_k) candidate embeddings
+    k: np.ndarray        # (B, 1 + l, d_k) candidate embeddings (dot models)
+    direction: np.ndarray  # or d f_g / d k (distance models); the other: None
     fg: np.ndarray       # (B, 1 + l) f_g(h, r, cand)
     d_fg: np.ndarray
     agg: object = None   # AggCache of t'
     cos: np.ndarray = None     # (B, n_entities) cos(t', every entity)
     fc: np.ndarray = None      # (B, 1 + l) its cand columns: f_c
     d_cos: np.ndarray = None
+    inv_tn: np.ndarray = None  # (B,) 1 / |t'|
+    inv_en: np.ndarray = None  # (n_entities,) 1 / |entity|
 
 
 def _inv_norms(x):
@@ -165,13 +208,17 @@ def forward(store, table, batch, negatives, vlp):
     cand = np.concatenate([t[:, None], negatives], axis=1)
     q = query_batch(store, h, r)
     k = store.entities[cand]
-    fg = pair_scores(store, q[:, None, :], k)
-    fwd = Forward(h, r, cand, q, k, fg, np.zeros_like(fg))
+    fg, direction = pair_scores(store, q[:, None, :], k, direction=True)
+    fwd = Forward(h, r, cand, q, None if direction is not None else k,
+                  direction, fg, np.zeros_like(fg))
     if vlp:
         ref_h, ref_t, mask = gather_references(table, h, r, exclude_tails=t)
         t_prime, fwd.agg = aggregate_batch(store, q, r, ref_h, ref_t, mask)
-        inv_tn, inv_en = _inv_norms(t_prime), _inv_norms(store.entities)
-        fwd.cos = (t_prime @ store.entities.T) * inv_tn[:, None] * inv_en
+        fwd.inv_tn = _inv_norms(t_prime)
+        fwd.inv_en = _inv_norms(store.entities)
+        fwd.cos = t_prime @ store.entities.T
+        fwd.cos *= fwd.inv_tn[:, None]
+        fwd.cos *= fwd.inv_en
         fwd.fc = np.take_along_axis(fwd.cos, cand, axis=1)
         fwd.d_cos = np.zeros_like(fwd.cos)
     return fwd
@@ -189,16 +236,18 @@ def postweight_scores(fwd, lam, score="fg"):
 def loss_l1(fwd, normalizer=None):
     """Cross-entropy of the softmax over the all-entity cosines (vlp only),
     summed over the chunk and divided by ``normalizer`` (default: its size);
-    adds its gradient to ``fwd.d_cos``."""
+    adds its gradient to ``fwd.d_cos``. One exp: shift by the row maximum,
+    exponentiate, sum and divide, all in float64."""
     rows, t = np.arange(len(fwd.cand)), fwd.cand[:, 0]
     n = len(rows) if normalizer is None else normalizer
     p = fwd.cos.astype(np.float64)
-    lse = logsumexp(p, axis=1)
-    value = float((lse - p[rows, t]).sum() / n)
-    p -= lse[:, None]
+    top = p.max(axis=1)
+    p -= top[:, None]
     np.exp(p, out=p)
-    p[rows, t] -= 1.0
-    p *= 1.0 / n
+    total = p.sum(axis=1)
+    value = float((np.log(total) + top - fwd.cos[rows, t]).sum() / n)
+    p *= (1.0 / (total * n))[:, None]
+    p[rows, t] -= 1.0 / n
     fwd.d_cos += p
     return value
 
@@ -207,8 +256,9 @@ def loss_l2(fwd, post_w, gamma, lam, scale=1.0, normalizer=None):
     """Margin sigmoid loss over the drawn negatives, weighted by the (B, l)
     constants ``post_w``, on f = f_c + lam * f_g (vlp) or f_g (hlp).
 
-    Adds ``scale`` times its gradient to ``fwd.d_fg`` and, in vlp mode,
-    scatter-adds it to ``fwd.d_cos``: a row may draw a negative twice.
+    Adds ``scale`` times its gradient to ``fwd.d_fg`` and, in vlp mode, to
+    ``fwd.d_cos``: a row may draw a negative twice, so a row's entries for
+    one entity are summed before they are added.
     """
     b = len(fwd.cand)
     n = b if normalizer is None else normalizer
@@ -223,18 +273,24 @@ def loss_l2(fwd, post_w, gamma, lam, scale=1.0, normalizer=None):
         fwd.d_fg += d_f
     else:
         fwd.d_fg += d_f * d_f.dtype.type(lam)
-        np.add.at(fwd.d_cos, (np.arange(b)[:, None], fwd.cand), d_f)
+        per_row = csr_matrix((d_f.ravel(), fwd.cand.ravel(),
+                              np.arange(0, d_f.size + 1, d_f.shape[1])),
+                             shape=fwd.d_cos.shape, copy=True)
+        per_row.sum_duplicates()  # sorts and sums in place, hence the copy
+        rows = np.repeat(np.arange(b), np.diff(per_row.indptr))
+        fwd.d_cos[rows, per_row.indices] += per_row.data
     return value
 
 
 def backward(store, fwd, buf):
     """Chain the upstream gradients in ``fwd`` to the parameters in ``buf``."""
-    d_q, d_k = pair_score_pullback(store, fwd.q[:, None, :], fwd.k, fwd.d_fg)
-    d_q = d_q.sum(axis=1)
+    d_q, d_k = pair_score_pullback(store, fwd.q[:, None, :], fwd.k, fwd.d_fg,
+                                   fwd.direction)
+    d_q = d_q[:, 0]
     buf.add_entities(fwd.cand, d_k)
     if fwd.cos is not None:
         t_prime, ents = fwd.agg.t_prime, store.entities
-        inv_tn, inv_en = _inv_norms(t_prime), _inv_norms(ents)
+        inv_tn, inv_en = fwd.inv_tn, fwd.inv_en
         gc = fwd.d_cos * fwd.cos
         gi = fwd.d_cos * inv_tn[:, None]
         gi *= inv_en

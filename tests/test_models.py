@@ -8,7 +8,8 @@ from vlpkg import (ModelKind, grad_fg, init_parameters, load_checkpoint,
                    save_checkpoint, score_fg, score_fg_all)
 from vlpkg.distances import CacheError
 from vlpkg.models import (NORMS, check_fits, entity_width, is_distance_kind,
-                          pair_scores, query_batch, relation_width)
+                          pair_score_pullback, pair_scores, query_batch,
+                          relation_width)
 from vlpkg.synth import kg_from_id_triples
 
 KINDS = list(ModelKind)
@@ -102,6 +103,47 @@ def test_pair_scores_broadcasts_like_singles():
         for j in range(2):
             want = score_fg(store, int(h_ids[i]), int(r_ids[i]), int(neg[i, j]))
             assert got[i, j] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, norm", [
+    (ModelKind.TRANSE, "l1"), (ModelKind.TRANSE, "l2"),
+    (ModelKind.ROTATE, "l2"), (ModelKind.DISTMULT, "l2"),
+    (ModelKind.COMPLEX, "l2")])
+def test_pullback_from_the_forward_direction_equals_from_scratch(kind, norm):
+    """The direction pair_scores hands over gives pair_score_pullback's
+    from-scratch gradient; one pair has k == q, whose distance gradient is
+    the zero subgradient."""
+    store = _store(kind, n_ent=8, norm=norm)
+    q = query_batch(store, np.array([0, 3, 5]), np.array([1, 0, 2]))[:, None]
+    k = store.entities[np.array([[1, 2, 2, 4], [4, 6, 0, 3], [0, 7, 5, 1]])]
+    k[1, 2] = q[1, 0]
+    u = np.random.default_rng(6).normal(size=k.shape[:2])
+    scores, direction = pair_scores(store, q, k, direction=True)
+    assert np.array_equal(scores, pair_scores(store, q, k))
+    assert (direction is None) != is_distance_kind(kind)
+    # with a direction the pullback reads neither q nor k
+    cached = (pair_score_pullback(store, q, None, u, direction)
+              if direction is not None else
+              pair_score_pullback(store, q, k, u))
+    scratch = pair_score_pullback(store, q, k, u)
+    for got, want in zip(cached, scratch):
+        assert np.array_equal(got, want)
+    d_q, d_k = scratch
+    assert d_q.shape == q.shape and d_k.shape == k.shape
+    delta = k - q
+    if not is_distance_kind(kind):
+        want_k = u[..., None] * q
+    elif norm == "l1":
+        want_k = -u[..., None] * np.sign(delta)
+    else:
+        norms = np.linalg.norm(delta, axis=-1, keepdims=True)
+        want_k = -u[..., None] * delta / np.where(norms > 0, norms, 1.0)
+    if is_distance_kind(kind):
+        assert not d_k[1, 2].any()
+    np.testing.assert_allclose(d_k, want_k, rtol=1e-12, atol=1e-15)
+    want_q = ((u[..., None] * k) if not is_distance_kind(kind)
+              else -want_k).sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(d_q, want_q, rtol=1e-12, atol=1e-15)
 
 
 def test_init_is_seed_deterministic():

@@ -128,6 +128,33 @@ def test_l2_loss_matches_direct_formula():
         assert got == pytest.approx(want, rel=1e-10), mode
 
 
+def test_l2_adds_both_draws_of_a_repeated_negative_to_d_cos():
+    """A row that draws one negative twice (and its own gold tail once)
+    gets every draw's gradient in d_cos, as a per-element loop adds them."""
+    from scipy.special import expit
+
+    kg, table, store = _setup(ModelKind.ROTATE)
+    gamma, lam, scale = 2.0, 0.4, 0.7
+    batch = kg.train[:3]
+    neg = np.array([[4, 4, 1], [2, 7, 3], [int(batch[2, 2]), 0, 0]])
+    w = np.random.default_rng(5).uniform(0.1, 1.0, size=neg.shape)
+    fwd = forward(store, table, batch, neg, True)
+    cand = fwd.cand.copy()
+    loss_l2(fwd, w, gamma, lam, scale=scale)
+    assert np.array_equal(fwd.cand, cand)
+    f = fwd.fc + lam * fwd.fg
+    want = np.zeros_like(fwd.d_cos)
+    for i in range(len(batch)):
+        want[i, fwd.cand[i, 0]] -= expit(-(f[i, 0] + gamma)) * scale / 3
+        for j in range(neg.shape[1]):
+            want[i, neg[i, j]] += (w[i, j] * expit(f[i, j + 1] + gamma)
+                                   * scale / 3)
+    np.testing.assert_allclose(fwd.d_cos, want, rtol=1e-12, atol=1e-15)
+    assert fwd.d_cos[0, 4] == pytest.approx(
+        (w[0, 0] * expit(f[0, 1] + gamma) + w[0, 1] * expit(f[0, 2] + gamma))
+        * scale / 3, rel=1e-12)
+
+
 def test_adam_matches_reference_implementation():
     store = init_parameters(ModelKind.DISTMULT, 3, 4, 2, seed=0,
                             dtype=np.float64)
@@ -153,6 +180,81 @@ def test_adam_matches_reference_implementation():
             p -= lr * mhat / (np.sqrt(vhat) + EPS)
     for got, want in zip(store.param_arrays(), ref_params):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+def test_float32_adam_matches_reference_on_touched_rows():
+    """The in-place float32 update follows the float64 reference loop on
+    the touched rows; untouched rows and their moments keep their bits."""
+    store = init_parameters(ModelKind.DISTMULT, 3, 6, 4, seed=0)
+    assert store.dtype == np.float32
+    adam = AdamState.zeros(store)
+    rng = np.random.default_rng(3)
+    ref_params = [a.astype(np.float64) for a in store.param_arrays()]
+    ref_m = [np.zeros_like(a) for a in ref_params]
+    ref_v = [np.zeros_like(a) for a in ref_params]
+    # per step: entities 2 of 6 rows (gathered), relations 3 of 4 (updated
+    # whole, the fourth put back), w_node whole, w_edge and w_agg not at
+    # all; rows touched at one step sit out the next with nonzero moments
+    schedule = [[np.array([5, 2]), np.array([3, 0, 1]), np.arange(3), [], []],
+                [np.array([2, 0]), np.array([2, 3, 1]), np.arange(3), [], []]]
+    lr = 0.05
+    for t in range(1, 6):
+        touched = schedule[t % 2]
+        grads = [rng.normal(size=(len(rows), a.shape[1])).astype(np.float32)
+                 for rows, a in zip(touched, ref_params)]
+        buf = GradBuffer(store)
+        buf.add_entities(touched[0], grads[0])
+        buf.add_relations(touched[1], grads[1])
+        buf.add_dense(2, grads[2])
+        before = [a.copy() for a in store.param_arrays() + adam.m + adam.v]
+        adam_apply(store, adam, buf, lr)
+        for got, was, rows in zip(store.param_arrays() + adam.m + adam.v,
+                                  before, touched * 3):
+            kept = np.setdiff1d(np.arange(len(was)), rows)
+            assert np.array_equal(got[kept], was[kept])
+        for p, m, v, g, rows in zip(ref_params, ref_m, ref_v, grads, touched):
+            m[rows] = BETA1 * m[rows] + (1 - BETA1) * g
+            v[rows] = BETA2 * v[rows] + (1 - BETA2) * g * g
+            mhat = m[rows] / (1 - BETA1 ** t)
+            vhat = v[rows] / (1 - BETA2 ** t)
+            p[rows] -= lr * mhat / (np.sqrt(vhat) + EPS)
+    for got, want in zip(store.param_arrays() + adam.m + adam.v,
+                         ref_params + ref_m + ref_v):
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+    assert not adam.m[3].any() and not adam.v[4].any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scatter_equals_np_add_at_bit_for_bit(dtype):
+    """From a zero buffer the sparse-product scatter sums each id's rows in
+    the order given, as np.add.at (kept here as the oracle) does."""
+    store = init_parameters(ModelKind.ROTATE, 4, 12, 3, seed=0, dtype=dtype)
+    rng = np.random.default_rng(4)
+    buf = GradBuffer(store)
+    want = [np.zeros_like(a) for a in store.param_arrays()]
+    want_touched = [np.zeros(len(a), dtype=bool) for a in want]
+    added = []
+    for i, add in ((0, buf.add_entities), (1, buf.add_relations)):
+        n, d = want[i].shape
+        ids = rng.integers(n, size=(7, 5))  # repeated, in no order
+        rows = rng.normal(scale=10.0 ** rng.integers(-3, 4, size=(7, 5, 1)),
+                          size=(7, 5, d)).astype(dtype)
+        assert len(np.unique(ids)) < ids.size
+        add(ids, rows)
+        np.add.at(want[i], ids.reshape(-1), rows.reshape(-1, d))
+        want_touched[i][ids.reshape(-1)] = True
+        add(ids[:0], rows[:0])  # an empty id set adds nothing
+        added.append((ids, rows))
+    for got, expect in zip(buf.grads, want):
+        assert got.dtype == dtype
+        assert np.array_equal(got, expect)
+    for got, expect in zip(buf.touched, want_touched):
+        np.testing.assert_array_equal(got, expect)
+    # a second scatter of the same rows adds the same sums: exactly twice
+    for i, add in ((0, buf.add_entities), (1, buf.add_relations)):
+        add(*added[i])
+        assert np.array_equal(buf.grads[i], 2 * want[i])
 
 
 def test_untouched_rows_stay_bit_identical():
