@@ -105,11 +105,7 @@ class GradBuffer:
         gather = csr_matrix((np.ones(len(ids), dtype=rows.dtype),
                              (slot[ids], np.arange(len(ids)))),
                             shape=(len(distinct), len(ids)))
-        sums = gather @ rows.reshape(len(ids), rows.shape[-1])
-        if len(distinct) == len(grad):
-            grad += sums  # every row: no gather and write-back
-        else:
-            grad[distinct] += sums
+        grad[distinct] += gather @ rows.reshape(len(ids), rows.shape[-1])
         touched |= present
 
     def add_entities(self, ids, rows):
@@ -132,42 +128,30 @@ class GradBuffer:
 
 def adam_apply(store, adam, buf, lr):
     """One bias-corrected Adam update restricted to touched rows, in place
-    and in each parameter's dtype. An array with at least half its rows
-    touched is updated whole and its untouched rows are put back; otherwise
-    its touched rows are gathered, updated and written back."""
+    and in each parameter's dtype: each array is updated whole, then its
+    untouched rows are put back."""
     adam.step += 1
     t = adam.step
     c1 = 1.0 - BETA1 ** t
     c2 = 1.0 - BETA2 ** t
     for param, grad, touched, m_arr, v_arr in zip(
             store.param_arrays(), buf.grads, buf.touched, adam.m, adam.v):
-        rows = np.flatnonzero(touched)
-        if 2 * len(rows) >= len(touched):
-            rest = np.flatnonzero(~touched)
-            kept = param[rest], m_arr[rest], v_arr[rest]
-            _adam_update(param, grad, m_arr, v_arr, lr, c1, c2)
-            param[rest], m_arr[rest], v_arr[rest] = kept
-        elif len(rows):
-            p, m, v = param[rows], m_arr[rows], v_arr[rows]
-            _adam_update(p, grad[rows], m, v, lr, c1, c2)
-            param[rows], m_arr[rows], v_arr[rows] = p, m, v
-
-
-def _adam_update(p, g, m, v, lr, c1, c2):
-    """Adam's update of the moments ``m``, ``v`` and of ``p``, in place."""
-    step = g * (1.0 - BETA1)
-    m *= BETA1
-    m += step
-    np.multiply(g, g, out=step)
-    step *= 1.0 - BETA2
-    v *= BETA2
-    v += step
-    np.divide(v, c2, out=step)
-    np.sqrt(step, out=step)
-    step += EPS
-    np.divide(m, step, out=step)
-    step *= lr / c1
-    p -= step
+        rest = np.flatnonzero(~touched)
+        kept = param[rest], m_arr[rest], v_arr[rest]
+        step = grad * (1.0 - BETA1)
+        m_arr *= BETA1
+        m_arr += step
+        np.multiply(grad, grad, out=step)
+        step *= 1.0 - BETA2
+        v_arr *= BETA2
+        v_arr += step
+        np.divide(v_arr, c2, out=step)
+        np.sqrt(step, out=step)
+        step += EPS
+        np.divide(m_arr, step, out=step)
+        step *= lr / c1
+        param -= step
+        param[rest], m_arr[rest], v_arr[rest] = kept
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +240,8 @@ def loss_l2(fwd, post_w, gamma, lam, scale=1.0, normalizer=None):
     """Margin sigmoid loss over the drawn negatives, weighted by the (B, l)
     constants ``post_w``, on f = f_c + lam * f_g (vlp) or f_g (hlp).
 
-    Adds ``scale`` times its gradient to ``fwd.d_fg`` and, in vlp mode, to
-    ``fwd.d_cos``: a row may draw a negative twice, so a row's entries for
-    one entity are summed before they are added.
+    Adds ``scale`` times its gradient to ``fwd.d_fg`` and, in vlp mode,
+    scatter-adds it to ``fwd.d_cos``: a row may draw a negative twice.
     """
     b = len(fwd.cand)
     n = b if normalizer is None else normalizer
@@ -273,12 +256,7 @@ def loss_l2(fwd, post_w, gamma, lam, scale=1.0, normalizer=None):
         fwd.d_fg += d_f
     else:
         fwd.d_fg += d_f * d_f.dtype.type(lam)
-        per_row = csr_matrix((d_f.ravel(), fwd.cand.ravel(),
-                              np.arange(0, d_f.size + 1, d_f.shape[1])),
-                             shape=fwd.d_cos.shape, copy=True)
-        per_row.sum_duplicates()  # sorts and sums in place, hence the copy
-        rows = np.repeat(np.arange(b), np.diff(per_row.indptr))
-        fwd.d_cos[rows, per_row.indices] += per_row.data
+        np.add.at(fwd.d_cos, (np.arange(b)[:, None], fwd.cand), d_f)
     return value
 
 

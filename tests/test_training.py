@@ -192,9 +192,9 @@ def test_float32_adam_matches_reference_on_touched_rows():
     ref_params = [a.astype(np.float64) for a in store.param_arrays()]
     ref_m = [np.zeros_like(a) for a in ref_params]
     ref_v = [np.zeros_like(a) for a in ref_params]
-    # per step: entities 2 of 6 rows (gathered), relations 3 of 4 (updated
-    # whole, the fourth put back), w_node whole, w_edge and w_agg not at
-    # all; rows touched at one step sit out the next with nonzero moments
+    # per step: entities 2 of 6 rows, relations 3 of 4, w_node whole,
+    # w_edge and w_agg not at all; rows touched at one step sit out the
+    # next with nonzero moments
     schedule = [[np.array([5, 2]), np.array([3, 0, 1]), np.arange(3), [], []],
                 [np.array([2, 0]), np.array([2, 3, 1]), np.arange(3), [], []]]
     lr = 0.05
