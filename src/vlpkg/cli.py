@@ -288,8 +288,7 @@ def cmd_eval(args):
     ], keys=args.config_keys)
 
     report = evaluate(store, kg, split, table=table, dist_index=index,
-                      lam=cfg.lam, mode=mode, threads=cfg.threads,
-                      keep_ranks=args.dump_ranks)
+                      lam=cfg.lam, mode=mode, keep_ranks=args.dump_ranks)
 
     out_dir = Path(cfg.out if "out" in given else
                    os.path.dirname(os.path.abspath(args.checkpoint)))
@@ -297,6 +296,9 @@ def cmd_eval(args):
     report_path = out_dir / "report.tsv"
     write_report(report, report_path)
     print(f"report: {report_path}")
+    candidates = report.n * kg.n_entities
+    print(f"rescored: {report.rescored} of {candidates} candidates "
+          f"({report.rescored / max(candidates, 1):.4%})")
     if args.dump_ranks:
         ranks_path = out_dir / "ranks.tsv"
         write_ranks(report.ranks, ranks_path)

@@ -15,7 +15,11 @@ ordinary euclidean norm over twice the nominal dimension.
 
 Single-query scoring kernels (`score_fg`, `score_fg_all`) use elementwise
 multiply-and-reduce only, so the vectorised all-entities score of a tail is
-bit-identical to the scalar score of that tail.
+bit-identical to the scalar score of that tail. They stay the rank oracle:
+evaluation scores a block of queries with float64 GEMMs, but those scores
+only sort out the candidates that clear the gold by more than their error
+bound; the gold and every candidate inside the bound are scored with these
+kernels (see `evaluation`).
 """
 
 from __future__ import annotations

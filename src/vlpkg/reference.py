@@ -191,7 +191,10 @@ def aggregate_batch(store, q, r_ids, ref_h, ref_t, mask):
     k_refs = store.entities[ref_t]
     q_refs = query_batch(store, ref_h, r_full)
     s_refs = q[:, None, :] - q_refs
-    msg = k_refs @ agg.w_node.T + s_refs @ agg.w_edge.T
+    # 2-D GEMMs: numpy runs a 3-D @ 2-D matmul as one small GEMM per row
+    d_k = q.shape[1]
+    msg = (k_refs.reshape(-1, d_k) @ agg.w_node.T
+           + s_refs.reshape(-1, d_k) @ agg.w_edge.T).reshape(b, n, d_k)
     msg = msg * mask[..., None]
     denom = np.maximum(mask.sum(axis=1), 1.0)
     pooled = msg.sum(axis=1) / denom[:, None]
@@ -248,10 +251,14 @@ def context_vector(store, table, h, r, exclude_tail=None):
 
 
 def cosine_all(t_prime, entities):
-    """cos(t', k) for every row k of ``entities``; 0 where either is zero."""
-    dots = (entities * t_prime).sum(axis=1)
-    tn = np.sqrt((t_prime * t_prime).sum())
-    en = np.sqrt((entities * entities).sum(axis=1))
+    """cos(t', k) for every row k of ``entities``; 0 where either is zero.
+
+    Works along the last axis and broadcasts, so row pairs of two (m, d)
+    arrays give the same bits as the one-t' call's entries.
+    """
+    dots = (entities * t_prime).sum(axis=-1)
+    tn = np.sqrt((t_prime * t_prime).sum(axis=-1))
+    en = np.sqrt((entities * entities).sum(axis=-1))
     denom = tn * en
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(denom == 0, 0.0, dots / np.where(denom == 0, 1.0, denom))

@@ -266,6 +266,35 @@ def test_eval_reports_and_dumps_ranks(dataset, tmp_path, capsys):
     assert len(ranks) == int(rows[0][2])  # one line per ranked triple
 
 
+@pytest.mark.parametrize("mode", ["hlp", "vlp"])
+def test_eval_files_equal_the_per_query_oracles(dataset, tmp_path, capsys,
+                                                monkeypatch, mode):
+    """report.tsv and ranks.tsv of the block path equal those of a run whose
+    ranks come from candidate_scores + rank_from_scores, query by query."""
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", str(dataset), "--out", str(run),
+                 "--model", "rotate", "--mode", mode] + FAST) == 0
+    evaluate = ["eval", "--dataset", str(dataset), "--dump-ranks",
+                "--checkpoint", str(run / "checkpoint.vlpc"), "--out"]
+    assert main(evaluate + [str(tmp_path / "block")]) == 0
+    out = capsys.readouterr().out
+    n = len((tmp_path / "block" / "ranks.tsv").read_text().splitlines())
+    n_entities = vlpkg.cli.load_augmented(dataset)[0].n_entities
+    assert f" of {n * n_entities} candidates (" in out
+
+    def oracle_rank(ranker, triples):
+        return np.array([vlpkg.evaluation.rank_from_scores(
+            vlpkg.evaluation.candidate_scores(ranker.store, h, r, ranker.mode,
+                                              ranker.lam, ranker.table),
+            t, ranker.filter.tails(h, r)) for h, r, t in triples.tolist()]), 0
+
+    monkeypatch.setattr(vlpkg.evaluation._BlockRanker, "rank", oracle_rank)
+    assert main(evaluate + [str(tmp_path / "oracle")]) == 0
+    for name in ("report.tsv", "ranks.tsv"):
+        assert ((tmp_path / "block" / name).read_bytes()
+                == (tmp_path / "oracle" / name).read_bytes())
+
+
 def test_eval_writes_to_an_explicit_out_run(dataset, tmp_path, monkeypatch,
                                           capsys):
     # "run" is also the default of --out; given explicitly it still wins

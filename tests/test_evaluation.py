@@ -4,7 +4,8 @@ import pytest
 from vlpkg import (ModelKind, augment_reciprocal, compute_distances, evaluate,
                    init_parameters, rmp_classify, select_references)
 from vlpkg.data import FilterIndex, distance_bucket
-from vlpkg.evaluation import (Cell, EvalReport, candidate_scores,
+import vlpkg.evaluation
+from vlpkg.evaluation import (EVAL_MODES, Cell, EvalReport, candidate_scores,
                               format_table, random_baseline,
                               rank_from_scores, read_report, report_lines,
                               write_ranks, write_report)
@@ -31,6 +32,95 @@ def test_rank_matches_exhaustive_sort_oracle(small_kg, small_index):
         known = findex.tails(h, r)
         got = rank_from_scores(scores, t, known)
         assert got == _sort_oracle(scores, t, known)
+
+
+KINDS = [("transe", "l1"), ("transe", "l2"), ("distmult", "l2"),
+         ("complex", "l2"), ("rotate", "l2")]
+KIND_IDS = ["transe-l1", "transe-l2", "distmult", "complex", "rotate"]
+
+
+@pytest.fixture(scope="module")
+def graph_with_refs():
+    kg = augment_reciprocal(random_graph(60, 3, 300, 10, 40, seed=2))
+    return kg, select_references(kg, compute_distances(kg, cap=4), n_refs=3)
+
+
+def _oracle_ranks(store, kg, table, mode, lam, findex):
+    return [rank_from_scores(candidate_scores(store, h, r, mode, lam, table),
+                             t, findex.tails(h, r))
+            for h, r, t in kg.test.tolist()]
+
+
+def _integer_store(kind, norm, dtype, kg):
+    """Entity rows drawn from 8 small-integer vectors, one of them zero, so
+    every gold ties exactly with other candidates; integer relations (and
+    rotate phases) keep most scores exact, and rotate's cos/sin make
+    near-ties."""
+    store = init_parameters(kind, 3, kg.n_entities, kg.n_relations, seed=1,
+                            dtype=dtype, norm=norm)
+    rng = np.random.default_rng(0)
+    pool = rng.choice([-2, -1, 1, 2], size=(8, store.d_k))
+    pool[0] = 0
+    store.entities[:] = pool[rng.integers(0, 8, kg.n_entities)]
+    store.relations[:] = rng.integers(-1, 2, size=store.relations.shape)
+    return store
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=["float32", "float64"])
+@pytest.mark.parametrize("mode", EVAL_MODES)
+@pytest.mark.parametrize("kind,norm", KINDS, ids=KIND_IDS)
+def test_block_ranks_equal_the_oracle_under_ties(kind, norm, mode, dtype,
+                                                 graph_with_refs,
+                                                 monkeypatch):
+    kg, table = graph_with_refs
+    findex = FilterIndex(kg)
+    store = _integer_store(kind, norm, dtype, kg)
+    want = _oracle_ranks(store, kg, table, mode, 0.5, findex)
+    rows_of_7 = 16 * kg.n_entities * 7  # a budget of 7-row blocks
+    for threads, budget in ((1, None), (3, None), (1, rows_of_7)):
+        if budget:
+            monkeypatch.setattr(vlpkg.evaluation, "_BLOCK_BYTES", budget)
+        report = evaluate(store, kg, "test", table=table, lam=0.5, mode=mode,
+                          filter_index=findex, threads=threads,
+                          keep_ranks=True)
+        assert [x.rank for x in report.ranks] == want
+        assert report.rescored > 0
+    findex.codes = findex.codes[::2]  # golds missing from the filter, too
+    report = evaluate(store, kg, "test", table=table, lam=0.5, mode=mode,
+                      filter_index=findex, keep_ranks=True)
+    assert ([x.rank for x in report.ranks]
+            == _oracle_ranks(store, kg, table, mode, 0.5, findex))
+
+
+@pytest.mark.parametrize("mode", EVAL_MODES)
+@pytest.mark.parametrize("kind,norm", KINDS, ids=KIND_IDS)
+def test_a_nan_entity_row_falls_back_to_the_oracle(kind, norm, mode,
+                                                   graph_with_refs):
+    kg, table = graph_with_refs
+    findex = FilterIndex(kg)
+    store = _integer_store(kind, norm, np.float32, kg)
+    store.entities[5] = np.nan
+    report = evaluate(store, kg, "test", table=table, lam=0.5, mode=mode,
+                      filter_index=findex, keep_ranks=True)
+    assert ([x.rank for x in report.ranks]
+            == _oracle_ranks(store, kg, table, mode, 0.5, findex))
+    assert report.rescored == 0  # every query took the fallback
+
+
+@pytest.mark.parametrize("kind,norm", KINDS, ids=KIND_IDS)
+def test_the_band_rescores_under_one_percent_of_float_candidates(kind, norm):
+    kg = augment_reciprocal(random_graph(300, 4, 2000, 10, 100, seed=4))
+    table = select_references(kg, compute_distances(kg, cap=4), n_refs=4)
+    findex = FilterIndex(kg)
+    store = init_parameters(kind, 16, kg.n_entities, kg.n_relations, seed=4,
+                            norm=norm)
+    for mode in EVAL_MODES:
+        report = evaluate(store, kg, "test", table=table, lam=0.5, mode=mode,
+                          filter_index=findex, keep_ranks=True)
+        assert ([x.rank for x in report.ranks]
+                == _oracle_ranks(store, kg, table, mode, 0.5, findex))
+        assert report.rescored < 0.01 * report.n * kg.n_entities
 
 
 def test_rank_with_deliberate_ties():

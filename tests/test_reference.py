@@ -308,6 +308,16 @@ def test_combined_score_is_cosine_plus_weighted_triple_score():
     assert score_f(store, table, h, r, t, lam=lam) == pytest.approx(want, rel=1e-12)
 
 
+def test_cosine_of_row_pairs_equals_the_one_query_entries():
+    kg, table, store = _setup(kind=ModelKind.ROTATE)
+    t_prime = np.stack([context_vector(store, table, int(h), int(r))
+                        for h, r, _ in kg.test[:4]])
+    cols = np.array([0, 3, 7, 3])
+    pairs = cosine_all(t_prime, store.entities[cols])
+    for i, col in enumerate(cols):
+        assert pairs[i] == cosine_all(t_prime[i], store.entities)[col]
+
+
 def test_fc_all_bit_equal_single():
     kg, table, store = _setup(kind=ModelKind.COMPLEX)
     for h, r, _ in kg.test[:4]:
