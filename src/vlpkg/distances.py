@@ -1,10 +1,10 @@
 """All-pairs truncated graph distances over the undirected training graph.
 
 Distances are hop counts, relation-agnostic and direction-agnostic, computed
-by breadth-first search from every entity and truncated at ``cap``: anything
-not reached in fewer than ``cap`` hops is reported as ``cap``. Only pairs
-with distance < cap are stored, so memory stays proportional to the
-truncated neighbourhood sizes.
+by breadth-first search from every entity, level by level as sparse boolean
+matrix products, and truncated at ``cap``: anything not reached in fewer
+than ``cap`` hops is reported as ``cap``. Only pairs with distance < cap are
+stored, so memory stays proportional to the truncated neighbourhood sizes.
 
 The index serializes to a little-endian binary cache (magic ``VLPD``) keyed
 by a hash of the raw training file so stale caches are never reused: the
@@ -13,20 +13,18 @@ header, then the row offsets, ids and distances, each written whole.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import logging
 import os
 import struct
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse import csr_matrix, identity, vstack
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_CAP = 8
-_CHUNK = 512  # sources per dijkstra call
+_CHUNK = 2048  # sources searched together
 
 MAGIC = b"VLPD"
 VERSION = 2
@@ -113,11 +111,12 @@ class DistanceIndex:
         self.ids = ids         # (pairs,) uint32
         self.dists = dists     # (pairs,) uint8
         # s * cap + d is sorted over all pairs, so one search finds every ring
-        keys = np.repeat(np.arange(self.n_entities, dtype=np.int64) * self.cap,
+        dtype = np.int32 if self.n_entities * self.cap < 2**31 else np.int64
+        keys = np.repeat(np.arange(self.n_entities, dtype=dtype) * self.cap,
                          np.diff(indptr))
         keys += dists
         self.ring_offsets = np.searchsorted(
-            keys, np.arange(self.n_entities * self.cap + 1))
+            keys, np.arange(self.n_entities * self.cap + 1, dtype=dtype))
 
     def row(self, source):
         """(ids, dists) arrays for one source, sorted by (distance, id)."""
@@ -140,10 +139,19 @@ class DistanceIndex:
         return np.concatenate([np.diff(off), rest], axis=-1)
 
     def distance(self, a, b):
-        """Hop count between a and b, saturated at cap."""
-        ids, dists = self.row(a)
-        hit = np.flatnonzero(ids == b)
-        return int(dists[hit[0]]) if len(hit) else self.cap
+        """Hop count between a and b, saturated at cap: an int, or an array
+        for arrays of sources a and targets b."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b)[..., None]
+        first = a[..., None] * self.cap + np.arange(self.cap)
+        lo, hi = self.ring_offsets[first], self.ring_offsets[first + 1]
+        end, top = hi, len(self.ids) - 1
+        while (lo < hi).any():  # bisect every ring of every a for its b
+            mid = (lo + hi) // 2
+            less = (mid < hi) & (self.ids[np.minimum(mid, top)] < b)
+            lo, hi = np.where(less, mid + 1, lo), np.where(less, hi, mid)
+        hit = (lo < end) & (self.ids[np.minimum(lo, top)] == b)
+        d = np.where(hit.any(-1), hit.argmax(-1), self.cap)
+        return d if d.ndim else int(d)
 
     def distances_from(self, sources):
         """Dense uint8 distances from one source, shape (n_entities,), or from
@@ -184,42 +192,32 @@ class DistanceIndex:
 def compute_distances(kg, cap=DEFAULT_CAP, threads=1, train_hash=0):
     """Truncated BFS from every entity on the undirected training graph.
 
-    Backed by scipy's unweighted shortest-path machinery on a symmetric CSR
-    adjacency matrix, parallelised over source chunks; results are identical
-    to a plain per-source BFS.
+    Sources are searched ``_CHUNK`` at a time, level by level: level d is a
+    sparse boolean (entities x sources) matrix holding in column i the ids
+    at distance d from source i, and level d + 1 is ``adj @ level`` less
+    levels d and d - 1 (on an undirected graph, the only seen ids it can
+    reach). Stacked, the levels hold id v at distance d in row d * n + v,
+    so one transpose to CSR lists each source's pairs in (distance, id)
+    order. ``threads`` is accepted for older callers and unused.
     """
     if cap < 1 or cap > 255:
         raise ValueError("cap must be in [1, 255]")
     n = kg.n_entities
     ends = np.concatenate([kg.train[:, [0, 2]], kg.train[:, [2, 0]]])
-    # repeated pairs sum (up to 2|R| each, so float, not int8); an
-    # unweighted search reads only which entries exist
-    graph = csr_matrix((np.ones(len(ends)), ends.T), shape=(n, n))
-
-    row_ids = [None] * n
-    row_dists = [None] * n
-
-    def run_chunk(start):
-        sources = np.arange(start, min(start + _CHUNK, n))
-        # limit keeps distances <= cap-1; everything else comes back inf
-        dmat = dijkstra(graph, directed=False, unweighted=True,
-                        indices=sources, limit=cap - 1)
-        for i, src in enumerate(sources):
-            drow = dmat[i]
-            ids = np.flatnonzero(np.isfinite(drow)).astype(np.uint32)
-            dists = drow[ids].astype(np.uint8)
-            order = np.lexsort((ids, dists))
-            row_ids[src] = ids[order]
-            row_dists[src] = dists[order]
-
-    starts = range(0, n, _CHUNK)
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, starts))
-    else:
-        for start in starts:
-            run_chunk(start)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(ids) for ids in row_ids], out=indptr[1:])
-    return DistanceIndex(n, cap, indptr, np.concatenate(row_ids),
-                         np.concatenate(row_dists), train_hash)
+    adj = csr_matrix((np.ones(len(ends), dtype=bool), ends.T), shape=(n, n))
+    eye = identity(n, dtype=bool, format="csc")
+    ids, dists = [], []
+    for start in range(0, n, _CHUNK):
+        level = before = eye[:, start:start + _CHUNK].tocsr()  # level 0
+        levels = [level]
+        while len(levels) < cap and level.nnz:  # an empty level adds no pair
+            level, before = (adj @ level > level) > before, level
+            levels.append(level)
+        rings = vstack(levels, format="csr").T.tocsr()
+        ids.append((rings.indices % n).astype(np.uint32))
+        dists.append((rings.indices // n).astype(np.uint8))
+    ids = np.concatenate(ids)  # one list of parts at a time
+    dists = np.concatenate(dists)
+    # each row starts with its source, its one pair at distance 0
+    indptr = np.append(np.flatnonzero(dists == 0), len(dists))
+    return DistanceIndex(n, cap, indptr, ids, dists, train_hash)

@@ -307,12 +307,13 @@ def evaluate(store, kg, split="test", table=None, dist_index=None, lam=0.5,
     classes = rmp_classify(kg)
     half = kg.n_relations // 2 if kg.reciprocal else kg.n_relations
     rel_names = kg.vocab.relation_names
-    for (h, r, t), rank in zip(triples.tolist(), ranks.tolist()):
-        bucket = None
-        if dist_index is not None:
-            d = dist_index.distance(h, t)
-            if d < dist_index.cap or d >= 4:  # a pair at a cap < 4 may be farther
-                bucket = distance_bucket(d)
+    buckets = [None] * len(triples)
+    if dist_index is not None:  # a pair at a cap < 4 may be farther
+        dists = dist_index.distance(triples[:, 0], triples[:, 2]).tolist()
+        buckets = [distance_bucket(d) if d < dist_index.cap or d >= 4 else None
+                   for d in dists]
+    for (h, r, t), rank, bucket in zip(triples.tolist(), ranks.tolist(),
+                                       buckets):
         if bucket is not None:
             report.per_bucket.setdefault(bucket, Cell()).add(rank)
         report.per_relation.setdefault(rel_names[r], Cell()).add(rank)

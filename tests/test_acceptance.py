@@ -15,7 +15,7 @@ supplied through an environment variable:
     VLP_WN18RR_DIR      directory with train.txt / valid.txt / test.txt
     VLP_FB15K237_DIR    same layout for FB15k-237
     VLP_BENCH_STEPS     training budget for those runs (default 50000)
-    VLP_BENCH_THREADS   worker threads for distance/eval phases (default 4)
+    VLP_BENCH_THREADS   worker threads for the training step (default 4)
     VLP_SWEEP_STEPS     budget per run of the reference-count sweep
 """
 

@@ -1,3 +1,4 @@
+import collections
 import copy
 import hashlib
 import struct
@@ -5,10 +6,10 @@ import struct
 import numpy as np
 import pytest
 
-from vlpkg import augment_reciprocal, compute_distances, hash_file
+from vlpkg import augment_reciprocal, compute_distances, distances, hash_file
 from vlpkg.distances import CacheError, DistanceIndex
 from vlpkg.models import ModelKind, init_parameters, save_checkpoint
-from vlpkg.synth import kg_from_id_triples
+from vlpkg.synth import kg_from_id_triples, random_graph
 
 from conftest import floyd_warshall
 
@@ -52,6 +53,66 @@ def test_repeated_pairs_and_a_self_loop_match_floyd_warshall():
         assert np.array_equal(index.distances_from(np.arange(8)), oracle)
 
 
+def _repeated_pairs_kg():
+    chain = [(1, 0, 2), (2, 1, 3), (3, 2, 4), (5, 3, 6)]
+    triples = [(0, r, 1) for r in range(128)] + chain + [(4, 4, 4)]
+    return augment_reciprocal(kg_from_id_triples(8, 128, triples))
+
+
+def test_chunk_boundaries_do_not_change_the_index(monkeypatch):
+    """Sources searched 1, 3 or 7 at a time give the Floyd-Warshall
+    distances, and a graph wider than one default chunk gives those of a
+    plain per-source queue BFS."""
+    rng = np.random.default_rng(23)
+    graphs = [_random_kg(rng) for _ in range(10)] + [_repeated_pairs_kg()]
+    for chunk in (1, 3, 7):
+        monkeypatch.setattr(distances, "_CHUNK", chunk)
+        for kg, cap in zip(graphs, [2, 3, 4, 5, 6, 7, 8, 2, 4, 8, 4]):
+            edges = [(int(h), int(t)) for h, _, t in kg.train]
+            oracle = floyd_warshall(kg.n_entities, edges, cap)
+            got = compute_distances(kg, cap=cap)
+            assert np.array_equal(got.distances_from(
+                np.arange(kg.n_entities)), oracle), (chunk, cap)
+    monkeypatch.undo()
+
+    n = distances._CHUNK + 500
+    kg = augment_reciprocal(random_graph(n, 3, 2 * n, 5, 5, seed=9))
+    neighbours = [set() for _ in range(n)]
+    for h, _, t in kg.train.tolist():
+        neighbours[h].add(t)
+        neighbours[t].add(h)
+    index = compute_distances(kg, cap=4)
+    for source in range(n):
+        seen, queue = {source: 0}, collections.deque([source])
+        while queue:
+            node = queue.popleft()
+            if seen[node] < 3:
+                for other in neighbours[node] - seen.keys():
+                    seen[other] = seen[node] + 1
+                    queue.append(other)
+        want = sorted((d, v) for v, d in seen.items())
+        ids, dists = index.row(source)
+        assert list(zip(dists.tolist(), ids.tolist())) == want, source
+
+
+# SHA-256 of ``DistanceIndex.save`` for one fixed graph, as the earlier
+# dijkstra-based search wrote it: the level search reproduces every byte
+PINNED_CACHES = {
+    1: "caf11b13834b2f32e375909ffe1d4f21c8f411d5a66f5acb8923c0053b4cd57b",
+    2: "83bd6c02cfd0e4e4cde5e0caf4878d4ed27fb1893b6a5ce9c84e87c5aace4a39",
+    4: "bd7eed4fad6e1c46eadf40721bb24a491fa862167e282ff6a360fb0f2d76215f",
+    8: "4003cd8f4ed668f6b2c4d65eb780a255efc904ced5c763be46004dbbd9f811ef",
+}
+
+
+def test_cache_bytes_are_pinned(tmp_path):
+    kg = augment_reciprocal(random_graph(300, 5, 900, 10, 10, seed=3))
+    path = tmp_path / "dist.vlpd"
+    for cap, want in PINNED_CACHES.items():
+        compute_distances(kg, cap=cap).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want, cap
+
+
 def test_single_pair_distance_agrees_with_dense_row():
     kg = _random_kg(np.random.default_rng(7))
     index = compute_distances(kg, cap=5)
@@ -59,6 +120,8 @@ def test_single_pair_distance_agrees_with_dense_row():
     for a in range(kg.n_entities):
         for b in range(kg.n_entities):
             assert index.distance(a, b) == dense[a, b]
+    heads, tails = np.indices(dense.shape)  # every pair in one call
+    assert np.array_equal(index.distance(heads, tails), dense)
 
 
 def test_rings_partition_the_entity_set():
