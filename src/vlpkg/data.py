@@ -126,6 +126,13 @@ def unique_rows(arr):
     return arr[keep]
 
 
+def ranges(starts, sizes):
+    """The positions ``starts[i] + arange(sizes[i])`` for every i, joined."""
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(
+        starts - ends + sizes, sizes)
+
+
 def _as_triple_array(triples):
     arr = np.asarray(triples, dtype=np.int64)
     if arr.size == 0:

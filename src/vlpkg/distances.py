@@ -21,6 +21,8 @@ import struct
 import numpy as np
 from scipy.sparse import csr_matrix, identity, vstack
 
+from .data import ranges
+
 logger = logging.getLogger(__name__)
 
 DEFAULT_CAP = 8
@@ -110,13 +112,17 @@ class DistanceIndex:
         self.indptr = indptr   # (n+1,) int64
         self.ids = ids         # (pairs,) uint32
         self.dists = dists     # (pairs,) uint8
-        # s * cap + d is sorted over all pairs, so one search finds every ring
-        dtype = np.int32 if self.n_entities * self.cap < 2**31 else np.int64
-        keys = np.repeat(np.arange(self.n_entities, dtype=dtype) * self.cap,
-                         np.diff(indptr))
-        keys += dists
-        self.ring_offsets = np.searchsorted(
-            keys, np.arange(self.n_entities * self.cap + 1, dtype=dtype))
+        # a ring starts at a row's first pair and where the distance changes;
+        # an absent ring starts where the next one does, or the next row
+        new = np.empty(len(dists), dtype=bool)
+        new[:1] = True
+        np.not_equal(dists[1:], dists[:-1], out=new[1:])
+        new[indptr[:-1][np.diff(indptr) > 0]] = True
+        at = np.flatnonzero(new)
+        offsets = np.repeat(indptr[1:, None], self.cap + 1, axis=1)
+        offsets[np.searchsorted(indptr, at, side="right") - 1, dists[at]] = at
+        offsets = np.minimum.accumulate(offsets[:, ::-1], axis=1)[:, ::-1]
+        self.ring_offsets = np.append(offsets[:, :-1], indptr[-1:])
 
     def row(self, source):
         """(ids, dists) arrays for one source, sorted by (distance, id)."""
@@ -160,9 +166,7 @@ class DistanceIndex:
         flat = sources.ravel()
         lo = self.indptr[flat]
         counts = self.indptr[flat + 1] - lo
-        # the pair positions of every row, concatenated
-        at = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts,
-                                                 counts)
+        at = ranges(lo, counts)  # the pair positions of every row, joined
         out = np.full((len(flat), self.n_entities), self.cap, dtype=np.uint8)
         out[np.repeat(np.arange(len(flat)), counts), self.ids[at]] = self.dists[at]
         return out.reshape(sources.shape + (self.n_entities,))

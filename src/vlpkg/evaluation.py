@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FilterIndex, distance_bucket, rmp_classify
+from .data import FilterIndex, distance_bucket, ranges, rmp_classify
 from .models import (ModelKind, is_distance_kind, pair_scores, query_batch,
                      score_fg_all)
 from .reference import context_vector, cosine_all
@@ -200,8 +200,7 @@ class _BlockRanker:
         lo, hi = np.searchsorted(f.codes, np.stack([base, base + n]))
         counts = hi - lo
         rows = np.repeat(np.arange(len(h)), counts)
-        first = lo - np.cumsum(counts) + counts
-        at = np.arange(counts.sum()) + np.repeat(first, counts)  # into codes
+        at = ranges(lo, counts)  # into codes
         keep = np.ones((len(h), n), dtype=bool)
         keep[rows, f.codes[at] - base[rows]] = False
         keep[np.arange(len(h)), t] = False

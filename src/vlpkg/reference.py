@@ -10,15 +10,16 @@ Their answer embeddings k_i and query differences s_i = q - q_i are pooled,
 and a candidate tail t is scored by cosine(t', k_t). The combined score adds
 the plain triple score: f = f_c + lambda * f_g.
 
-Selection is one stable sort: the relation's training pairs, ordered by
-(head frequency desc, h_i, t_i), are stable-sorted by the capped distance
-d(h, h_i). It is precomputed once per dataset and cached in format 3 (magic
-``VLPR``): a header recording N, the cap of the distances used, the train
-hash and the key and pair counts, then the keys, the per-key counts and the
-pairs, each written whole. In memory the table is the same three arrays,
-with the counts held as offsets. Each key stores one spare reference beyond
-N so the query's own training answer can be masked out during training
-without shrinking the reference set.
+Selection orders the relation's training pairs by the capped distance
+d(h, h_i), ties by (head frequency desc, h_i, t_i): the order a stable sort
+by distance of that tie order gives, computed ring by ring of h's distance
+row, without dense distance rows. It is precomputed once per dataset and
+cached in format 3 (magic ``VLPR``): a header recording N, the cap of the
+distances used, the train hash and the key and pair counts, then the keys,
+the per-key counts and the pairs, each written whole. In memory the table
+is the same three arrays, with the counts held as offsets. Each key stores
+one spare reference beyond N so the query's own training answer can be
+masked out during training without shrinking the reference set.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import unique_rows
+from .data import ranges, unique_rows
 from .distances import CacheError, read_file, write_file
 from .models import query_batch, query_pullback, score_fg
 
@@ -40,7 +41,7 @@ VERSION = 3
 # after the magic: version, N, cap, key count, train hash, pair count
 _HEADER = struct.Struct("<IIIQQQ")
 
-_BLOCK = 256  # query heads per block of dense distance rows
+_CHUNK = 1 << 15  # ring entries or far candidates handled at once
 
 
 class ReferenceTable:
@@ -104,27 +105,81 @@ def query_keys(kg):
     return unique_rows(triples[:, :2])
 
 
+def _within(values, first):
+    """Sums of ``values`` before each entry within its run; the runs start
+    at the sorted indices ``first``, the first of them 0."""
+    before = np.cumsum(values) - values
+    return before - np.repeat(before[first], np.diff(first, append=len(values)))
+
+
+def _pieces(sizes):
+    """``arange(len(sizes))`` cut into runs whose sizes sum to less than
+    ``_CHUNK`` plus the size of the run's last entry."""
+    block = (np.cumsum(sizes) - sizes) // _CHUNK
+    return np.split(np.arange(len(sizes)), np.flatnonzero(np.diff(block)) + 1)
+
+
 def select_references(kg, index, n_refs=DEFAULT_N_REFS, train_hash=0):
-    """Build the full reference table for every query key in the dataset."""
+    """Build the full reference table for every query key in the dataset.
+
+    Key (h, r) takes r's training pairs in (d(h, h_i), tie position) order;
+    in the tie order each head's pairs sit together. So the keys walk the
+    rings of h, nearest first: each ring's heads give their pairs in tie
+    position, until the key holds N+1. A key still short at the cap has
+    every near pair, and takes the rest from the start of r's tie order,
+    skipping heads within the cap. Cost per key: the ring entries up to the
+    distance that fills it, plus N, not the pairs of its relation. Each
+    step works on about ``_CHUNK`` ring entries or far candidates at once.
+    """
     if not 0 <= n_refs <= 254:
         raise ValueError("n_refs must be in [0, 254]")
+    n, cap = kg.n_entities, index.cap
     freq = kg.entity_frequency()
     keys = query_keys(kg)
-    per_relation = np.bincount(kg.train[:, 1], minlength=kg.n_relations)
-    counts = np.minimum(per_relation[keys[:, 1]], n_refs + 1)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
+    head, rel = keys.T
+    h, r, t = kg.train.T
+    tie = np.lexsort((t, h, -freq[h], r))  # per relation, in tie order
+    pairs = kg.train[tie][:, [0, 2]]
+    first = np.searchsorted(r[tie], np.arange(kg.n_relations + 1))
+    want = np.minimum(np.diff(first)[rel], n_refs + 1)
+    indptr = np.concatenate(([0], np.cumsum(want)))
+    # groups: the runs of one (r, h_i), numbered in tie order
+    code = r[tie] * n + pairs[:, 0]
+    start = np.flatnonzero(np.diff(code, prepend=-1))
+    size = np.diff(start, append=len(code))
+    group = np.full(kg.n_relations * n, -1, dtype=np.int32)
+    group[code[start]] = np.arange(len(start))
     out = np.empty((indptr[-1], 2), dtype=np.int64)
-    for r in range(kg.n_relations):
-        rows = np.flatnonzero(keys[:, 1] == r)
-        pairs = kg.relation_pairs(r)
-        # tie order within one distance: frequency desc, then h_i, then t_i
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0], -freq[pairs[:, 0]]))]
-        for start in range(0, len(rows), _BLOCK):
-            block = rows[start:start + _BLOCK]
-            dist = index.distances_from(keys[block, 0])[:, pairs[:, 0]]
-            order = np.argsort(dist, axis=1, kind="stable")[:, :n_refs + 1]
-            slots = indptr[block][:, None] + np.arange(order.shape[1])
-            out[slots] = pairs[order]
+    taken = np.zeros(len(keys), dtype=np.int64)
+    for d in range(cap):
+        live = np.flatnonzero(taken < want)
+        at = head[live] * cap + d
+        ring = index.ring_offsets[at + 1] - index.ring_offsets[at]
+        for part in _pieces(ring):
+            owner = np.repeat(live[part], ring[part])
+            g = group[rel[owner] * n + index.ids[
+                ranges(index.ring_offsets[at[part]], ring[part])]]
+            hit = g >= 0
+            owner, g = np.divmod(np.sort(owner[hit] * len(start) + g[hit]),
+                                 len(start))  # by (key, tie position)
+            slot = taken[owner] + _within(
+                size[g], np.flatnonzero(np.diff(owner, prepend=-1)))
+            take = np.clip(want[owner] - slot, 0, size[g])
+            owner, g, slot, take = (x[take > 0] for x in (owner, g, slot, take))
+            out[ranges(indptr[owner] + slot, take)] = (
+                pairs[ranges(start[g], take)])
+            np.add.at(taken, owner, take)
+    # a short key holds every near pair, so the first ``want`` pairs of its
+    # relation hold at least the far ones it lacks
+    short = np.flatnonzero(taken < want)
+    for part in _pieces(want[short] * cap):
+        keyed = short[part]
+        owner = np.repeat(keyed, want[keyed])
+        cand = ranges(first[rel[keyed]], want[keyed])
+        far = index.distance(head[owner], pairs[cand, 0]) == cap
+        slot = taken[owner] + _within(far, np.cumsum(want[keyed]) - want[keyed])
+        keep = far & (slot < want[owner])
+        out[indptr[owner[keep]] + slot[keep]] = pairs[cand[keep]]
     return ReferenceTable(n_refs, keys, indptr, out, train_hash, index.cap)
 
 

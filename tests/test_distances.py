@@ -135,6 +135,34 @@ def test_rings_partition_the_entity_set():
         assert len(np.unique(seen)) == len(seen)
 
 
+def _searched_ring_offsets(index):
+    """Ring offsets by definition: where each s * cap + d sorts among the
+    per-pair keys s * cap + distance."""
+    keys = np.repeat(np.arange(index.n_entities) * index.cap,
+                     np.diff(index.indptr)) + index.dists
+    return np.searchsorted(keys, np.arange(index.n_entities * index.cap + 1))
+
+
+def test_ring_offsets_match_a_search_over_per_pair_keys(tmp_path):
+    rng = np.random.default_rng(29)
+    graphs = [_random_kg(rng) for _ in range(10)] + [_repeated_pairs_kg()]
+    for kg in graphs:
+        for cap in (1, 2, 4, 8):
+            index = compute_distances(kg, cap=cap)
+            assert np.array_equal(index.ring_offsets,
+                                  _searched_ring_offsets(index)), cap
+    # rows a cache may hold but no search writes: empty, or with a gap
+    index = DistanceIndex(4, 4, np.array([0, 0, 2, 2, 5]),
+                          np.array([1, 3, 2, 0, 1], dtype=np.uint32),
+                          np.array([0, 2, 0, 1, 3], dtype=np.uint8))
+    index.save(tmp_path / "gaps.vlpd")
+    loaded = DistanceIndex.load(tmp_path / "gaps.vlpd")
+    for got in (index, loaded):
+        assert np.array_equal(got.ring_offsets, _searched_ring_offsets(got))
+    assert loaded.ring(1, 1).size == 0 and loaded.ring(1, 2).tolist() == [3]
+    assert loaded.ring_sizes(3).tolist() == [1, 1, 0, 1, 1]
+
+
 def test_distances_are_symmetric_and_direction_blind():
     # only a directed edge 0 -> 1 exists; hops ignore direction
     kg = kg_from_id_triples(3, 1, [(0, 0, 1), (2, 0, 1)])

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from vlpkg import (ModelKind, compute_distances, init_parameters,
+from vlpkg import (ModelKind, compute_distances, init_parameters, reference,
                    score_f, score_fc, score_fg, select_references)
+from vlpkg.data import augment_reciprocal
 from vlpkg.distances import CacheError
 from vlpkg.evaluation import candidate_scores
 from vlpkg.models import query_batch
@@ -34,7 +37,7 @@ def _selection_oracle(kg, cap, n_refs):
 
 SMALL = dict(n_entities=15, n_relations=3, n_train=60, n_valid=8, n_test=8,
              seed=21)
-# one relation with more query heads than a block of selection rows
+# one relation with many query heads, some of them far from every pair
 LARGE = dict(n_entities=600, n_relations=1, n_train=700, n_valid=30,
              n_test=30, seed=3)
 
@@ -68,6 +71,53 @@ def test_selection_falls_back_past_the_distance_cap():
     for key, want in expected.items():
         got = [tuple(row) for row in table.entries[key]]
         assert got == want, f"key {key}"
+
+
+def _disconnected_kg():
+    train = [(0, 0, 1), (2, 0, 3),          # component A
+             (4, 0, 5), (4, 0, 6), (5, 0, 6),  # component B, head 4 is busy
+             (7, 0, 8)]                     # component C
+    return kg_from_id_triples(9, 1, train, test=[(0, 0, 3)])
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_chunk_boundaries_do_not_change_the_table(monkeypatch, chunk):
+    """Ring entries and far candidates taken 1, 3 or 7 at a time give the
+    brute-force order, at cap 1 too, where every pair but a key head's own
+    lies beyond the cap."""
+    monkeypatch.setattr(reference, "_CHUNK", chunk)
+    cases = [(random_graph(**SMALL), 4, 3), (random_graph(**SMALL), 1, 3),
+             (random_graph(**LARGE), 4, 8), (random_graph(**LARGE), 1, 8),
+             (_disconnected_kg(), 2, 4), (_disconnected_kg(), 1, 4)]
+    for kg, cap, n_refs in cases:
+        table = select_references(kg, compute_distances(kg, cap=cap),
+                                  n_refs=n_refs)
+        expected = _selection_oracle(kg, cap, n_refs)
+        assert set(table.entries) == set(expected)
+        for key, want in expected.items():
+            got = [tuple(row) for row in table.entries[key]]
+            assert got == want, (cap, n_refs, key)
+
+
+# SHA-256 of ``ReferenceTable.save`` for one fixed graph at (cap, N), as the
+# earlier selection by dense distance rows wrote it: the ring walk
+# reproduces every byte
+PINNED_CACHES = {
+    (1, 2): "34bc3c7a4f591e5e032ce20ca52d94ce515d3931a1ac60e1e7347f708b5ef65b",
+    (2, 3): "57ba023af7963857f03305e1cac378e6d065c527519f30700910df8e6dae7601",
+    (4, 8): "bd881baf39e0327e4adac6b5142b52557d6bfe2671e611d8f02c4ca579ae0a85",
+    (8, 3): "5369139b9cf3fd9071ccd56c695761f9435455f40856caec718b4caded7adf01",
+}
+
+
+def test_cache_bytes_are_pinned(tmp_path):
+    kg = augment_reciprocal(random_graph(300, 5, 900, 10, 10, seed=3))
+    path = tmp_path / "refs.vlpr"
+    for (cap, n_refs), want in PINNED_CACHES.items():
+        select_references(kg, compute_distances(kg, cap=cap), n_refs=n_refs,
+                          train_hash=5).save(path)
+        got = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == want, (cap, n_refs)
 
 
 def test_keys_cover_valid_and_test_queries():
