@@ -86,8 +86,8 @@ def load_caches(cfg, kg, train_hash, refs, auto=True):
         "dist-cache", cache_dir / f"dist-c{cfg.cap}.vlpd", DistanceIndex.load,
         {"train_hash": train_hash, "cap": cfg.cap,
          "n_entities": kg.n_entities},
-        lambda: compute_distances(kg, cap=cfg.cap, threads=cfg.threads,
-                                  train_hash=train_hash), lines, auto)
+        lambda: compute_distances(kg, cap=cfg.cap, train_hash=train_hash),
+        lines, auto)
     table = None
     if refs:
         table = ensure_cache(
@@ -170,7 +170,7 @@ def build_parser():
 
     p = sub.add_parser("preprocess",
                        help="build the distance and reference caches")
-    add_config_flags(p, ["dataset", "cap", "refs", "threads"])
+    add_config_flags(p, ["dataset", "cap", "refs"])
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="train a model")
@@ -192,8 +192,7 @@ def build_parser():
     p.add_argument("--dump-ranks", action="store_true",
                    help="also write ranks.tsv (h, r, t, rank, bucket)")
     p.add_argument("--no-auto", action="store_true")
-    add_config_flags(p, ["dataset", "lambda", "refs", "cap", "threads",
-                         "norm", "out"])
+    add_config_flags(p, ["dataset", "lambda", "refs", "cap", "norm", "out"])
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="print tables from a report.tsv")

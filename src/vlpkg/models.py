@@ -13,13 +13,13 @@ Complex vectors are stored realified as [real | imag] halves, which makes
 the complex similarity an ordinary dot product and the rotate distance an
 ordinary euclidean norm over twice the nominal dimension.
 
-Single-query scoring kernels (`score_fg`, `score_fg_all`) use elementwise
-multiply-and-reduce only, so the vectorised all-entities score of a tail is
-bit-identical to the scalar score of that tail. They stay the rank oracle:
-evaluation scores a block of queries with float64 GEMMs, but those scores
-only sort out the candidates that clear the gold by more than their error
-bound; the gold and every candidate inside the bound are scored with these
-kernels (see `evaluation`).
+``pair_scores`` without ``out`` is the rank oracle, read by `score_fg` and
+`score_fg_all`: elementwise multiply-and-reduce only, so the vectorised
+all-entities score of a tail is bit-identical to the scalar score of that
+tail. Evaluation's float64 block GEMMs only sort out the candidates that clear
+the gold by more than their error bound; the gold and every candidate inside
+the bound are scored with this form (see `evaluation`). ``out=k`` selects the
+training step's form: delta = k - q in place, einsum and matmul, other bits.
 """
 
 from __future__ import annotations
@@ -226,26 +226,25 @@ def query_pullback(store, h_ids, r_ids, upstream):
     return dh, ur * (-qi) + ui * qr
 
 
-def pair_scores(store, q, k, direction=False):
-    """Similarity along the last axis of broadcast-compatible q and k.
+def pair_scores(store, q, k, out=None):
+    """Similarity along the last axis.
 
-    With ``direction=True`` returns (scores, g): for a distance model g is
-    d score / d k, the unit vector -delta / |delta| (-sign(delta) for l1,
-    0 at delta == 0), which ``pair_score_pullback`` takes in place of
-    recomputing it; for a dot model g is None.
+    Without ``out``, the rank oracle: q and k broadcast, and each score is an
+    elementwise multiply and a sum. ``out=k`` selects the step's form: q is
+    (B, d), k is (B, n, d), and a distance model overwrites k with delta =
+    k - q, which ``pair_score_pullback`` reads (a dot model reads k as is).
+    It forms no squared or product copy.
     """
     if not is_distance_kind(store.kind):
-        s = (q * k).sum(axis=-1)
-        return (s, None) if direction else s
-    delta = k - q
+        if out is None:
+            return (q * k).sum(axis=-1)
+        return np.matmul(k, q[:, :, None])[..., 0]
+    delta = k - q if out is None else np.subtract(k, q[:, None], out=out)
     if store.kind == ModelKind.TRANSE and store.norm == "l1":
-        s = -np.abs(delta).sum(axis=-1)
-        return (s, -np.sign(delta)) if direction else s
-    n = np.sqrt((delta * delta).sum(axis=-1))
-    if not direction:
-        return -n
-    np.divide(delta, -np.where(n > 0, n, 1.0)[..., None], out=delta)
-    return -n, delta
+        return -np.abs(delta).sum(axis=-1)
+    if out is None:
+        return -np.sqrt((delta * delta).sum(axis=-1))
+    return -np.sqrt(np.einsum("bld,bld->bl", delta, delta))
 
 
 def score_fg(store, h, r, t):
@@ -262,29 +261,22 @@ def score_fg_all(store, h, r):
     return pair_scores(store, query_batch(store, h, r), store.entities)
 
 
-def pair_score_pullback(store, q, k, upstream, direction=None):
-    """Gradient of ``upstream * pair_scores(q, k)`` wrt q and k.
-
-    q and k have one rank and upstream broadcasts against the score shape;
-    returns (dq, dk): dk is shaped like the broadcast of q and k, dq is
-    summed back to q's shape. A distance model takes the ``direction``
-    that ``pair_scores(..., direction=True)`` returned, and then reads
-    only q's shape and not k; without it, it computes the direction anew.
+def pair_score_pullback(store, q, delta, u, scores):
+    """Gradient of ``sum(u * scores)`` for the step's form of ``pair_scores``
+    (q (B, d), ``delta`` the k it was given as ``out=k``, ``scores`` its
+    result). Returns (d_q, rows, weights): the candidates' gradient is
+    ``weights * rows`` (weights None: 1), as ``GradBuffer.add_rows`` scatters
+    it. l2 and rotate give rows delta and weights c = -u / |delta| (0 where
+    delta is 0), dot models rows q[:, None] and weights u, TransE-l1 the
+    (B, n, d) array -u * sign(delta), since its sign is elementwise.
     """
-    u = np.asarray(upstream)[..., None]
     if not is_distance_kind(store.kind):
-        return _sum_to(u * k, np.shape(q)), u * q
-    if direction is None:
-        direction = pair_scores(store, q, k, direction=True)[1]
-    dk = u * direction
-    return -_sum_to(dk, np.shape(q)), dk
-
-
-def _sum_to(x, shape):
-    """``x`` summed over the axes on which broadcasting stretched ``shape``,
-    an array shape of the same rank."""
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and x.shape[i] > 1)
-    return x.sum(axis=axes, keepdims=True)
+        return np.matmul(u[:, None, :], delta)[:, 0], q[:, None], u
+    if store.kind == ModelKind.TRANSE and store.norm == "l1":
+        d_k = -u[..., None] * np.sign(delta)
+        return -d_k.sum(axis=1), d_k, None
+    c = np.divide(u, scores, out=np.zeros_like(scores), where=scores < 0)
+    return -np.matmul(c[:, None, :], delta)[:, 0], delta, c
 
 
 @dataclass
@@ -299,10 +291,13 @@ def grad_fg(store, h, r, t, upstream=1.0):
     h_arr = np.asarray([h])
     r_arr = np.asarray([r])
     q = query_batch(store, h_arr, r_arr)
-    k = store.entities[[t]]
-    dq, dk = pair_score_pullback(store, q, k, np.asarray([upstream]))
+    delta = store.entities[[[t]]]
+    fg = pair_scores(store, q, delta, out=delta)
+    dq, rows, w = pair_score_pullback(store, q, delta,
+                                      np.asarray([[upstream]]), fg)
     dh, dr = query_pullback(store, h_arr, r_arr, dq)
-    return ScoreGrad(dh[0], dr[0], dk[0])
+    w = 1.0 if w is None else w[0, 0]
+    return ScoreGrad(dh[0], dr[0], w * rows.reshape(-1, q.shape[-1])[0])
 
 
 # ---------------------------------------------------------------------------

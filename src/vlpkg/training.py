@@ -20,8 +20,9 @@ float64 round trip.
 A step draws its negatives, then splits the batch into one chunk per
 thread. A chunk runs one ``forward``: q, f_g of the candidates [t | negatives]
 and, in vlp mode, one reference gather, t' and one all-entity cosine GEMM.
-The post-weights and both losses read it and add their upstream gradients
-to it; one ``backward`` then runs each pullback and scatters each id set once.
+The post-weights and both losses add their upstream gradients to it; one
+``backward`` then runs each pullback and scatters each id set once. The
+chunk's one (B, 1 + l, d) array is delta = k - q, made in place in the gather.
 
 Determinism contract: a run is a pure function of (dataset bytes, config,
 seed) in a single-worker configuration. Epoch shuffles and per-step sampling
@@ -38,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix
 from scipy.special import expit, log_expit
 
 from . import data, evaluation  # looked up per call: callers may patch them
@@ -91,25 +92,31 @@ class GradBuffer:
         self.touched = [np.zeros(len(a), dtype=bool)
                         for a in store.param_arrays()]
 
-    def add_rows(self, i, ids, rows):
-        """Scatter-add ``rows`` into the rows ``ids`` of parameter ``i``.
+    def add_rows(self, i, ids, rows, weights=None):
+        """Scatter-add ``weights * rows`` into the rows ``ids`` of parameter
+        ``i``. ``weights`` (default 1) is shaped like ``ids``; ``rows`` has a
+        row per id, or broadcasts one row over each row of 2-D ids, as a
+        (B, 1, d) array does against (B, n) ids.
 
-        One sparse (distinct ids x len(ids)) product sums each id's rows in
-        the order given; the sums are then added to the parameter's rows.
+        One sparse (distinct ids x rows) product, a column per row, adds each
+        id's terms in the order given; the sums are added to the rows.
         """
         ids = np.asarray(ids).reshape(-1)
+        rows = rows.reshape(-1, rows.shape[-1])
         grad, touched = self.grads[i], self.touched[i]
         present = np.bincount(ids, minlength=len(grad)) > 0
         distinct = np.flatnonzero(present)
         slot = np.cumsum(present) - 1  # id -> its row of the product
-        gather = csr_matrix((np.ones(len(ids), dtype=rows.dtype),
-                             (slot[ids], np.arange(len(ids)))),
-                            shape=(len(distinct), len(ids)))
-        grad[distinct] += gather @ rows.reshape(len(ids), rows.shape[-1])
+        w = (np.ones(len(ids), dtype=rows.dtype) if weights is None
+             else weights.reshape(-1))
+        reads = len(ids) // max(len(rows), 1)  # consecutive ids per row
+        gather = csc_matrix((w, slot[ids], reads * np.arange(len(rows) + 1)),
+                            shape=(len(distinct), len(rows)))
+        grad[distinct] += gather @ rows
         touched |= present
 
-    def add_entities(self, ids, rows):
-        self.add_rows(0, ids, rows)
+    def add_entities(self, ids, rows, weights=None):
+        self.add_rows(0, ids, rows, weights)
 
     def add_relations(self, ids, rows):
         self.add_rows(1, ids, rows)
@@ -167,8 +174,7 @@ class Forward:
     r: np.ndarray
     cand: np.ndarray     # (B, 1 + l) ids: the gold tail, then the negatives
     q: np.ndarray        # (B, d_k) query vectors
-    k: np.ndarray        # (B, 1 + l, d_k) candidate embeddings (dot models)
-    direction: np.ndarray  # or d f_g / d k (distance models); the other: None
+    delta: np.ndarray    # (B, 1 + l, d_k) k - q (dot models: k) of cand
     fg: np.ndarray       # (B, 1 + l) f_g(h, r, cand)
     d_fg: np.ndarray
     agg: object = None   # AggCache of t'
@@ -191,10 +197,9 @@ def forward(store, table, batch, negatives, vlp):
     h, r, t = batch[:, 0], batch[:, 1], batch[:, 2]
     cand = np.concatenate([t[:, None], negatives], axis=1)
     q = query_batch(store, h, r)
-    k = store.entities[cand]
-    fg, direction = pair_scores(store, q[:, None, :], k, direction=True)
-    fwd = Forward(h, r, cand, q, None if direction is not None else k,
-                  direction, fg, np.zeros_like(fg))
+    delta = store.entities[cand]
+    fg = pair_scores(store, q, delta, out=delta)
+    fwd = Forward(h, r, cand, q, delta, fg, np.zeros_like(fg))
     if vlp:
         ref_h, ref_t, mask = gather_references(table, h, r, exclude_tails=t)
         t_prime, fwd.agg = aggregate_batch(store, q, r, ref_h, ref_t, mask)
@@ -262,10 +267,9 @@ def loss_l2(fwd, post_w, gamma, lam, scale=1.0, normalizer=None):
 
 def backward(store, fwd, buf):
     """Chain the upstream gradients in ``fwd`` to the parameters in ``buf``."""
-    d_q, d_k = pair_score_pullback(store, fwd.q[:, None, :], fwd.k, fwd.d_fg,
-                                   fwd.direction)
-    d_q = d_q[:, 0]
-    buf.add_entities(fwd.cand, d_k)
+    d_q, rows, weights = pair_score_pullback(store, fwd.q, fwd.delta,
+                                             fwd.d_fg, fwd.fg)
+    buf.add_entities(fwd.cand, rows, weights)
     if fwd.cos is not None:
         t_prime, ents = fwd.agg.t_prime, store.entities
         inv_tn, inv_en = fwd.inv_tn, fwd.inv_en

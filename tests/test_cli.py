@@ -645,6 +645,17 @@ def test_parser_rejects_unused_and_missing_flags(capsys):
     assert "--alpha0" in err and "--grid" in err
 
 
+@pytest.mark.parametrize("command", [["preprocess"],
+                                     ["eval", "--checkpoint", "c"]])
+def test_preprocess_and_eval_have_no_threads_flag(command, capsys):
+    """Only the training step reads ``threads``; the other commands reject
+    the flag with argparse's usage error."""
+    with pytest.raises(SystemExit) as info:
+        main(command + ["--dataset", "d", "--threads", "2"])
+    assert info.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_cache_dir_override(dataset, tmp_path, monkeypatch, capsys):
     cache_root = tmp_path / "caches"
     monkeypatch.setenv("VLP_CACHE_DIR", str(cache_root))

@@ -11,6 +11,7 @@ from vlpkg.models import (NORMS, check_fits, entity_width, is_distance_kind,
                           pair_score_pullback, pair_scores, query_batch,
                           relation_width)
 from vlpkg.synth import kg_from_id_triples
+from vlpkg.training import GradBuffer
 
 KINDS = list(ModelKind)
 
@@ -110,40 +111,46 @@ def test_pair_scores_broadcasts_like_singles():
     (ModelKind.ROTATE, "l2"), (ModelKind.DISTMULT, "l2"),
     (ModelKind.COMPLEX, "l2")])
 def test_pullback_from_the_forward_direction_equals_from_scratch(kind, norm):
-    """The direction pair_scores hands over gives pair_score_pullback's
-    from-scratch gradient; one pair has k == q, whose distance gradient is
-    the zero subgradient."""
+    """The step's pullback, read from the delta that ``pair_scores(...,
+    out=)`` left in the gather, equals the from-scratch array gradient:
+    -u delta / |delta| for l2 and rotate, u q for dot models, -u sign(delta)
+    for l1. Both d_q and the scattered candidate rows are checked. One pair
+    has k == q, whose distance gradient is exactly the zero subgradient, with
+    no divide warning (warnings fail the suite)."""
     store = _store(kind, n_ent=8, norm=norm)
-    q = query_batch(store, np.array([0, 3, 5]), np.array([1, 0, 2]))[:, None]
-    k = store.entities[np.array([[1, 2, 2, 4], [4, 6, 0, 3], [0, 7, 5, 1]])]
-    k[1, 2] = q[1, 0]
-    u = np.random.default_rng(6).normal(size=k.shape[:2])
-    scores, direction = pair_scores(store, q, k, direction=True)
-    assert np.array_equal(scores, pair_scores(store, q, k))
-    assert (direction is None) != is_distance_kind(kind)
-    # with a direction the pullback reads neither q nor k
-    cached = (pair_score_pullback(store, q, None, u, direction)
-              if direction is not None else
-              pair_score_pullback(store, q, k, u))
-    scratch = pair_score_pullback(store, q, k, u)
-    for got, want in zip(cached, scratch):
-        assert np.array_equal(got, want)
-    d_q, d_k = scratch
-    assert d_q.shape == q.shape and d_k.shape == k.shape
-    delta = k - q
+    cand = np.array([[1, 2, 2, 4], [4, 6, 0, 3], [0, 7, 5, 1]])
+    q = query_batch(store, np.array([0, 3, 5]), np.array([1, 0, 2]))
+    k = store.entities[cand]
+    k[1, 2] = q[1]
+    u = np.random.default_rng(6).normal(size=cand.shape)
+    delta = k.copy()
+    scores = pair_scores(store, q, delta, out=delta)
+    np.testing.assert_allclose(scores, pair_scores(store, q[:, None], k),
+                               rtol=1e-12)
+    d_q, rows, weights = pair_score_pullback(store, q, delta, u, scores)
+    assert d_q.shape == q.shape
+    diff = k - q[:, None]
     if not is_distance_kind(kind):
-        want_k = u[..., None] * q
+        want_k = u[..., None] * q[:, None]
     elif norm == "l1":
-        want_k = -u[..., None] * np.sign(delta)
+        want_k = -u[..., None] * np.sign(diff)
     else:
-        norms = np.linalg.norm(delta, axis=-1, keepdims=True)
-        want_k = -u[..., None] * delta / np.where(norms > 0, norms, 1.0)
-    if is_distance_kind(kind):
-        assert not d_k[1, 2].any()
-    np.testing.assert_allclose(d_k, want_k, rtol=1e-12, atol=1e-15)
+        norms = np.linalg.norm(diff, axis=-1, keepdims=True)
+        want_k = -u[..., None] * diff / np.where(norms > 0, norms, 1.0)
     want_q = ((u[..., None] * k) if not is_distance_kind(kind)
-              else -want_k).sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(d_q, want_q, rtol=1e-12, atol=1e-15)
+              else -want_k).sum(axis=1)
+    np.testing.assert_allclose(d_q, want_q, rtol=1e-6, atol=1e-12)
+    pairs = np.broadcast_to(rows, want_k.shape)
+    if weights is not None:
+        pairs = weights[..., None] * pairs
+    np.testing.assert_allclose(pairs, want_k, rtol=1e-6, atol=1e-12)
+    if is_distance_kind(kind):
+        assert not pairs[1, 2].any()
+    buf = GradBuffer(store)
+    buf.add_entities(cand, rows, weights)
+    want = np.zeros_like(store.entities)
+    np.add.at(want, cand.reshape(-1), want_k.reshape(-1, store.d_k))
+    np.testing.assert_allclose(buf.grads[0], want, rtol=1e-6, atol=1e-12)
 
 
 def test_init_is_seed_deterministic():

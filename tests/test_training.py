@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vlpkg import (AdamState, ModelKind, SamplerConfig, TrainConfig,
                    compute_distances, init_parameters, load_checkpoint,
                    loss_l1, loss_l2, select_references, train, train_step)
+from vlpkg.models import is_complex_kind
 from vlpkg.sampling import draw_negative_batch, negative_weights
 from vlpkg.training import (BETA1, BETA2, EPS, GradBuffer, RNG_STEP,
                             adam_apply, backward, forward, postweight_scores,
@@ -126,6 +129,31 @@ def test_l2_loss_matches_direct_formula():
         got = loss_l2(forward(store, table, batch, neg, mode == "vlp"), w,
                       gamma, lam)
         assert got == pytest.approx(want, rel=1e-10), mode
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_hlp_chunk_holds_one_candidate_array(kind):
+    """forward, loss_l2 and backward of an hlp chunk allocate one (B, 1 + l,
+    d) array, the candidates' gather. On 50 entities nothing else comes
+    near its size, so the traced peak stays below two gathers."""
+    b, l, n = 256, 64, 50
+    store = init_parameters(kind, 100 if is_complex_kind(kind) else 200, n,
+                            3, seed=0)
+    rng = np.random.default_rng(0)
+    batch = np.stack([rng.integers(n, size=b), rng.integers(3, size=b),
+                      rng.integers(n, size=b)], axis=1)
+    neg = rng.integers(n, size=(b, l))
+    buf = GradBuffer(store)
+    tracemalloc.start()
+    try:
+        fwd = forward(store, None, batch, neg, False)
+        loss_l2(fwd, np.full(neg.shape, 1.0 / l), 6.0, 0.5)
+        backward(store, fwd, buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gather = b * (1 + l) * store.d_k * store.dtype.itemsize
+    assert peak < 2 * gather, f"peak {peak / gather:.2f} gathers"
 
 
 def test_l2_adds_both_draws_of_a_repeated_negative_to_d_cos():
@@ -255,6 +283,24 @@ def test_scatter_equals_np_add_at_bit_for_bit(dtype):
     for i, add in ((0, buf.add_entities), (1, buf.add_relations)):
         add(*added[i])
         assert np.array_equal(buf.grads[i], 2 * want[i])
+    # weighted pairs, also with one row broadcast over each row of ids: each
+    # pair stays its own product, as in np.add.at, where an id repeats in a row
+    n, d = store.entities.shape
+    for trial in range(10):
+        shape = (7, 5 if trial % 2 else 1, d)
+        ids = rng.integers(n, size=(7, 5))
+        scale = 10.0 ** rng.integers(-3, 4, size=shape[:2] + (1,))
+        src = rng.normal(scale=scale, size=shape).astype(dtype)
+        if shape[1] == 1:
+            assert any(len(set(row)) < len(row) for row in ids)
+        w = rng.normal(scale=10.0 ** rng.integers(-3, 4, size=(7, 5)),
+                       size=(7, 5)).astype(dtype)
+        buf = GradBuffer(store)
+        buf.add_entities(ids, src, w)
+        want = np.zeros_like(store.entities)
+        np.add.at(want, ids.reshape(-1), (w[..., None] * src).reshape(-1, d))
+        assert buf.grads[0].dtype == dtype
+        assert np.array_equal(buf.grads[0], want)
 
 
 def test_untouched_rows_stay_bit_identical():
