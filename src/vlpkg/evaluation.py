@@ -11,6 +11,9 @@ relation ids re-labeled with the base relation's class.
 ``evaluate`` ranks a split in blocks of rows instead, and every rank it
 gives equals the oracle's bit for bit:
 
+* A block's t' is one ``context_vector`` call on its rows. t' is a pure
+  function of (store, table, h, r), the same bits alone or in any block
+  (``aggregate_batch`` is row-stable), so each row is the oracle's t'.
 * The gold score comes from the elementwise kernels (``pair_scores``,
   ``cosine_all``), so it is the oracle's entry.
 * One float64 GEMM scores every candidate of a block: ``Q @ E.T`` for the
@@ -263,8 +266,7 @@ class _BlockRanker:
     def fc(self, h, r, t):
         """``scores`` for the cosine of t' against every entity."""
         store, d = self.store, self.store.d_k
-        t_prime = np.stack([context_vector(store, self.table, a, b)
-                            for a, b in zip(h, r)])
+        t_prime = context_vector(store, self.table, h, r)
         gold = cosine_all(t_prime, store.entities[t]).astype(np.float64)
 
         def exact(rows, cols):
@@ -288,7 +290,7 @@ def evaluate(store, kg, split="test", table=None, dist_index=None, lam=0.5,
 
     ``threads`` is accepted for older callers and unused: the blocks run
     in the calling thread, which ranked rand5k's combined-f queries as fast
-    as two threads did, since each query's t' is Python-bound.
+    as two threads did.
     """
     triples = kg.split(split)
     if filter_index is None:

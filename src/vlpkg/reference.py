@@ -8,7 +8,9 @@ Their answer embeddings k_i and query differences s_i = q - q_i are pooled,
     t'     = tanh( W_agg [pooled ; q] )
 
 and a candidate tail t is scored by cosine(t', k_t). The combined score adds
-the plain triple score: f = f_c + lambda * f_g.
+the plain triple score: f = f_c + lambda * f_g. The code pools first, as
+W_node mean_i(k_i) + W_edge mean_i(s_i): by linearity the same in exact
+arithmetic, with one product per query instead of one per reference.
 
 Selection orders the relation's training pairs by the capped distance
 d(h, h_i), ties by (head frequency desc, h_i, t_i): the order a stable sort
@@ -206,7 +208,7 @@ def gather_references(table, h_ids, r_ids, exclude_tails=None):
     pairs = table.pairs if len(table.pairs) else np.zeros((1, 2), np.int64)
     ref = pairs[np.where(live, slots, 0)]
     if exclude_tails is not None:  # drop the own pair, keep the rest in order
-        t = np.asarray(exclude_tails)[:, None]
+        t = np.asarray(exclude_tails).reshape(-1, 1)
         live &= (ref[..., 0] != h[:, None]) | (ref[..., 1] != t)
         order = np.argsort(~live, axis=1, kind="stable")
         ref = np.take_along_axis(ref, order[..., None], axis=1)
@@ -218,16 +220,16 @@ def gather_references(table, h_ids, r_ids, exclude_tails=None):
 
 @dataclass
 class AggCache:
-    """Forward intermediates kept for the backward pass."""
+    """Forward intermediates kept for the backward pass: the (B, N) slot
+    weights w = mask / max(sum mask, 1), and the (B, d_k) weighted sums
+    k_bar and s_bar of the slots' k_i and s_i."""
 
-    q: np.ndarray
     r_full: np.ndarray
     ref_h: np.ndarray
     ref_t: np.ndarray
-    mask: np.ndarray
-    k_refs: np.ndarray
-    s_refs: np.ndarray
-    denom: np.ndarray
+    w: np.ndarray
+    k_bar: np.ndarray
+    s_bar: np.ndarray
     z: np.ndarray
     t_prime: np.ndarray
 
@@ -236,29 +238,25 @@ def aggregate_batch(store, q, r_ids, ref_h, ref_t, mask):
     """Pooled reference aggregation for a batch; returns (t_prime, cache).
 
     q: (B, d_k) precomputed query vectors; ref_h/ref_t: (B, N) ids;
-    mask: (B, N) 1.0 where the slot holds a real reference.
+    mask: (B, N) 1.0 where the slot holds a real reference. Row-stable:
+    row i of t' has the same bits in a batch of one or of any size, since
+    the slot sums run in slot order along axis 1 and every weight product
+    is a 3-D matmul.
     """
     agg = store.agg
-    dtype = q.dtype
-    mask = mask.astype(dtype, copy=False)
     b, n = ref_h.shape
+    mask = mask.astype(q.dtype, copy=False)
+    w = mask / np.maximum(mask.sum(axis=1), 1.0)[:, None]
     r_full = np.broadcast_to(np.asarray(r_ids).reshape(b, 1), (b, n))
-    k_refs = store.entities[ref_t]
-    q_refs = query_batch(store, ref_h, r_full)
-    s_refs = q[:, None, :] - q_refs
-    # 2-D GEMMs: numpy runs a 3-D @ 2-D matmul as one small GEMM per row
-    d_k = q.shape[1]
-    msg = (k_refs.reshape(-1, d_k) @ agg.w_node.T
-           + s_refs.reshape(-1, d_k) @ agg.w_edge.T).reshape(b, n, d_k)
-    msg = msg * mask[..., None]
-    denom = np.maximum(mask.sum(axis=1), 1.0)
-    pooled = msg.sum(axis=1) / denom[:, None]
-    z = np.concatenate([pooled, q], axis=1)
-    t_prime = np.tanh(z @ agg.w_agg.T)
-    cache = AggCache(q=q, r_full=r_full, ref_h=ref_h, ref_t=ref_t, mask=mask,
-                     k_refs=k_refs, s_refs=s_refs, denom=denom, z=z,
-                     t_prime=t_prime)
-    return t_prime, cache
+    k_bar = (store.entities[ref_t] * w[..., None]).sum(axis=1)
+    s_refs = q[:, None, :] - query_batch(store, ref_h, r_full)
+    s_bar = (s_refs * w[..., None]).sum(axis=1)
+    # 3-D matmuls: numpy runs one (1, d) product per row, so a row's bits
+    # do not depend on the batch, as a 2-D GEMM's do
+    pooled = k_bar[:, None] @ agg.w_node.T + s_bar[:, None] @ agg.w_edge.T
+    z = np.concatenate([pooled[:, 0], q], axis=1)
+    t_prime = np.tanh(z[:, None] @ agg.w_agg.T)[:, 0]
+    return t_prime, AggCache(r_full, ref_h, ref_t, w, k_bar, s_bar, z, t_prime)
 
 
 def aggregate_pullback(store, cache, d_t_prime, buf):
@@ -268,37 +266,34 @@ def aggregate_pullback(store, cache, d_t_prime, buf):
     slots to the GradBuffer ``buf``; returns the gradient on q, which feeds
     the caller's own query pullback.
     """
-    agg = store.agg
-    d_k = store.d_k
+    agg, d_k = store.agg, store.d_k
     d_pre = d_t_prime * (1.0 - cache.t_prime * cache.t_prime)
     d_z = d_pre @ agg.w_agg
-    d_q = d_z[:, d_k:].copy()
-    d_msg = (d_z[:, :d_k] / cache.denom[:, None])[:, None, :] * cache.mask[..., None]
-    # 2-D GEMMs: numpy runs a 3-D @ 2-D matmul as one small GEMM per row
-    flat = d_msg.reshape(-1, d_k)
-    buf.add_dense(2, flat.T @ cache.k_refs.reshape(-1, d_k))
-    buf.add_dense(3, flat.T @ cache.s_refs.reshape(-1, d_k))
+    d_pooled = d_z[:, :d_k]
+    buf.add_dense(2, d_pooled.T @ cache.k_bar)
+    buf.add_dense(3, d_pooled.T @ cache.s_bar)
     buf.add_dense(4, d_pre.T @ cache.z)
-    d_s_refs = (flat @ agg.w_edge).reshape(d_msg.shape)
-    d_q += d_s_refs.sum(axis=1)
-    d_h_refs, d_r_refs = query_pullback(store, cache.ref_h, cache.r_full,
-                                        -d_s_refs)
-    live = cache.mask > 0
-    buf.add_entities(cache.ref_t[live], d_msg[live] @ agg.w_node)
-    buf.add_entities(cache.ref_h[live], d_h_refs[live])
-    buf.add_relations(cache.r_full[live], d_r_refs[live])
-    return d_q
+    d_s_bar = d_pooled @ agg.w_edge
+    live = cache.w > 0
+    row, w = np.nonzero(live)[0], cache.w[live]
+    buf.add_entities(cache.ref_t[live], (d_pooled @ agg.w_node)[row], w)
+    d_h_refs, d_r_refs = query_pullback(store, cache.ref_h[live],
+                                        cache.r_full[live],
+                                        -w[:, None] * d_s_bar[row])
+    buf.add_entities(cache.ref_h[live], d_h_refs)
+    buf.add_relations(cache.r_full[live], d_r_refs)
+    return d_z[:, d_k:] + cache.w.sum(axis=1)[:, None] * d_s_bar
 
 
 def context_vector(store, table, h, r, exclude_tail=None):
-    """t' for one query: the batch aggregation on a one-row batch."""
-    h_ids = np.array([h])
-    r_ids = np.array([r])
-    ref_h, ref_t, mask = gather_references(
-        table, h_ids, r_ids, None if exclude_tail is None else [exclude_tail])
+    """t' for one query, or a (B, d_k) row per query for 1-D ``h`` and
+    ``r`` (and ``exclude_tail``): one gather and one ``aggregate_batch``,
+    whose rows are the same bits alone or in any batch."""
+    h_ids, r_ids = np.atleast_1d(h), np.atleast_1d(r)
+    ref_h, ref_t, mask = gather_references(table, h_ids, r_ids, exclude_tail)
     t_prime, _ = aggregate_batch(store, query_batch(store, h_ids, r_ids),
                                  r_ids, ref_h, ref_t, mask)
-    return t_prime[0]
+    return t_prime if np.ndim(h) else t_prime[0]
 
 
 # ---------------------------------------------------------------------------

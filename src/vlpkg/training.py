@@ -135,14 +135,17 @@ class GradBuffer:
 
 def adam_apply(store, adam, buf, lr):
     """One bias-corrected Adam update restricted to touched rows, in place
-    and in each parameter's dtype: each array is updated whole, then its
-    untouched rows are put back."""
+    and in each parameter's dtype: an array with a touched row is updated
+    whole, then its untouched rows are put back; an array with none is not
+    read or written."""
     adam.step += 1
     t = adam.step
     c1 = 1.0 - BETA1 ** t
     c2 = 1.0 - BETA2 ** t
     for param, grad, touched, m_arr, v_arr in zip(
             store.param_arrays(), buf.grads, buf.touched, adam.m, adam.v):
+        if not touched.any():
+            continue
         rest = np.flatnonzero(~touched)
         kept = param[rest], m_arr[rest], v_arr[rest]
         step = grad * (1.0 - BETA1)

@@ -6,7 +6,7 @@ from vlpkg import (ModelKind, augment_reciprocal, compute_distances, evaluate,
 from vlpkg.data import FilterIndex, distance_bucket
 import vlpkg.evaluation
 from vlpkg.evaluation import (EVAL_MODES, Cell, EvalReport, candidate_scores,
-                              format_table, random_baseline,
+                              context_vector, format_table, random_baseline,
                               rank_from_scores, read_report, report_lines,
                               write_ranks, write_report)
 from vlpkg.synth import kg_from_id_triples, random_graph
@@ -106,6 +106,26 @@ def test_a_nan_entity_row_falls_back_to_the_oracle(kind, norm, mode,
     assert ([x.rank for x in report.ranks]
             == _oracle_ranks(store, kg, table, mode, 0.5, findex))
     assert report.rescored == 0  # every query took the fallback
+
+
+@pytest.mark.parametrize("mode", ["combined-f", "fc-only"])
+def test_t_prime_is_built_once_per_block(mode, graph_with_refs, monkeypatch):
+    kg, table = graph_with_refs
+    store = init_parameters(ModelKind.ROTATE, 8, kg.n_entities,
+                            kg.n_relations, seed=3)
+    calls = []
+
+    def counted(store, table, h, r):
+        calls.append(np.size(h))
+        return context_vector(store, table, h, r)
+
+    monkeypatch.setattr(vlpkg.evaluation, "context_vector", counted)
+    monkeypatch.setattr(vlpkg.evaluation, "_BLOCK_BYTES",
+                        16 * kg.n_entities * 7)  # 7-row blocks
+    report = evaluate(store, kg, "test", table=table, mode=mode)
+    assert report.n == len(kg.test) > 7
+    assert calls == [len(b) for b in np.array_split(
+        kg.test, range(7, len(kg.test), 7))]
 
 
 @pytest.mark.parametrize("kind,norm", KINDS, ids=KIND_IDS)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -250,29 +251,36 @@ def test_table_load_rejects_corruption(tmp_path):
             ReferenceTable.load(path)
 
 
-def _setup(kind=ModelKind.ROTATE, seed=4):
+def _setup(kind=ModelKind.ROTATE, seed=4, dtype=np.float64, dim=5):
     kg = random_graph(n_entities=14, n_relations=3, n_train=50, n_valid=6,
                       n_test=6, seed=seed)
     index = compute_distances(kg, cap=4)
     table = select_references(kg, index, n_refs=3)
-    store = init_parameters(kind, 5, kg.n_entities, kg.n_relations, seed=seed,
-                            dtype=np.float64)
+    store = init_parameters(kind, dim, kg.n_entities, kg.n_relations,
+                            seed=seed, dtype=dtype)
     return kg, table, store
 
 
 def test_batch_aggregation_equals_single_query_path():
-    """The padded batch kernel and the per-query loop must agree."""
-    kg, table, store = _setup()
-    h_ids = kg.test[:, 0]
-    r_ids = kg.test[:, 1]
-    from vlpkg.models import query_batch
-
-    q = query_batch(store, h_ids, r_ids)
-    ref_h, ref_t, mask = gather_references(table, h_ids, r_ids)
-    t_prime, _ = aggregate_batch(store, q, r_ids, ref_h, ref_t, mask)
-    for i, (h, r) in enumerate(zip(h_ids, r_ids)):
-        single = context_vector(store, table, int(h), int(r))
-        np.testing.assert_allclose(t_prime[i], single, rtol=1e-12, atol=1e-14)
+    """A batched t' row has the bits of the one-row t', at any chunk size,
+    with and without the training pair excluded, for every kind and dtype."""
+    for kind, dtype in itertools.product(ModelKind, (np.float32, np.float64)):
+        kg, table, store = _setup(kind, dtype=dtype, dim=40)
+        h_ids, r_ids, t_ids = kg.train.T
+        for exclude in (None, t_ids):
+            single = np.stack([
+                context_vector(store, table, int(h), int(r),
+                               None if exclude is None else int(exclude[i]))
+                for i, (h, r) in enumerate(zip(h_ids, r_ids))])
+            assert single.dtype == dtype
+            for size in (1, 3, 7, len(h_ids)):
+                parts = [context_vector(
+                    store, table, h_ids[i:i + size], r_ids[i:i + size],
+                    None if exclude is None else exclude[i:i + size])
+                    for i in range(0, len(h_ids), size)]
+                np.testing.assert_array_equal(
+                    np.concatenate(parts), single,
+                    err_msg=f"{kind.value} {dtype.__name__} chunks of {size}")
 
 
 def test_aggregate_empty_reference_list_uses_zero_pool():
