@@ -186,10 +186,10 @@ def _relation_parts(kind, r):
     return _split(r) if kind == ModelKind.COMPLEX else (np.cos(r), np.sin(r))
 
 
-def query_batch(store, h_ids, r_ids):
-    """Query vectors q = query(h, r) for ids or id arrays of equal shape;
-    returns (..., d_k)."""
-    h = store.entities[h_ids]
+def query_batch(store, h_ids, r_ids, heads=None):
+    """Query vectors q = query(h, r), (..., d_k), for id arrays of equal
+    shape; given ``heads``, for those head vectors (``h_ids`` unused)."""
+    h = store.entities[h_ids] if heads is None else heads
     r = store.relations[r_ids]
     kind = store.kind
     if kind == ModelKind.TRANSE:
@@ -201,16 +201,16 @@ def query_batch(store, h_ids, r_ids):
     return np.concatenate([hr * rr - hi * ri, hr * ri + hi * rr], axis=-1)
 
 
-def query_pullback(store, h_ids, r_ids, upstream):
+def query_pullback(store, h_ids, r_ids, upstream, heads=None):
     """Chain an upstream gradient on q back to (d_head, d_relation) rows.
 
     upstream has shape (..., d_k); returns arrays shaped like the h and r
     embedding rows respectively (callers scatter-add them into tables).
-    """
+    ``heads`` as in ``query_batch``."""
     kind = store.kind
     if kind == ModelKind.TRANSE:
         return upstream, upstream
-    h = store.entities[h_ids]
+    h = store.entities[h_ids] if heads is None else heads
     r = store.relations[r_ids]
     if kind == ModelKind.DISTMULT:
         return upstream * r, upstream * h

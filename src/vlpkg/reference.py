@@ -9,8 +9,9 @@ Their answer embeddings k_i and query differences s_i = q - q_i are pooled,
 
 and a candidate tail t is scored by cosine(t', k_t). The combined score adds
 the plain triple score: f = f_c + lambda * f_g. The code pools first, as
-W_node mean_i(k_i) + W_edge mean_i(s_i): by linearity the same in exact
-arithmetic, with one product per query instead of one per reference.
+W_node mean_i(k_i) + W_edge W (q - query(sum_i w_i h_i, r)), w_i the mean
+weights and W their sum: equal in exact arithmetic, as each query is affine
+in h, with one product and one query per row instead of one per reference.
 
 Selection orders the relation's training pairs by the capped distance
 d(h, h_i), ties by (head frequency desc, h_i, t_i): the order a stable sort
@@ -222,12 +223,13 @@ def gather_references(table, h_ids, r_ids, exclude_tails=None):
 class AggCache:
     """Forward intermediates kept for the backward pass: the (B, N) slot
     weights w = mask / max(sum mask, 1), and the (B, d_k) weighted sums
-    k_bar and s_bar of the slots' k_i and s_i."""
+    h_bar, k_bar and s_bar of the slots' heads, k_i and s_i."""
 
-    r_full: np.ndarray
+    r_ids: np.ndarray
     ref_h: np.ndarray
     ref_t: np.ndarray
     w: np.ndarray
+    h_bar: np.ndarray
     k_bar: np.ndarray
     s_bar: np.ndarray
     z: np.ndarray
@@ -237,34 +239,34 @@ class AggCache:
 def aggregate_batch(store, q, r_ids, ref_h, ref_t, mask):
     """Pooled reference aggregation for a batch; returns (t_prime, cache).
 
-    q: (B, d_k) precomputed query vectors; ref_h/ref_t: (B, N) ids;
-    mask: (B, N) 1.0 where the slot holds a real reference. Row-stable:
-    row i of t' has the same bits in a batch of one or of any size, since
-    the slot sums run in slot order along axis 1 and every weight product
-    is a 3-D matmul.
+    q: (B, d_k) query vectors; r_ids: (B,) ids; ref_h/ref_t: (B, N) ids;
+    mask: (B, N) 1.0 where the slot holds a real reference. Row-stable: row
+    i of t' has the same bits in a batch of one or of any size: slot sums
+    run in slot order along axis 1, queries are per row, and each weight
+    product is a 3-D matmul.
     """
-    agg = store.agg
-    b, n = ref_h.shape
+    agg, ents = store.agg, store.entities
     mask = mask.astype(q.dtype, copy=False)
-    w = mask / np.maximum(mask.sum(axis=1), 1.0)[:, None]
-    r_full = np.broadcast_to(np.asarray(r_ids).reshape(b, 1), (b, n))
-    k_bar = (store.entities[ref_t] * w[..., None]).sum(axis=1)
-    s_refs = q[:, None, :] - query_batch(store, ref_h, r_full)
-    s_bar = (s_refs * w[..., None]).sum(axis=1)
+    w = mask / np.maximum(mask.sum(axis=1), 1.0)[:, None]  # W: 1 or 0
+    k_bar = (ents[ref_t] * w[..., None]).sum(axis=1)
+    h_bar = (ents[ref_h] * w[..., None]).sum(axis=1)
+    s_bar = w.sum(axis=1)[:, None] * (
+        q - query_batch(store, None, r_ids, heads=h_bar))
     # 3-D matmuls: numpy runs one (1, d) product per row, so a row's bits
     # do not depend on the batch, as a 2-D GEMM's do
     pooled = k_bar[:, None] @ agg.w_node.T + s_bar[:, None] @ agg.w_edge.T
     z = np.concatenate([pooled[:, 0], q], axis=1)
     t_prime = np.tanh(z[:, None] @ agg.w_agg.T)[:, 0]
-    return t_prime, AggCache(r_full, ref_h, ref_t, w, k_bar, s_bar, z, t_prime)
+    return t_prime, AggCache(r_ids, ref_h, ref_t, w, h_bar, k_bar, s_bar, z,
+                             t_prime)
 
 
 def aggregate_pullback(store, cache, d_t_prime, buf):
     """Chain an upstream gradient on t' back through the aggregation.
 
-    Adds the weight gradients and the rows of the real (unmasked) reference
-    slots to the GradBuffer ``buf``; returns the gradient on q, which feeds
-    the caller's own query pullback.
+    Adds the weight gradients, the rows of the real (unmasked) reference
+    slots and the relations of rows with any to the GradBuffer ``buf``;
+    returns the gradient on q, which feeds the caller's own query pullback.
     """
     agg, d_k = store.agg, store.d_k
     d_pre = d_t_prime * (1.0 - cache.t_prime * cache.t_prime)
@@ -273,16 +275,16 @@ def aggregate_pullback(store, cache, d_t_prime, buf):
     buf.add_dense(2, d_pooled.T @ cache.k_bar)
     buf.add_dense(3, d_pooled.T @ cache.s_bar)
     buf.add_dense(4, d_pre.T @ cache.z)
-    d_s_bar = d_pooled @ agg.w_edge
+    d_q = cache.w.sum(axis=1)[:, None] * (d_pooled @ agg.w_edge)  # W d_s_bar
     live = cache.w > 0
     row, w = np.nonzero(live)[0], cache.w[live]
     buf.add_entities(cache.ref_t[live], (d_pooled @ agg.w_node)[row], w)
-    d_h_refs, d_r_refs = query_pullback(store, cache.ref_h[live],
-                                        cache.r_full[live],
-                                        -w[:, None] * d_s_bar[row])
-    buf.add_entities(cache.ref_h[live], d_h_refs)
-    buf.add_relations(cache.r_full[live], d_r_refs)
-    return d_z[:, d_k:] + cache.w.sum(axis=1)[:, None] * d_s_bar
+    d_h_bar, d_r = query_pullback(store, None, cache.r_ids, -d_q,
+                                  heads=cache.h_bar)
+    buf.add_entities(cache.ref_h[live], d_h_bar[row], w)
+    has = live.any(axis=1)
+    buf.add_relations(cache.r_ids[has], d_r[has])
+    return d_z[:, d_k:] + d_q
 
 
 def context_vector(store, table, h, r, exclude_tail=None):

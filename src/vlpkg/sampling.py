@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import softmax
 
+from .data import ranges
+
 SAMPLER_MODES = ("uniform", "selfadv", "red")
 
 
@@ -79,7 +81,7 @@ class PreSampler:
 
         The bucket comes by inverse CDF over ``bucket_weights``; a ring d < cap
         is an integer offset into its slice of ``index.ids``. A draw in the cap
-        bucket rejects uniform candidates unless ``distances_from(s) == cap``,
+        bucket rejects uniform candidates in s's index row (distance < cap),
         2n / |beyond| of them a round, so it ends in a round w.p. ~1 - e^-2.
         """
         index, cap, n = self.index, self.index.cap, self.index.n_entities
@@ -95,12 +97,15 @@ class PreSampler:
         out[inner] = index.ids[lo + rng.integers(hi - lo)]
         todo = np.flatnonzero(bucket == cap)  # draws still pending
         rows, row_of = np.unique(todo // l, return_inverse=True)
-        far = index.distances_from(flat[rows]) == cap
-        per = 2 * n // far.sum(axis=1)  # candidates per pending draw, by row
+        size = np.diff(index.indptr)[flat[rows]]  # ids at distance < cap
+        near = np.zeros(len(rows) * n, dtype=bool)  # row-major (rows, n)
+        near[np.repeat(np.arange(len(rows)) * n, size)
+             + index.ids[ranges(index.indptr[flat[rows]], size)]] = True
+        per = 2 * n // (n - size)  # candidates per pending draw, by row
         while len(todo):
             owner = np.repeat(np.arange(len(todo)), per[row_of])
             cand = rng.integers(n, size=len(owner))
-            hit = np.flatnonzero(far[row_of[owner], cand])
+            hit = np.flatnonzero(~near[row_of[owner] * n + cand])
             got, first = np.unique(owner[hit], return_index=True)
             out[todo[got]] = cand[hit[first]]
             todo, row_of = np.delete(todo, got), np.delete(row_of, got)

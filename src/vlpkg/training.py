@@ -10,9 +10,10 @@ same positive triple,
 L1 is the cross-entropy of the softmax over cosine scores of all entities;
 L2 is the margin sigmoid loss over drawn negatives, weighted by detached
 post-sampling weights. Both read scores in the parameters' dtype (float32
-by default) and accumulate their values and softmax/sigmoid terms in
-float64; their gradients are added back in the parameters' dtype. Every
-gradient here is hand-derived and checked against central finite
+by default) and add gradients back in it; values, L1's row sums and L2's
+sigmoid terms are float64. L1 exponentiates in the parameters' dtype with
+no max shift (a cosine lies in [-1, 1]), its cosines one GEMM of unit rows.
+Every gradient here is hand-derived and checked against central finite
 differences in the test suite. Adam keeps its moments in the parameters'
 dtype and updates parameters and moments in place in that dtype, with no
 float64 round trip.
@@ -183,16 +184,23 @@ class Forward:
     agg: object = None   # AggCache of t'
     cos: np.ndarray = None     # (B, n_entities) cos(t', every entity)
     fc: np.ndarray = None      # (B, 1 + l) its cand columns: f_c
-    d_cos: np.ndarray = None
-    inv_tn: np.ndarray = None  # (B,) 1 / |t'|
-    inv_en: np.ndarray = None  # (n_entities,) 1 / |entity|
+    d_cos: np.ndarray = None   # made by the first loss that adds to it
+    t_unit: tuple = None   # t' / |t'| (B, d_k) and 1 / |t'| (B,)
+    e_unit: tuple = None   # the same for the (n_entities, d_k) entities
 
 
-def _inv_norms(x):
-    """1 / |row| for each row of ``x``; 0 for a zero row."""
-    norms = np.sqrt((x * x).sum(axis=-1))
-    with np.errstate(divide="ignore"):
-        return np.where(norms > 0, 1.0 / norms, 0.0)
+def _unit_rows(x):
+    """(x / |row|, 1 / |row|) for the rows of ``x``; 0 for a zero row."""
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    return x * inv[:, None], inv
+
+
+def _unit_pullback(g, unit, inv):
+    """x's gradient, in place of ``g``, the one on ``unit`` = x * ``inv``."""
+    g -= np.einsum("ij,ij->i", g, unit)[:, None] * unit
+    g *= inv[:, None]
+    return g
 
 
 def forward(store, table, batch, negatives, vlp):
@@ -206,13 +214,10 @@ def forward(store, table, batch, negatives, vlp):
     if vlp:
         ref_h, ref_t, mask = gather_references(table, h, r, exclude_tails=t)
         t_prime, fwd.agg = aggregate_batch(store, q, r, ref_h, ref_t, mask)
-        fwd.inv_tn = _inv_norms(t_prime)
-        fwd.inv_en = _inv_norms(store.entities)
-        fwd.cos = t_prime @ store.entities.T
-        fwd.cos *= fwd.inv_tn[:, None]
-        fwd.cos *= fwd.inv_en
+        fwd.t_unit = _unit_rows(t_prime)
+        fwd.e_unit = _unit_rows(store.entities)
+        fwd.cos = fwd.t_unit[0] @ fwd.e_unit[0].T
         fwd.fc = np.take_along_axis(fwd.cos, cand, axis=1)
-        fwd.d_cos = np.zeros_like(fwd.cos)
     return fwd
 
 
@@ -228,19 +233,16 @@ def postweight_scores(fwd, lam, score="fg"):
 def loss_l1(fwd, normalizer=None):
     """Cross-entropy of the softmax over the all-entity cosines (vlp only),
     summed over the chunk and divided by ``normalizer`` (default: its size);
-    adds its gradient to ``fwd.d_cos``. One exp: shift by the row maximum,
-    exponentiate, sum and divide, all in float64."""
+    adds its gradient to ``fwd.d_cos``. One exp, in the cosines' dtype with
+    no max shift, since |cos| <= 1; row sums and value in float64."""
     rows, t = np.arange(len(fwd.cand)), fwd.cand[:, 0]
     n = len(rows) if normalizer is None else normalizer
-    p = fwd.cos.astype(np.float64)
-    top = p.max(axis=1)
-    p -= top[:, None]
-    np.exp(p, out=p)
-    total = p.sum(axis=1)
-    value = float((np.log(total) + top - fwd.cos[rows, t]).sum() / n)
-    p *= (1.0 / (total * n))[:, None]
+    p = np.exp(fwd.cos)
+    total = p.sum(axis=1, dtype=np.float64)
+    value = float((np.log(total) - fwd.cos[rows, t]).sum() / n)
+    p *= (1.0 / (total * n)).astype(p.dtype)[:, None]
     p[rows, t] -= 1.0 / n
-    fwd.d_cos += p
+    fwd.d_cos = p if fwd.d_cos is None else np.add(p, fwd.d_cos, out=p)
     return value
 
 
@@ -264,6 +266,8 @@ def loss_l2(fwd, post_w, gamma, lam, scale=1.0, normalizer=None):
         fwd.d_fg += d_f
     else:
         fwd.d_fg += d_f * d_f.dtype.type(lam)
+        if fwd.d_cos is None:
+            fwd.d_cos = np.zeros_like(fwd.cos)
         np.add.at(fwd.d_cos, (np.arange(b)[:, None], fwd.cand), d_f)
     return value
 
@@ -274,14 +278,9 @@ def backward(store, fwd, buf):
                                              fwd.d_fg, fwd.fg)
     buf.add_entities(fwd.cand, rows, weights)
     if fwd.cos is not None:
-        t_prime, ents = fwd.agg.t_prime, store.entities
-        inv_tn, inv_en = fwd.inv_tn, fwd.inv_en
-        gc = fwd.d_cos * fwd.cos
-        gi = fwd.d_cos * inv_tn[:, None]
-        gi *= inv_en
-        d_t = gi @ ents - (gc.sum(1) * inv_tn ** 2)[:, None] * t_prime
-        buf.add_dense(0, gi.T @ t_prime
-                      - (gc.sum(0) * inv_en ** 2)[:, None] * ents)
+        d_t = _unit_pullback(fwd.d_cos @ fwd.e_unit[0], *fwd.t_unit)
+        buf.add_dense(0, _unit_pullback(fwd.d_cos.T @ fwd.t_unit[0],
+                                        *fwd.e_unit))
         d_q += aggregate_pullback(store, fwd.agg, d_t, buf)
     d_h, d_r = query_pullback(store, fwd.h, fwd.r, d_q)
     buf.add_entities(fwd.h, d_h)

@@ -9,14 +9,14 @@ from vlpkg import (ModelKind, compute_distances, init_parameters, reference,
 from vlpkg.data import augment_reciprocal
 from vlpkg.distances import CacheError
 from vlpkg.evaluation import candidate_scores
-from vlpkg.models import query_batch
+from vlpkg.models import query_batch, query_pullback
 from vlpkg.reference import (ReferenceTable, aggregate_batch,
                              aggregate_pullback, context_vector, cosine_all,
                              gather_references, query_keys)
 from vlpkg.synth import kg_from_id_triples, random_graph
 from vlpkg.training import GradBuffer
 
-from conftest import floyd_warshall
+from conftest import fd_array, floyd_warshall, max_rel_err
 
 
 def _selection_oracle(kg, cap, n_refs):
@@ -296,18 +296,56 @@ def test_aggregate_empty_reference_list_uses_zero_pool():
 
 
 def test_aggregation_oracle_single_query():
-    """Straight-line recomputation of the pooling formula."""
-    kg, table, store = _setup(kind=ModelKind.DISTMULT)
-    h, r = int(kg.test[0, 0]), int(kg.test[0, 1])
-    q = query_batch(store, h, r)
-    refs = [(store.entities[t_i], q - query_batch(store, h_i, r))
-            for h_i, t_i in _gathered(table, h, r)]
-    assert len(refs) >= 2
-    agg = store.agg
-    pooled = np.mean([agg.w_node @ k + agg.w_edge @ s for k, s in refs], axis=0)
-    want = np.tanh(agg.w_agg @ np.concatenate([pooled, q]))
-    np.testing.assert_allclose(context_vector(store, table, h, r), want,
-                               rtol=1e-12)
+    """Straight-line recomputation of the pooling formula, one query per
+    reference, for every kind; TransE's offset r is where the pooled form's
+    weight sum W matters. One test id, a loop over the kinds."""
+    for kind in ModelKind:
+        kg, table, store = _setup(kind=kind)
+        h, r = int(kg.test[0, 0]), int(kg.test[0, 1])
+        q = query_batch(store, h, r)
+        refs = [(store.entities[t_i], q - query_batch(store, h_i, r))
+                for h_i, t_i in _gathered(table, h, r)]
+        assert len(refs) >= 2
+        agg = store.agg
+        pooled = np.mean([agg.w_node @ k + agg.w_edge @ s for k, s in refs],
+                         axis=0)
+        want = np.tanh(agg.w_agg @ np.concatenate([pooled, q]))
+        np.testing.assert_allclose(context_vector(store, table, h, r), want,
+                                   rtol=1e-12, err_msg=kind.value)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_a_row_without_references_pools_nothing(kind):
+    """A batch mixing rows with and without references: the bare row's
+    s_bar is 0 (TransE's query(0, r) = r is not), the reference path
+    touches only the relations of rows that have references, and every
+    gradient matches central differences."""
+    train = [(0, 0, 1), (2, 0, 3), (1, 0, 4), (3, 0, 5), (4, 0, 0)]
+    kg = kg_from_id_triples(6, 2, train, test=[(2, 1, 5)])
+    table = select_references(kg, compute_distances(kg, cap=3), n_refs=2)
+    store = init_parameters(kind, 3, kg.n_entities, kg.n_relations, seed=6,
+                            dtype=np.float64)
+    h, r = np.array([0, 2, 3]), np.array([0, 1, 0])
+    ref_h, ref_t, mask = gather_references(table, h, r, [1, 5, 5])
+    np.testing.assert_array_equal(mask.sum(axis=1) > 0, [True, False, True])
+    up = np.random.default_rng(0).normal(size=(3, store.d_k))
+
+    def value():
+        q = query_batch(store, h, r)
+        return float((aggregate_batch(store, q, r, ref_h, ref_t, mask)[0]
+                      * up).sum())
+
+    t_prime, cache = aggregate_batch(store, query_batch(store, h, r), r,
+                                     ref_h, ref_t, mask)
+    assert not cache.s_bar[1].any() and not cache.h_bar[1].any()
+    buf = GradBuffer(store)
+    d_q = aggregate_pullback(store, cache, up, buf)
+    np.testing.assert_array_equal(np.flatnonzero(buf.touched[1]), [0])
+    d_h, d_r = query_pullback(store, h, r, d_q)
+    buf.add_entities(h, d_h)
+    buf.add_relations(r, d_r)
+    for got, arr in zip(buf.grads, store.param_arrays()):
+        assert max_rel_err(got, fd_array(value, arr)) < 1e-7
 
 
 def test_masked_slots_do_not_influence_forward_or_backward():

@@ -246,3 +246,54 @@ def test_sample_negatives_is_seed_deterministic(small_index):
     a = pre.sample(0, 100, np.random.default_rng(5))
     b = pre.sample(0, 100, np.random.default_rng(5))
     assert np.array_equal(a, b)
+
+
+def _rejection_oracle(sampler, sources, l, rng):
+    """``PreSampler.sample`` drawn from the same stream, with the cap
+    bucket's rejection test read off dense ``distances_from`` rows."""
+    index, cap, n = sampler.index, sampler.index.cap, sampler.index.n_entities
+    flat = np.asarray(sources, dtype=np.int64).ravel()
+    cdf = np.cumsum(sampler.bucket_weights(flat), axis=-1)
+    cdf /= cdf[:, -1:]
+    u = rng.random((len(flat), l, 1))
+    bucket = (u >= cdf[:, None, :-1]).sum(axis=-1).ravel()
+    out = np.empty(len(bucket), dtype=np.int64)
+    inner = np.flatnonzero(bucket < cap)
+    at = flat[inner // l] * cap + bucket[inner]
+    lo, hi = index.ring_offsets[at], index.ring_offsets[at + 1]
+    out[inner] = index.ids[lo + rng.integers(hi - lo)]
+    todo = np.flatnonzero(bucket == cap)
+    rows, row_of = np.unique(todo // l, return_inverse=True)
+    far = index.distances_from(flat[rows]) == cap
+    per = 2 * n // far.sum(axis=1)
+    while len(todo):
+        owner = np.repeat(np.arange(len(todo)), per[row_of])
+        cand = rng.integers(n, size=len(owner))
+        hit = np.flatnonzero(far[row_of[owner], cand])
+        got, first = np.unique(owner[hit], return_index=True)
+        out[todo[got]] = cand[hit[first]]
+        todo, row_of = np.delete(todo, got), np.delete(row_of, got)
+    return out.reshape(np.shape(sources) + (l,))
+
+
+def test_sample_draws_equal_a_rejection_oracle_on_dense_rows(small_index):
+    """The near mask built from the index rows accepts exactly the
+    candidates that dense ``distances_from(s) == cap`` rows accept: the
+    same draws, bit for bit, on a large complement (line), a tiny one
+    (star) and a random graph."""
+    line = kg_from_id_triples(12, 1, [(i, 0, i + 1) for i in range(11)])
+    star = kg_from_id_triples(30, 1, [(0, 0, i) for i in range(1, 28)])
+    for index, heads in ((compute_distances(line, cap=2), [0, 5, 11, 0]),
+                         (compute_distances(star, cap=3), [1, 0, 28, 1]),
+                         (small_index, np.arange(small_index.n_entities))):
+        sampler = PreSampler(index, alpha0=0.5)
+        for seed in range(5):
+            got = sampler.sample(np.array(heads), 40,
+                                 np.random.default_rng(seed))
+            want = _rejection_oracle(sampler, np.array(heads), 40,
+                                     np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            sampler.sample(heads[0], 40, np.random.default_rng(7)),
+            _rejection_oracle(sampler, heads[0], 40,
+                              np.random.default_rng(7)))

@@ -98,6 +98,37 @@ def test_l1_loss_is_cross_entropy_over_cosines():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_l1_gradient_is_zero_on_a_zero_entity_and_a_zero_t_prime(
+        monkeypatch):
+    """A zero vector has no direction: the cosine reads 0 against it, and
+    L1 sends it a finite, exactly zero gradient. Row 1's head is a zero
+    entity with no references, so its t' is tanh(0) = 0; entity 7 is a
+    zero row that nothing else reads."""
+    import vlpkg.training
+
+    train = [(0, 0, 1), (2, 0, 3), (1, 0, 4), (3, 0, 5), (4, 0, 0)]
+    kg = kg_from_id_triples(8, 2, train, test=[(6, 1, 2)])
+    table = select_references(kg, compute_distances(kg, cap=3), n_refs=2)
+    store = init_parameters("distmult", 4, kg.n_entities, kg.n_relations,
+                            seed=3, dtype=np.float64)
+    store.entities[[6, 7]] = 0.0
+    seen = []
+    real = vlpkg.training.aggregate_pullback
+    monkeypatch.setattr(vlpkg.training, "aggregate_pullback",
+                        lambda store, cache, d_t, buf:
+                        seen.append(d_t) or real(store, cache, d_t, buf))
+    fwd = forward(store, table, np.array([[0, 0, 1], [6, 1, 2]]),
+                  np.zeros((2, 0), dtype=np.int64), True)
+    assert not fwd.agg.t_prime[1].any()
+    assert np.isfinite(loss_l1(fwd))
+    buf = GradBuffer(store)
+    backward(store, fwd, buf)
+    assert not fwd.cos[1].any() and not fwd.cos[:, [6, 7]].any()
+    assert all(np.isfinite(g).all() for g in buf.grads)
+    assert not seen[0][1].any() and seen[0][0].any()
+    assert not buf.grads[0][[6, 7]].any() and buf.grads[0][1].any()
+
+
 def test_l2_loss_matches_direct_formula():
     """Value check; the combined score masks the triple's own answer out of
     its references, so the oracle recomputes t' with that exclusion."""
