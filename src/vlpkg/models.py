@@ -233,7 +233,7 @@ def pair_scores(store, q, k, out=None):
     elementwise multiply and a sum. ``out=k`` selects the step's form: q is
     (B, d), k is (B, n, d), and a distance model overwrites k with delta =
     k - q, which ``pair_score_pullback`` reads (a dot model reads k as is).
-    It forms no squared or product copy.
+    It forms no squared, product or whole |delta| copy (TransE-l1 sums blocks).
     """
     if not is_distance_kind(store.kind):
         if out is None:
@@ -241,7 +241,8 @@ def pair_scores(store, q, k, out=None):
         return np.matmul(k, q[:, :, None])[..., 0]
     delta = k - q if out is None else np.subtract(k, q[:, None], out=out)
     if store.kind == ModelKind.TRANSE and store.norm == "l1":
-        return -np.abs(delta).sum(axis=-1)
+        return -np.abs(delta).sum(axis=-1) if out is None else -np.concatenate(
+            [np.abs(part).sum(axis=-1) for part in np.array_split(delta, 8)])
     if out is None:
         return -np.sqrt((delta * delta).sum(axis=-1))
     return -np.sqrt(np.einsum("bld,bld->bl", delta, delta))
@@ -267,14 +268,14 @@ def pair_score_pullback(store, q, delta, u, scores):
     result). Returns (d_q, rows, weights): the candidates' gradient is
     ``weights * rows`` (weights None: 1), as ``GradBuffer.add_rows`` scatters
     it. l2 and rotate give rows delta and weights c = -u / |delta| (0 where
-    delta is 0), dot models rows q[:, None] and weights u, TransE-l1 the
-    (B, n, d) array -u * sign(delta), since its sign is elementwise.
+    delta is 0), dot models rows q[:, None] and weights u, TransE-l1 rows
+    sign(delta), made in place over ``delta``, and weights -u.
     """
     if not is_distance_kind(store.kind):
         return np.matmul(u[:, None, :], delta)[:, 0], q[:, None], u
     if store.kind == ModelKind.TRANSE and store.norm == "l1":
-        d_k = -u[..., None] * np.sign(delta)
-        return -d_k.sum(axis=1), d_k, None
+        sign = np.sign(delta, out=delta)
+        return np.matmul(u[:, None, :], sign)[:, 0], sign, -u
     c = np.divide(u, scores, out=np.zeros_like(scores), where=scores < 0)
     return -np.matmul(c[:, None, :], delta)[:, 0], delta, c
 

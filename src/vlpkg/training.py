@@ -20,10 +20,10 @@ float64 round trip.
 
 A step draws its negatives, then splits the batch into one chunk per
 thread. A chunk runs one ``forward``: q, f_g of the candidates [t | negatives]
-and, in vlp mode, one reference gather, t' and one all-entity cosine GEMM.
-The post-weights and both losses add their upstream gradients to it; one
-``backward`` then runs each pullback and scatters each id set once. The
-chunk's one (B, 1 + l, d) array is delta = k - q, made in place in the gather.
+and, in vlp mode, one reference gather, t' and one all-entity cosine GEMM into
+a (B, n) buffer kept for the run, which L1 turns into ``d_cos`` in place. One
+``backward`` runs each pullback and scatters each id set once. The chunk's
+one (B, 1 + l, d) array is delta = k - q, made in place in the gather.
 
 Determinism contract: a run is a pure function of (dataset bytes, config,
 seed) in a single-worker configuration. Epoch shuffles and per-step sampling
@@ -116,6 +116,11 @@ class GradBuffer:
         grad[distinct] += gather @ rows
         touched |= present
 
+    def clear(self):  # for reuse; returns the buffer
+        for arr in self.grads + self.touched:
+            arr.fill(0)
+        return self
+
     def add_entities(self, ids, rows, weights=None):
         self.add_rows(0, ids, rows, weights)
 
@@ -171,8 +176,8 @@ def adam_apply(store, adam, buf, lr):
 
 @dataclass
 class Forward:
-    """One chunk's forward pass; the losses add their upstream gradients to
-    ``d_fg`` and ``d_cos``. The cosine fields are None in hlp mode."""
+    """One chunk's forward pass, cosine fields None in hlp mode. The losses add
+    upstream gradients to ``d_fg`` and ``d_cos``; L1 turns ``cos`` into it."""
 
     h: np.ndarray
     r: np.ndarray
@@ -203,8 +208,9 @@ def _unit_pullback(g, unit, inv):
     return g
 
 
-def forward(store, table, batch, negatives, vlp):
-    """Score ``batch`` against its gold tails and (B, l) ``negatives``."""
+def forward(store, table, batch, negatives, vlp, e_unit=None, out=None):
+    """Score ``batch`` against its gold tails and (B, l) ``negatives``; vlp
+    writes its cosines against ``e_unit`` into ``out``, each made if None."""
     h, r, t = batch[:, 0], batch[:, 1], batch[:, 2]
     cand = np.concatenate([t[:, None], negatives], axis=1)
     q = query_batch(store, h, r)
@@ -215,8 +221,8 @@ def forward(store, table, batch, negatives, vlp):
         ref_h, ref_t, mask = gather_references(table, h, r, exclude_tails=t)
         t_prime, fwd.agg = aggregate_batch(store, q, r, ref_h, ref_t, mask)
         fwd.t_unit = _unit_rows(t_prime)
-        fwd.e_unit = _unit_rows(store.entities)
-        fwd.cos = fwd.t_unit[0] @ fwd.e_unit[0].T
+        fwd.e_unit = _unit_rows(store.entities) if e_unit is None else e_unit
+        fwd.cos = np.matmul(fwd.t_unit[0], fwd.e_unit[0].T, out=out)
         fwd.fc = np.take_along_axis(fwd.cos, cand, axis=1)
     return fwd
 
@@ -225,21 +231,22 @@ def postweight_scores(fwd, lam, score="fg"):
     """Scores feeding the post-sampling weights, (gold (B,), negatives (B, l)):
     f_g, or f = f_c + lam * f_g with ``score = "f"`` in vlp mode."""
     f = fwd.fg.astype(np.float64)
-    if score == "f" and fwd.cos is not None:
+    if score == "f" and fwd.fc is not None:
         f = fwd.fc.astype(np.float64) + lam * f
     return f[:, 0], f[:, 1:]
 
 
 def loss_l1(fwd, normalizer=None):
     """Cross-entropy of the softmax over the all-entity cosines (vlp only),
-    summed over the chunk and divided by ``normalizer`` (default: its size);
-    adds its gradient to ``fwd.d_cos``. One exp, in the cosines' dtype with
-    no max shift, since |cos| <= 1; row sums and value in float64."""
+    summed over the chunk and divided by ``normalizer`` (default: its size).
+    One exp in place, unshifted as |cos| <= 1, turns ``fwd.cos`` into its
+    gradient, added to ``fwd.d_cos``; row sums and value in float64."""
     rows, t = np.arange(len(fwd.cand)), fwd.cand[:, 0]
     n = len(rows) if normalizer is None else normalizer
-    p = np.exp(fwd.cos)
+    p, gold, fwd.cos = fwd.cos, fwd.cos[rows, t], None
+    np.exp(p, out=p)
     total = p.sum(axis=1, dtype=np.float64)
-    value = float((np.log(total) - fwd.cos[rows, t]).sum() / n)
+    value = float((np.log(total) - gold).sum() / n)
     p *= (1.0 / (total * n)).astype(p.dtype)[:, None]
     p[rows, t] -= 1.0 / n
     fwd.d_cos = p if fwd.d_cos is None else np.add(p, fwd.d_cos, out=p)
@@ -255,14 +262,14 @@ def loss_l2(fwd, post_w, gamma, lam, scale=1.0, normalizer=None):
     """
     b = len(fwd.cand)
     n = b if normalizer is None else normalizer
-    f = fwd.fg if fwd.cos is None else fwd.fc + lam * fwd.fg
+    f = fwd.fg if fwd.fc is None else fwd.fc + lam * fwd.fg
     sign = np.where(np.arange(f.shape[1]) == 0, 1.0, -1.0)
     x = sign * (f.astype(np.float64) + gamma)
     w = np.concatenate([np.ones((b, 1)), np.asarray(post_w, dtype=np.float64)],
                        axis=1)
     value = float((-w * log_expit(x)).sum() / n)
     d_f = (-w * sign * expit(-x) * (scale / n)).astype(fwd.fg.dtype)
-    if fwd.cos is None:
+    if fwd.fc is None:
         fwd.d_fg += d_f
     else:
         fwd.d_fg += d_f * d_f.dtype.type(lam)
@@ -274,13 +281,15 @@ def loss_l2(fwd, post_w, gamma, lam, scale=1.0, normalizer=None):
 
 def backward(store, fwd, buf):
     """Chain the upstream gradients in ``fwd`` to the parameters in ``buf``."""
+    if fwd.fc is not None:  # L1's entity rows first, over buf's zeroed rows
+        _unit_pullback(np.matmul(fwd.d_cos.T, fwd.t_unit[0],
+                                 out=buf.grads[0]), *fwd.e_unit)
+        buf.touched[0][:] = True
     d_q, rows, weights = pair_score_pullback(store, fwd.q, fwd.delta,
                                              fwd.d_fg, fwd.fg)
     buf.add_entities(fwd.cand, rows, weights)
-    if fwd.cos is not None:
+    if fwd.fc is not None:
         d_t = _unit_pullback(fwd.d_cos @ fwd.e_unit[0], *fwd.t_unit)
-        buf.add_dense(0, _unit_pullback(fwd.d_cos.T @ fwd.t_unit[0],
-                                        *fwd.e_unit))
         d_q += aggregate_pullback(store, fwd.agg, d_t, buf)
     d_h, d_r = query_pullback(store, fwd.h, fwd.r, d_q)
     buf.add_entities(fwd.h, d_h)
@@ -288,28 +297,33 @@ def backward(store, fwd, buf):
 
 
 def train_step(store, adam, cfg, batch, rng, table=None, presampler=None,
-               pool=None):
-    """One optimization step; returns (L1, L2, L) float diagnostics."""
+               pool=None, buffers=None):
+    """One optimization step; returns (L1, L2, L) float diagnostics. vlp chunk
+    i reuses ``buffers[i]``: (cosine buffer if long enough, GradBuffer)."""
     negatives = draw_negative_batch(cfg.sampler, store.n_entities,
                                     batch[:, 0], rng, presampler)
     vlp = cfg.mode == "vlp"
     l2_scale = cfg.alpha if vlp else 1.0
     b = len(batch)
+    e_unit = _unit_rows(store.entities) if vlp else None
 
-    def run_part(rows):
-        fwd = forward(store, table, batch[rows], negatives[rows], vlp)
+    def run_part(rows, i=0):
+        cos, part = buffers[i] if buffers else (None, None)
+        fits = cos is not None and len(cos) >= len(rows)
+        fwd = forward(store, table, batch[rows], negatives[rows], vlp, e_unit,
+                      cos[:len(rows)] if fits else None)
         post_w = negative_weights(cfg.sampler, *postweight_scores(
             fwd, cfg.lam, cfg.postweight_score))
         l1 = loss_l1(fwd, normalizer=b) if vlp else 0.0
         l2 = loss_l2(fwd, post_w, cfg.gamma, cfg.lam, scale=l2_scale,
                      normalizer=b)
-        part = GradBuffer(store)
+        part = GradBuffer(store) if part is None else part.clear()
         backward(store, fwd, part)
         return l1, l2, part
 
     if pool is not None and cfg.threads > 1 and b >= 2 * cfg.threads:
         chunks = np.array_split(np.arange(b), cfg.threads)
-        results = list(pool.map(run_part, chunks))
+        results = list(pool.map(run_part, chunks, range(cfg.threads)))
     else:
         results = [run_part(np.arange(b))]
 
@@ -412,6 +426,10 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
     filter_index = data.FilterIndex(kg) if len(kg.valid) else None
     pool = (concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads)
             if cfg.threads > 1 else None)
+    # kept for the run: freed, the arrays went back to the OS at every step
+    buffers = None if cfg.mode != "vlp" else [
+        (np.empty((len(rows), kg.n_entities), store.dtype), GradBuffer(store))
+        for rows in np.array_split(np.arange(cfg.batch), cfg.threads)]
 
     def validate_now(step, l1, l2, total):
         nonlocal best_mrr
@@ -450,7 +468,8 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
             rows = perm[pos * cfg.batch:(pos + 1) * cfg.batch]
             rng = stream_rng(cfg.seed, RNG_STEP, step)
             last = train_step(store, adam, cfg, train_triples[rows], rng,
-                              table=table, presampler=presampler, pool=pool)
+                              table=table, presampler=presampler, pool=pool,
+                              buffers=buffers)
             if cfg.eval_every and step % cfg.eval_every == 0:
                 validate_now(step, *last)
         end = max(cfg.steps, start_step)

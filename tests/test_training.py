@@ -120,10 +120,10 @@ def test_l1_gradient_is_zero_on_a_zero_entity_and_a_zero_t_prime(
     fwd = forward(store, table, np.array([[0, 0, 1], [6, 1, 2]]),
                   np.zeros((2, 0), dtype=np.int64), True)
     assert not fwd.agg.t_prime[1].any()
+    assert not fwd.cos[1].any() and not fwd.cos[:, [6, 7]].any()
     assert np.isfinite(loss_l1(fwd))
     buf = GradBuffer(store)
     backward(store, fwd, buf)
-    assert not fwd.cos[1].any() and not fwd.cos[:, [6, 7]].any()
     assert all(np.isfinite(g).all() for g in buf.grads)
     assert not seen[0][1].any() and seen[0][0].any()
     assert not buf.grads[0][[6, 7]].any() and buf.grads[0][1].any()
@@ -162,14 +162,17 @@ def test_l2_loss_matches_direct_formula():
         assert got == pytest.approx(want, rel=1e-10), mode
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_an_hlp_chunk_holds_one_candidate_array(kind):
+@pytest.mark.parametrize("kind, norm", [(k, "l2") for k in KINDS]
+                         + [(ModelKind.TRANSE, "l1")],
+                         ids=[k.value for k in KINDS] + ["transe-l1"])
+def test_an_hlp_chunk_holds_one_candidate_array(kind, norm):
     """forward, loss_l2 and backward of an hlp chunk allocate one (B, 1 + l,
     d) array, the candidates' gather. On 50 entities nothing else comes
-    near its size, so the traced peak stays below two gathers."""
+    near its size, so the traced peak stays below two gathers. TransE-l1
+    takes |delta| in blocks of rows and its sign in place."""
     b, l, n = 256, 64, 50
     store = init_parameters(kind, 100 if is_complex_kind(kind) else 200, n,
-                            3, seed=0)
+                            3, seed=0, norm=norm)
     rng = np.random.default_rng(0)
     batch = np.stack([rng.integers(n, size=b), rng.integers(3, size=b),
                       rng.integers(n, size=b)], axis=1)
@@ -185,6 +188,109 @@ def test_an_hlp_chunk_holds_one_candidate_array(kind):
         tracemalloc.stop()
     gather = b * (1 + l) * store.d_k * store.dtype.itemsize
     assert peak < 2 * gather, f"peak {peak / gather:.2f} gathers"
+
+
+def test_a_vlp_chunk_holds_no_entity_wide_array_of_its_own():
+    """Given its cosine buffer, GradBuffer and unit entity rows, a vlp
+    chunk's forward, losses and backward allocate no (B, n_entities) array:
+    the GEMM writes into the buffer, L1 turns it into d_cos in place, and
+    L1's entity rows go straight into the GradBuffer."""
+    from vlpkg.training import _unit_rows
+
+    b, l = 64, 4
+    kg = random_graph(20000, 2, 4000, 0, 0)
+    table = select_references(kg, compute_distances(kg, cap=2), n_refs=2)
+    store = init_parameters("rotate", 8, kg.n_entities, kg.n_relations,
+                            seed=0)
+    rng = np.random.default_rng(0)
+    batch = kg.train[:b]
+    neg = rng.integers(kg.n_entities, size=(b, l))
+    cos = np.empty((b, kg.n_entities), store.dtype)
+    buf = GradBuffer(store)
+    e_unit = _unit_rows(store.entities)
+    tracemalloc.start()
+    try:
+        fwd = forward(store, table, batch, neg, True, e_unit, cos)
+        loss_l1(fwd)
+        loss_l2(fwd, np.full(neg.shape, 1.0 / l), 6.0, 0.5)
+        backward(store, fwd, buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fwd.d_cos is cos and fwd.cos is None
+    assert peak < cos.nbytes, f"peak {peak / cos.nbytes:.2f} (B, n) arrays"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_kept_step_buffers_are_reused_and_change_nothing(threads,
+                                                         monkeypatch):
+    """Three vlp steps with kept buffers give the parameters and moments of
+    three steps without, bit for bit; every step's cosines sit in the kept
+    buffers' memory, and Adam reads the first chunk's kept GradBuffer."""
+    import concurrent.futures
+
+    import vlpkg.training
+
+    kg = random_graph(n_entities=60, n_relations=3, n_train=80, n_valid=4,
+                      n_test=4, seed=2)
+    table = select_references(kg, compute_distances(kg, cap=3), n_refs=2)
+    cfg = TrainConfig(dataset="x", model="rotate", mode="vlp", dim=4, batch=8,
+                      lr=0.01, steps=3, threads=threads,
+                      sampler=SamplerConfig(mode="selfadv", n_negatives=3))
+    seen, merged = [], []
+    real_l1, real_adam = vlpkg.training.loss_l1, vlpkg.training.adam_apply
+    monkeypatch.setattr(vlpkg.training, "loss_l1", lambda fwd, **kw:
+                        seen.append(fwd.cos.ctypes.data) or real_l1(fwd, **kw))
+    monkeypatch.setattr(vlpkg.training, "adam_apply", lambda *args:
+                        merged.append(args[2]) or real_adam(*args))
+    runs = []
+    for kept in (False, True):
+        store = init_parameters("rotate", 4, kg.n_entities, kg.n_relations,
+                                seed=2)
+        adam = AdamState.zeros(store)
+        buffers = [(np.empty((len(rows), kg.n_entities), store.dtype),
+                    GradBuffer(store))
+                   for rows in np.array_split(np.arange(8), threads)]
+        seen.clear()
+        merged.clear()
+        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+            for step in range(1, 4):
+                train_step(store, adam, cfg, kg.train[8 * step:8 * step + 8],
+                           stream_rng(0, RNG_STEP, step), table=table,
+                           pool=pool, buffers=buffers if kept else None)
+        runs.append(store.param_arrays() + adam.m + adam.v)
+    assert sorted(seen) == sorted([cos.ctypes.data for cos, _ in buffers] * 3)
+    assert all(buf is buffers[0][1] for buf in merged) and len(merged) == 3
+    for a, b in zip(*runs):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_a_last_batch_too_long_for_its_buffer_trains_as_without(
+        monkeypatch):
+    """Batch 4 at threads 2 keeps two 2-row cosine buffers. The epoch's last
+    batch, 3 rows, runs as one chunk and makes its own; the run equals one
+    whose steps are given no buffers, bit for bit."""
+    import vlpkg.training
+
+    kg = random_graph(n_entities=60, n_relations=3, n_train=11, n_valid=0,
+                      n_test=0, seed=2)
+    table = select_references(kg, compute_distances(kg, cap=3), n_refs=2)
+    cfg = TrainConfig(dataset="x", model="rotate", mode="vlp", dim=4, batch=4,
+                      lr=0.01, steps=6, threads=2, eval_every=0, refs=2,
+                      sampler=SamplerConfig(mode="selfadv", n_negatives=3))
+    real, sizes = vlpkg.training.train_step, []
+
+    def unbuffered(*args, buffers=None, **kwargs):
+        sizes.append(len(args[3]))
+        return real(*args, **kwargs)
+
+    kept = train(cfg, kg, table=table)
+    monkeypatch.setattr(vlpkg.training, "train_step", unbuffered)
+    fresh = train(cfg, kg, table=table)
+    assert sizes == [4, 4, 3] * 2
+    for a, b in zip(kept.store.param_arrays() + kept.adam.m + kept.adam.v,
+                    fresh.store.param_arrays() + fresh.adam.m + fresh.adam.v):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_l2_adds_both_draws_of_a_repeated_negative_to_d_cos():
