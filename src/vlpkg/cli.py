@@ -239,6 +239,8 @@ def _train_run(cfg, kg, train_hash, auto, echo=(), resume=None):
                                           refs=cfg.mode == "vlp", auto=auto)
     if cfg.sampler.pre_mode == "distance":
         presampler = PreSampler(index, cfg.sampler.alpha0)
+        mass = presampler.bucket_weights(kg.train[:, 0]).mean(axis=0)
+        lines.append(("red-mass", " ".join(f"{m:.6g}" for m in mass)))
     echo_config(cfg, train_hash, lines + list(echo))
     return train(cfg, kg, table=table, presampler=presampler,
                  dist_index=index, out_dir=cfg.out, resume=resume,

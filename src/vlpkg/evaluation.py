@@ -16,29 +16,30 @@ gives equals the oracle's bit for bit:
   (``aggregate_batch`` is row-stable), so each row is the oracle's t'.
 * The gold score comes from the elementwise kernels (``pair_scores``,
   ``cosine_all``), so it is the oracle's entry.
-* One float64 GEMM scores every candidate of a block: ``Q @ E.T`` for the
-  dot models, sqrt(|q|^2 + |e|^2 - 2 Q.E) for the l2 distances, and unit
-  t' rows against unit entity rows for the cosine. TransE-l1 has no GEMM
-  form; its rows are ``score_fg_all``'s exact scores. Combined-f adds
-  ``fc + lam * fg``. These fast scores only sort candidates out.
-* Each fast score has a rigorous bound on |oracle - fast|: the oracle's
-  rounding in the store's dtype (unit roundoff u_s) plus the fast path's
-  in float64 (u), with gamma_n = n u / (1 - n u) (Higham, *Accuracy and
-  Stability of Numerical Algorithms*, section 3.1) over the vector width d.
-  By Cauchy-Schwarz |sum_i q_i e_i| <= |q| |e| <= |q| max|e| =: m, so a
-  dot model's bound is (gamma_{d+1}(u_s) + gamma_{d+4}(u)) m. An l2 model
-  has |D^2_fast - D^2| <= gamma_{d+5}(u) m^2 with m = |q| + max|e|, which
-  maps through sqrt by monotonicity to sqrt(gamma_{d+5}(u)) m, and the
-  oracle's distance is within gamma_{d+5}(u_s) D of the exact D <= m. A
-  cosine is within gamma_{3d+5}(u_s) + gamma_{3d+6}(u), from the dot, the
-  two norms and the division. Combined-f's bound is fc's plus |lam| times fg's, plus
-  6 u (1 + |lam| max|fg|) for the two sums. The indices carry a few more
-  roundings than the kernels make, to cover the arithmetic of the bound
-  and of the comparison; 4 d sqrt(smallest subnormal) covers underflow.
-* A candidate whose fast score lies above the gold by more than the bound
-  counts as greater, one below by more as lower. Each candidate inside the
-  band is rescored with the elementwise kernel and compared exactly;
-  ``EvalReport.rescored`` counts them.
+* One GEMM in the store's dtype keys every candidate of a block: Q E^T
+  for the dot models, Y = 2 Q E^T - |e|^2 = |q|^2 - D^2 for the l2
+  distances, unit t' rows against unit entity rows for the cosine, and
+  ``score_fg_all``'s exact rows for TransE-l1. Combined-f keys are
+  fc + lam fg, with fg = -sqrt(max(|q|^2 - Y, 0)) for the distances.
+* Each key is within a rigorous bound of the oracle, from gamma_n = n u /
+  (1 - n u) (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1)
+  over the width d; u is the roundoff of the store's dtype, in which both
+  round (float64's covers norms and bounds). Dot keys: 2 gamma_{d+4} |q|
+  max|e| (Cauchy-Schwarz); cosine keys: 2 gamma_{3d+10}. For the l2 models
+  |q|^2 - Y is within delta = gamma_{d+7} m^2 of D^2, m = |q| + max|e|,
+  and the oracle's distance within eps D + a of D, eps = gamma_{d+5}: with
+  S the gold's distance, D < (S - a) / (1 + eps) is surely greater and
+  D > (S + a) / (1 - eps) surely lower, two thresholds on Y per row.
+  Combined-f adds |lam| times fg's bound (eps m + a + sqrt(delta), as
+  |sqrt(D^2 + x) - D| <= sqrt(|x|)) and 6 u (1 + |lam| max|fg|) for the
+  casts and sums. a = 4 d sqrt(smallest subnormal), and a^2 in delta,
+  cover underflow.
+* Bounds are rounded outward into the store's dtype (``nextafter``), so no
+  (rows x entities) comparison leaves it. A candidate above its row's band
+  counts as greater, one below as lower; for combined-f on the distances,
+  delta / sqrt(|q|^2 - Y) first tightens each entry in the band. Each one
+  still inside is rescored with the elementwise kernel and compared
+  exactly; ``EvalReport.rescored`` counts them.
 * A query whose gold score is not finite, whose inputs are not finite or
   large enough to overflow the store's dtype, or (for the cosine) whose t'
   or some entity row is near but not at zero, is ranked through
@@ -46,8 +47,8 @@ gives equals the oracle's bit for bit:
   cosines are exactly 0 in both paths.
 
 The known tails of a block come from ``FilterIndex.codes`` in one
-``searchsorted``. A block's row count keeps its float64 (rows x entities)
-arrays within ``_BLOCK_BYTES``.
+``searchsorted``. A block's row count keeps its (rows x entities) arrays
+within ``_BLOCK_BYTES``.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ BUCKET_LABELS = {1: "1", 2: "2", 3: "3", 4: ">=4"}
 
 SECTIONS = ("overall", "distance", "relation", "rmp")  # of a report
 
-_BLOCK_BYTES = 16 << 20  # both float64 (rows x entities) arrays of a block
+_BLOCK_BYTES = 16 << 20  # a block's keys and masks, at 16 bytes per entry
 _U = np.finfo(np.float64).eps / 2  # float64 unit roundoff
 
 
@@ -148,7 +149,7 @@ def _gamma(n, u):
 
 class _BlockRanker:
     """Ranks blocks of query rows for one ``evaluate`` call, which makes
-    the float64 entity table and its norms once for all of its blocks."""
+    the entity table's norms (and unit rows) once for all of its blocks."""
 
     def __init__(self, store, table, mode, lam, filter_index):
         _check_mode(mode)
@@ -156,36 +157,45 @@ class _BlockRanker:
         self.filter = filter_index
         info = np.finfo(store.dtype)
         d = store.d_k
-        self.u_s = float(info.eps) / 2
-        self.big = np.sqrt(float(info.max)) / d  # smaller norms never overflow
+        self.u = float(info.eps) / 2
+        self.eps = _gamma(d + 5, self.u)  # the oracle's relative D error
+        self.big = np.sqrt(float(info.max)) / (2 * d)  # m^2 never overflows
         self.tiny = float(info.smallest_subnormal) ** 0.25
         self.alpha = 4 * d * np.sqrt(float(info.smallest_subnormal))
         self.rows = max(1, _BLOCK_BYTES // (16 * store.n_entities))
-        self.e64 = store.entities.astype(np.float64)
-        self.e_sq = (self.e64 * self.e64).sum(axis=1)
-        norms = np.sqrt(self.e_sq)
+        e = store.entities
+        e_sq = np.einsum("ij,ij->i", e, e, dtype=float)  # no float64 copy
+        self.e_sq = e_sq.astype(store.dtype)
+        norms = np.sqrt(e_sq)
         self.e_max = norms.max(initial=0.0)
         if mode != "fg-only":
             self.e_fit = np.all((norms == 0) | (norms >= self.tiny))
-            self.e_unit = np.divide(self.e64, norms[:, None],
-                                    where=norms[:, None] > 0,
-                                    out=np.zeros_like(self.e64))
+            nk = norms.astype(store.dtype)[:, None]  # in the keys' dtype
+            self.e_unit = np.divide(e, nk, where=nk > 0, out=np.zeros_like(e))
 
     def rank(self, triples):
         """(ranks, rescored candidates) of a block of (h, r, t) rows."""
         h, r, t = triples.T
+        b = len(triples)
         with np.errstate(all="ignore"):  # non-finite rows fall back below
-            key, gold, err, ok, exact = self.scores(h, r, t)
+            key, lo, hi, gold, ok, exact, tighten = self.scores(h, r, t)
+            lo = np.nextafter(lo.astype(key.dtype), -np.inf)  # outward, so
+            hi = np.nextafter(hi.astype(key.dtype), np.inf)  # no pass casts
             keep = self.keep_mask(h, r, t)
             keep[~ok] = False
-            keep &= key >= (gold - err)[:, None]  # the rest are lower
-            band = keep & (key <= (gold + err)[:, None])
-        rows, cols = np.nonzero(band)
+            keep &= key >= lo[:, None]  # the rest are lower
+            rows, cols = np.divmod(  # 2-D np.nonzero is ten times slower
+                np.flatnonzero(keep & (key <= hi[:, None])), key.shape[1])
+            greater = (keep.sum(axis=1, dtype=np.int32)
+                       - np.bincount(rows, minlength=b))
+            if tighten is not None:
+                fast, err = key[rows, cols], tighten(rows, cols)
+                above = fast > gold[rows] + err
+                greater = greater + np.bincount(rows, above, minlength=b)
+                inside = ~above & (fast >= gold[rows] - err)
+                rows, cols = rows[inside], cols[inside]
         scores, at = exact(rows, cols), gold[rows]
-        b = len(triples)
-        greater = (np.count_nonzero(keep, axis=1)
-                   - np.bincount(rows, minlength=b)
-                   + np.bincount(rows, scores > at, minlength=b))
+        greater = greater + np.bincount(rows, scores > at, minlength=b)
         ties = np.bincount(rows, scores == at, minlength=b)
         ranks = 1.0 + greater + 0.5 * ties
         for i in np.flatnonzero(~ok):
@@ -210,27 +220,50 @@ class _BlockRanker:
         return keep
 
     def scores(self, h, r, t):
-        """(fast scores (B, n), gold (B,), error bound (B,) or scalar,
-        ok (B,), exact(rows, cols)) for a block, all in float64."""
+        """(key (B, n), lo, hi, gold, ok (B,), exact, tighten or None): keys
+        below lo are surely lower than the gold, keys above hi surely greater,
+        and tighten(rows, cols) bounds |key - oracle| at entries between."""
+        lam, tighten = self.lam, None
         if self.mode == "fg-only":
-            return self.fg(h, r, t)[:5]
-        key, gold, err, ok, exact_c = self.fc(h, r, t)
-        if self.mode == "fc-only":
-            return key, gold, err, ok, exact_c
-        lam = self.lam
-        fg, gold_g, err_g, ok_g, exact_g, size_g = self.fg(h, r, t)
-        fg *= lam
-        key += fg
-        err = err + abs(lam) * err_g + 6 * _U * (1.0 + abs(lam) * size_g)
+            key, gold, err, ok, exact, _, q_sq = self.fg(h, r, t)
+            if q_sq is None:
+                return key, gold - err, gold + err, gold, ok, exact, None
+            near = np.maximum(-gold - self.alpha, 0.0) / (1 + self.eps)
+            far = (self.alpha - gold) / (1 - self.eps)
+            return (key, q_sq - far * far - err, q_sq - near * near + err,
+                    gold, ok, exact, None)
+        key, gold, err, ok, exact = self.fc(h, r, t)
+        if self.mode == "combined-f":
+            fg, gold_g, err_g, ok_g, exact_g, size, q_sq = self.fg(h, r, t)
+            exact_c, lam_k = exact, key.dtype.type(lam)
+            gold = gold + lam * gold_g
+            ok = ok & ok_g & (abs(lam) * size < self.big)
+            err = err + 6 * self.u * (1.0 + abs(lam) * size)
 
-        def exact(rows, cols):
-            return exact_c(rows, cols) + lam * exact_g(rows, cols)
+            def exact(rows, cols):
+                return exact_c(rows, cols) + lam * exact_g(rows, cols)
 
-        return key, gold + lam * gold_g, err, ok & ok_g, exact
+            if q_sq is None:
+                key += np.multiply(fg, lam_k, out=fg)
+                err = err + abs(lam) * err_g
+            else:  # fg holds Y; g = sqrt(max(K, 0))
+                g = np.subtract(q_sq.astype(key.dtype)[:, None], fg, out=fg)
+                np.sqrt(np.maximum(g, 0, out=g), out=g)
+                key -= lam_k * g
+                base = err + abs(lam) * (self.eps * size + self.alpha)
+                root = np.sqrt(err_g)
+
+                def tighten(rows, cols):
+                    fit = err_g[rows] * (1 + self.u) / g[rows, cols]
+                    return base[rows] + abs(lam) * np.minimum(root[rows], fit)
+
+                err = base + abs(lam) * root
+        return key, gold - err, gold + err, gold, ok, exact, tighten
 
     def fg(self, h, r, t):
-        """``scores`` for f_g, plus a bound on |f_g| per row."""
-        store, d = self.store, self.store.d_k
+        """``scores``' parts for f_g, plus size >= |f_g| and, for the l2
+        models, |q|^2 (else None); their bound is delta (module docstring)."""
+        store, d, u = self.store, self.store.d_k, self.u
         q = query_batch(store, h, r)
         gold = pair_scores(store, q, store.entities[t]).astype(np.float64)
 
@@ -238,34 +271,26 @@ class _BlockRanker:
             return pair_scores(store, q[rows],
                                store.entities[cols]).astype(np.float64)
 
-        q64 = q.astype(np.float64)
-        q_sq = (q64 * q64).sum(axis=1)
+        q_sq = np.einsum("ij,ij->i", q, q, dtype=float)
         q_norm = np.sqrt(q_sq)
         ok = (q_norm < self.big) & (self.e_max < self.big) & np.isfinite(gold)
         if not is_distance_kind(store.kind):
-            key = q64 @ self.e64.T
             size = q_norm * self.e_max
-            err = (_gamma(d + 1, self.u_s) + _gamma(d + 4, _U)) * size
-        elif store.kind == ModelKind.TRANSE and store.norm == "l1":
-            key = np.empty((len(h), store.n_entities))
-            for i, (a, b) in enumerate(zip(h, r)):
-                key[i] = score_fg_all(store, a, b)
+            err = 2 * _gamma(d + 4, u) * size + self.alpha
+            return q @ store.entities.T, gold, err, ok, exact, size, None
+        if store.kind == ModelKind.TRANSE and store.norm == "l1":
+            key = np.stack([score_fg_all(store, a, b) for a, b in zip(h, r)])
             size = np.sqrt(d) * (q_norm + self.e_max)
-            err = 0.0
-        else:  # -sqrt(|q|^2 + |e|^2 - 2 q.e)
-            key = (2.0 * q64) @ self.e64.T
-            key -= self.e_sq
-            np.subtract(q_sq[:, None], key, out=key)
-            np.maximum(key, 0.0, out=key)
-            np.sqrt(key, out=key)
-            np.negative(key, out=key)
-            size = q_norm + self.e_max
-            err = (_gamma(d + 5, self.u_s) + np.sqrt(_gamma(d + 5, _U))) * size
-        return key, gold, err + self.alpha, ok, exact, size
+            return key, gold, self.alpha, ok, exact, size, None
+        size = q_norm + self.e_max
+        key = (2 * q) @ store.entities.T
+        key -= self.e_sq
+        err = (_gamma(d + 7, u) + _gamma(d + 10, _U)) * size * size
+        return key, gold, err + self.alpha ** 2, ok, exact, size, q_sq
 
     def fc(self, h, r, t):
-        """``scores`` for the cosine of t' against every entity."""
-        store, d = self.store, self.store.d_k
+        """``scores``' parts for the cosine of t' against every entity."""
+        store, d, u = self.store, self.store.d_k, self.u
         t_prime = context_vector(store, self.table, h, r)
         gold = cosine_all(t_prime, store.entities[t]).astype(np.float64)
 
@@ -273,14 +298,12 @@ class _BlockRanker:
             return cosine_all(t_prime[rows],
                               store.entities[cols]).astype(np.float64)
 
-        t64 = t_prime.astype(np.float64)
-        t_norm = np.sqrt((t64 * t64).sum(axis=1))
-        key = (t64 / t_norm[:, None]) @ self.e_unit.T
+        t_norm = np.sqrt(np.einsum("ij,ij->i", t_prime, t_prime,
+                                   dtype=float))
+        key = (t_prime / t_norm.astype(store.dtype)[:, None]) @ self.e_unit.T
         ok = ((t_norm >= self.tiny) & (t_norm < self.big) & self.e_fit
               & (self.e_max < self.big) & np.isfinite(gold))
-        err = (_gamma(3 * d + 5, self.u_s) + _gamma(3 * d + 6, _U)
-               + self.alpha)
-        return key, gold, err, ok, exact
+        return key, gold, 2 * _gamma(3 * d + 10, u) + self.alpha, ok, exact
 
 
 def evaluate(store, kg, split="test", table=None, dist_index=None, lam=0.5,

@@ -8,9 +8,10 @@ import vlpkg.evaluation
 import vlpkg.models
 from vlpkg.cli import build_parser, cache_dir_for, main, parse_grid_file
 from vlpkg.config import ConfigError
-from vlpkg.distances import DistanceIndex
+from vlpkg.distances import DistanceIndex, compute_distances
 from vlpkg.models import load_checkpoint
 from vlpkg.reference import ReferenceTable
+from vlpkg.sampling import PreSampler
 from vlpkg.synth import compositional_graph, name_triples, write_dataset
 
 
@@ -193,6 +194,28 @@ def test_train_validates_once_and_prints_that_report(dataset, tmp_path,
                  "--out", str(tmp_path / "run")] + FAST) == 0
     assert calls == ["valid"]
     assert "H@10" in capsys.readouterr().out
+
+
+def test_train_echoes_the_expected_red_mass_when_pre_sampling(dataset,
+                                                              tmp_path,
+                                                              capsys):
+    """``red-mass`` is p_0's mass at each distance 0..cap, averaged over the
+    train triples' heads: here summed from the dense p_0 oracle per head."""
+    assert main(["train", "--dataset", str(dataset), "--mode", "hlp",
+                 "--out", str(tmp_path / "run")] + FAST) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("red-mass = ")]
+    assert len(lines) == 1
+    got = np.array(lines[0].split(" = ")[1].split(), dtype=float)
+    kg, _ = vlpkg.cli.load_augmented(dataset)
+    index = compute_distances(kg, cap=4)
+    pre = PreSampler(index, 1.0)
+    want = sum(np.bincount(index.distances_from(h), pre.probabilities(h),
+                           minlength=5) for h in kg.train[:, 0].tolist())
+    np.testing.assert_allclose(got, want / len(kg.train), rtol=1e-5)
+    assert main(["train", "--dataset", str(dataset), "--mode", "hlp",
+                 "--no-pre", "--out", str(tmp_path / "run")] + FAST) == 0
+    assert "red-mass" not in capsys.readouterr().out
 
 
 def test_train_and_eval_with_empty_valid_split(tmp_path, capsys):

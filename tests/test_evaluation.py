@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,54 @@ def test_block_ranks_equal_the_oracle_under_ties(kind, norm, mode, dtype,
                       filter_index=findex, keep_ranks=True)
     assert ([x.rank for x in report.ranks]
             == _oracle_ranks(store, kg, table, mode, 0.5, findex))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=["float32", "float64"])
+@pytest.mark.parametrize("mode", ["fg-only", "combined-f"])
+@pytest.mark.parametrize("kind", ["transe", "rotate"])
+def test_block_ranks_equal_the_oracle_where_distances_cancel(
+        kind, mode, dtype, graph_with_refs, monkeypatch):
+    """Entity rows c + noise with |c| = 10 and noise of 1e-4 to 1, and
+    near-identity relations: most candidate distances are tiny next to
+    |q| + max|e|, so the squared-distance key cancels almost wholly."""
+    kg, table = graph_with_refs
+    findex = FilterIndex(kg)
+    store = init_parameters(kind, 8, kg.n_entities, kg.n_relations, seed=5,
+                            dtype=dtype)
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=store.d_k)
+    scale = 10.0 ** rng.uniform(-4, 0, size=(kg.n_entities, 1))
+    store.entities[:] = (10 * c / np.linalg.norm(c)
+                         + scale * rng.normal(size=store.entities.shape))
+    store.relations[:] = 1e-3 * rng.normal(size=store.relations.shape)
+    want = _oracle_ranks(store, kg, table, mode, 0.5, findex)
+    for budget in (None, 16 * kg.n_entities * 7):  # default, 7-row blocks
+        if budget:
+            monkeypatch.setattr(vlpkg.evaluation, "_BLOCK_BYTES", budget)
+        report = evaluate(store, kg, "test", table=table, lam=0.5, mode=mode,
+                          filter_index=findex, keep_ranks=True)
+        assert [x.rank for x in report.ranks] == want
+
+
+def test_an_eval_block_holds_no_float64_block_array_for_float32():
+    """fg-only ranking of a float32 rotate store at the default block size
+    peaks below 1.5 float64 (rows x entities) arrays: the keys, thresholds
+    and comparisons stay in float32."""
+    kg = augment_reciprocal(random_graph(5000, 3, 5000, 0, 105, seed=6))
+    findex = FilterIndex(kg)
+    store = init_parameters(ModelKind.ROTATE, 100, kg.n_entities,
+                            kg.n_relations, seed=6)
+    rows = vlpkg.evaluation._BLOCK_BYTES // (16 * kg.n_entities)
+    assert store.dtype == np.float32 and len(kg.test) >= rows
+    tracemalloc.start()
+    try:
+        evaluate(store, kg, "test", mode="fg-only", filter_index=findex)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = rows * kg.n_entities * 8
+    assert peak < 1.5 * block, f"peak {peak / block:.2f} float64 blocks"
 
 
 @pytest.mark.parametrize("mode", EVAL_MODES)
