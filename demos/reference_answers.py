@@ -34,8 +34,8 @@ print(f"test query: ({kg.vocab.entity_names[h]}, "
       f"{kg.vocab.relation_names[r]}, ?)   gold answer "
       f"{kg.vocab.entity_names[t]}")
 print("references (nearest training queries with this relation):")
-ref_h, ref_t, mask = gather_references(table, [h], [r])
-for h_i, t_i in zip(ref_h[0, mask[0] > 0], ref_t[0, mask[0] > 0]):
+indptr, pairs = gather_references(table, [h], [r])
+for h_i, t_i in pairs[indptr[0]:indptr[1]]:
     print(f"  ({kg.vocab.entity_names[h_i]}, ...) answered "
           f"{kg.vocab.entity_names[t_i]}, {dist.distance(h, h_i)} hops away")
 

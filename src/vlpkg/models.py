@@ -24,7 +24,6 @@ training step's form: delta = k - q in place, einsum and matmul, other bits.
 
 from __future__ import annotations
 
-import logging
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -36,15 +35,11 @@ from .distances import CacheError, read_file, write_file
 DEFAULT_GAMMA = 6.0
 NORMS = ("l1", "l2")
 
-logger = logging.getLogger(__name__)
-
 CHECKPOINT_MAGIC = b"VLPC"
 CHECKPOINT_VERSION = 3
 # after the magic: version, model code, complex-space flag, dim, entities,
-# relations, train hash; format 2 adds the index of the norm in NORMS;
-# format 3 is format 2 with the train hash in BLAKE2b, not the older hash
-_V2 = struct.Struct("<IBBIQQQB")
-_CHECKPOINT_HEADERS = {1: struct.Struct("<IBBIQQQ"), 2: _V2, 3: _V2}
+# relations, train hash (BLAKE2b), index of the norm in NORMS
+_CHECKPOINT_HEADERS = {CHECKPOINT_VERSION: struct.Struct("<IBBIQQQB")}
 
 
 class ModelKind(str, Enum):
@@ -354,28 +349,16 @@ def _checkpoint_shapes(code, space, dim, n_ent, n_rel, *_):
 def load_checkpoint(path):
     """Read a checkpoint; returns (store, (m, v), step, train_hash).
 
-    The arrays are copies, so they stay writable. Format-1 files record no
-    norm and load as l2. Formats 1 and 2 predate BLAKE2b: their train hash
-    comes back as 0, which ``check_fits`` does not compare.
+    The arrays are copies, so they stay writable.
     """
-    version, fields, arrays = read_file(
+    _, fields, arrays = read_file(
         path, CHECKPOINT_MAGIC, _CHECKPOINT_HEADERS,
         lambda _, *fields: [("<f4", a * b) for a, b in
                             _checkpoint_shapes(*fields)] * 3 + [("<u8", 1)],
         "checkpoint")
-    code, space, dim, n_ent, n_rel, train_hash, *norm_code = fields
-    if version < 3:
-        logger.warning("%s: format-%d checkpoint's train hash predates "
-                       "BLAKE2b; not checked", path, version)
-        train_hash = 0
-    if version == 1:
-        logger.warning("%s: format-1 checkpoint records no norm; using l2",
-                       path)
-        norm = "l2"
-    elif norm_code[0] < len(NORMS):
-        norm = NORMS[norm_code[0]]
-    else:
-        raise CacheError(f"{path}: unknown norm code {norm_code[0]}")
+    code, space, dim, n_ent, n_rel, train_hash, norm_code = fields
+    if norm_code >= len(NORMS):
+        raise CacheError(f"{path}: unknown norm code {norm_code}")
     if code not in _CODE_KINDS:
         raise CacheError(f"{path}: unknown model code {code}")
     kind = _CODE_KINDS[code]
@@ -389,6 +372,6 @@ def load_checkpoint(path):
     store = ParameterStore(
         kind=kind, dim=dim, entities=params[0], relations=params[1],
         agg=AggregatorParams(params[2], params[3], params[4]),
-        norm=norm,
+        norm=NORMS[norm_code],
     )
     return store, (m_list, v_list), int(step[0]), train_hash

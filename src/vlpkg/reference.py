@@ -22,7 +22,7 @@ distances used, the train hash and the key and pair counts, then the keys,
 the per-key counts and the pairs, each written whole. In memory the table
 is the same three arrays, with the counts held as offsets. Each key stores
 one spare reference beyond N so the query's own training answer can be
-masked out during training without shrinking the reference set.
+dropped during training without shrinking the reference set.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .data import ranges, unique_rows
 from .distances import CacheError, read_file, write_file
@@ -191,44 +192,42 @@ def select_references(kg, index, n_refs=DEFAULT_N_REFS, train_hash=0):
 
 
 def gather_references(table, h_ids, r_ids, exclude_tails=None):
-    """References of a batch of queries as (B, N) id arrays plus a mask.
+    """References of a batch of queries in the table's ragged form: returns
+    ``(indptr (B+1,), pairs (P, 2))``, row i owning ``pairs[indptr[i]:
+    indptr[i+1]]``.
 
-    Row i holds the first N pairs of key (h_i, r_i), padded with id 0 and
-    mask 0; an (h, r) that is not a key gets none. With ``exclude_tails``
-    (training), the query's own pair (h_i, exclude_tails[i]) is dropped
-    first and the spare (N+1)-th pair moves up.
+    Row i holds the first N pairs of key (h_i, r_i); an (h, r) that is not a
+    key gets none. With ``exclude_tails`` (training), the query's own pair
+    (h_i, exclude_tails[i]) is dropped first, so the spare (N+1)-th pair
+    takes its place.
     """
-    n = table.n_refs
     h = np.asarray(h_ids, dtype=np.int64)
     codes = (h << 32) | np.asarray(r_ids, dtype=np.int64)
     # left and right insertion points differ only at a key: else first == stop
     first = table.indptr[np.searchsorted(table.codes, codes, side="left")]
     stop = table.indptr[np.searchsorted(table.codes, codes, side="right")]
-    slots = first[:, None] + np.arange(n + 1)
+    slots = first[:, None] + np.arange(table.n_refs + 1)
     live = slots < stop[:, None]
-    pairs = table.pairs if len(table.pairs) else np.zeros((1, 2), np.int64)
-    ref = pairs[np.where(live, slots, 0)]
-    if exclude_tails is not None:  # drop the own pair, keep the rest in order
-        t = np.asarray(exclude_tails).reshape(-1, 1)
-        live &= (ref[..., 0] != h[:, None]) | (ref[..., 1] != t)
-        order = np.argsort(~live, axis=1, kind="stable")
-        ref = np.take_along_axis(ref, order[..., None], axis=1)
-        live = np.take_along_axis(live, order, axis=1)
-    live = live[:, :n]
-    return (np.where(live, ref[:, :n, 0], 0), np.where(live, ref[:, :n, 1], 0),
-            live.astype(np.float64))
+    if exclude_tails is not None:
+        row = np.nonzero(live)[0]
+        ref = table.pairs[slots[live]]
+        live[live] = ((ref[:, 0] != h[row])
+                      | (ref[:, 1] != np.reshape(exclude_tails, -1)[row]))
+    live &= np.cumsum(live, axis=1) <= table.n_refs
+    indptr = np.concatenate(([0], np.cumsum(live.sum(axis=1))))
+    return indptr, table.pairs[slots[live]]
 
 
 @dataclass
 class AggCache:
-    """Forward intermediates kept for the backward pass: the (B, N) slot
-    weights w = mask / max(sum mask, 1), and the (B, d_k) weighted sums
-    h_bar, k_bar and s_bar of the slots' heads, k_i and s_i."""
+    """Forward intermediates kept for the backward pass: the CSR (B,
+    n_entities) slot weight operators s_h and s_t, row i holding 1 / count
+    at each of its references' heads and tails, and the (B, d_k) pooled
+    h_bar, k_bar and s_bar."""
 
     r_ids: np.ndarray
-    ref_h: np.ndarray
-    ref_t: np.ndarray
-    w: np.ndarray
+    s_h: csr_matrix
+    s_t: csr_matrix
     h_bar: np.ndarray
     k_bar: np.ndarray
     s_bar: np.ndarray
@@ -236,36 +235,36 @@ class AggCache:
     t_prime: np.ndarray
 
 
-def aggregate_batch(store, q, r_ids, ref_h, ref_t, mask):
+def aggregate_batch(store, q, r_ids, indptr, pairs):
     """Pooled reference aggregation for a batch; returns (t_prime, cache).
 
-    q: (B, d_k) query vectors; r_ids: (B,) ids; ref_h/ref_t: (B, N) ids;
-    mask: (B, N) 1.0 where the slot holds a real reference. Row-stable: row
-    i of t' has the same bits in a batch of one or of any size: slot sums
-    run in slot order along axis 1, queries are per row, and each weight
+    q: (B, d_k) query vectors; r_ids: (B,) ids; ``indptr`` and ``pairs`` the
+    ragged references of ``gather_references``. Row-stable: row i of t' has
+    the same bits in a batch of one or of any size: a sparse product sums
+    each row's references in order, queries are per row, and each weight
     product is a 3-D matmul.
     """
     agg, ents = store.agg, store.entities
-    mask = mask.astype(q.dtype, copy=False)
-    w = mask / np.maximum(mask.sum(axis=1), 1.0)[:, None]  # W: 1 or 0
-    k_bar = (ents[ref_t] * w[..., None]).sum(axis=1)
-    h_bar = (ents[ref_h] * w[..., None]).sum(axis=1)
-    s_bar = w.sum(axis=1)[:, None] * (
+    counts = np.diff(indptr)
+    w = np.repeat((1.0 / np.maximum(counts, 1)).astype(q.dtype), counts)
+    s_h, s_t = (csr_matrix((w, pairs[:, j], indptr),
+                           shape=(len(q), len(ents))) for j in (0, 1))
+    h_bar, k_bar = s_h @ ents, s_t @ ents
+    s_bar = (counts > 0)[:, None] * (  # W = 1, or 0 without references
         q - query_batch(store, None, r_ids, heads=h_bar))
     # 3-D matmuls: numpy runs one (1, d) product per row, so a row's bits
     # do not depend on the batch, as a 2-D GEMM's do
     pooled = k_bar[:, None] @ agg.w_node.T + s_bar[:, None] @ agg.w_edge.T
     z = np.concatenate([pooled[:, 0], q], axis=1)
     t_prime = np.tanh(z[:, None] @ agg.w_agg.T)[:, 0]
-    return t_prime, AggCache(r_ids, ref_h, ref_t, w, h_bar, k_bar, s_bar, z,
-                             t_prime)
+    return t_prime, AggCache(r_ids, s_h, s_t, h_bar, k_bar, s_bar, z, t_prime)
 
 
 def aggregate_pullback(store, cache, d_t_prime, buf):
     """Chain an upstream gradient on t' back through the aggregation.
 
-    Adds the weight gradients, the rows of the real (unmasked) reference
-    slots and the relations of rows with any to the GradBuffer ``buf``;
+    Adds the weight gradients, the references' rows through the slot weight
+    operators and the relations of rows with any to the GradBuffer ``buf``;
     returns the gradient on q, which feeds the caller's own query pullback.
     """
     agg, d_k = store.agg, store.d_k
@@ -275,14 +274,12 @@ def aggregate_pullback(store, cache, d_t_prime, buf):
     buf.add_dense(2, d_pooled.T @ cache.k_bar)
     buf.add_dense(3, d_pooled.T @ cache.s_bar)
     buf.add_dense(4, d_pre.T @ cache.z)
-    d_q = cache.w.sum(axis=1)[:, None] * (d_pooled @ agg.w_edge)  # W d_s_bar
-    live = cache.w > 0
-    row, w = np.nonzero(live)[0], cache.w[live]
-    buf.add_entities(cache.ref_t[live], (d_pooled @ agg.w_node)[row], w)
+    has = np.diff(cache.s_h.indptr) > 0
+    d_q = has[:, None] * (d_pooled @ agg.w_edge)  # W d_s_bar
+    buf.add_entities(cache.s_t, d_pooled @ agg.w_node)
     d_h_bar, d_r = query_pullback(store, None, cache.r_ids, -d_q,
                                   heads=cache.h_bar)
-    buf.add_entities(cache.ref_h[live], d_h_bar[row], w)
-    has = live.any(axis=1)
+    buf.add_entities(cache.s_h, d_h_bar)
     buf.add_relations(cache.r_ids[has], d_r[has])
     return d_z[:, d_k:] + d_q
 
@@ -292,9 +289,9 @@ def context_vector(store, table, h, r, exclude_tail=None):
     ``r`` (and ``exclude_tail``): one gather and one ``aggregate_batch``,
     whose rows are the same bits alone or in any batch."""
     h_ids, r_ids = np.atleast_1d(h), np.atleast_1d(r)
-    ref_h, ref_t, mask = gather_references(table, h_ids, r_ids, exclude_tail)
+    refs = gather_references(table, h_ids, r_ids, exclude_tail)
     t_prime, _ = aggregate_batch(store, query_batch(store, h_ids, r_ids),
-                                 r_ids, ref_h, ref_t, mask)
+                                 r_ids, *refs)
     return t_prime if np.ndim(h) else t_prime[0]
 
 

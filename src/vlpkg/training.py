@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, issparse
 from scipy.special import expit, log_expit
 
 from . import data, evaluation  # looked up per call: callers may patch them
@@ -97,21 +97,25 @@ class GradBuffer:
         """Scatter-add ``weights * rows`` into the rows ``ids`` of parameter
         ``i``. ``weights`` (default 1) is shaped like ``ids``; ``rows`` has a
         row per id, or broadcasts one row over each row of 2-D ids, as a
-        (B, 1, d) array does against (B, n) ids.
+        (B, 1, d) array does against (B, n) ids. ``ids`` may instead be a
+        sparse (len(rows), n) operator S: the rows S^T @ rows are added.
 
         One sparse (distinct ids x rows) product, a column per row, adds each
         id's terms in the order given; the sums are added to the rows.
         """
-        ids = np.asarray(ids).reshape(-1)
         rows = rows.reshape(-1, rows.shape[-1])
+        if issparse(ids):  # CSR: row j's ids and weights, in order
+            ids, weights, ptr = ids.indices, ids.data, ids.indptr
+        else:
+            ids = np.asarray(ids).reshape(-1)
+            ptr = len(ids) // max(len(rows), 1) * np.arange(len(rows) + 1)
         grad, touched = self.grads[i], self.touched[i]
         present = np.bincount(ids, minlength=len(grad)) > 0
         distinct = np.flatnonzero(present)
         slot = np.cumsum(present) - 1  # id -> its row of the product
         w = (np.ones(len(ids), dtype=rows.dtype) if weights is None
              else weights.reshape(-1))
-        reads = len(ids) // max(len(rows), 1)  # consecutive ids per row
-        gather = csc_matrix((w, slot[ids], reads * np.arange(len(rows) + 1)),
+        gather = csc_matrix((w, slot[ids], ptr),
                             shape=(len(distinct), len(rows)))
         grad[distinct] += gather @ rows
         touched |= present
@@ -218,8 +222,8 @@ def forward(store, table, batch, negatives, vlp, e_unit=None, out=None):
     fg = pair_scores(store, q, delta, out=delta)
     fwd = Forward(h, r, cand, q, delta, fg, np.zeros_like(fg))
     if vlp:
-        ref_h, ref_t, mask = gather_references(table, h, r, exclude_tails=t)
-        t_prime, fwd.agg = aggregate_batch(store, q, r, ref_h, ref_t, mask)
+        refs = gather_references(table, h, r, exclude_tails=t)
+        t_prime, fwd.agg = aggregate_batch(store, q, r, *refs)
         fwd.t_unit = _unit_rows(t_prime)
         fwd.e_unit = _unit_rows(store.entities) if e_unit is None else e_unit
         fwd.cos = np.matmul(fwd.t_unit[0], fwd.e_unit[0].T, out=out)

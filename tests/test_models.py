@@ -1,4 +1,3 @@
-import logging
 import struct
 
 import numpy as np
@@ -204,48 +203,41 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(a, b)
 
 
-def test_checkpoint_records_the_norm(tmp_path, caplog):
+def test_checkpoint_records_the_norm(tmp_path):
     store = init_parameters(ModelKind.TRANSE, 4, 5, 2, seed=0, norm="l1")
     path = tmp_path / "model.vlpc"
     save_checkpoint(path, store)
     assert load_checkpoint(path)[0].norm == "l1"
-    # format 1: the same header without the trailing norm byte
+    # a norm code outside NORMS
     blob = path.read_bytes()
     end = 4 + struct.calcsize("<IBBIQQQ")
-    old = tmp_path / "v1.vlpc"
-    old.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:end]
-                    + blob[end + 1:])
-    with caplog.at_level(logging.WARNING):
-        loaded, _, _, _ = load_checkpoint(old)
-    assert loaded.norm == "l2"
-    assert "records no norm" in caplog.text
-    for a, b in zip(store.param_arrays(), loaded.param_arrays()):
-        assert np.array_equal(a, b)
-    # a norm code outside NORMS
     path.write_bytes(blob[:end] + bytes([len(NORMS)]) + blob[end + 1:])
     with pytest.raises(CacheError, match="norm"):
         load_checkpoint(path)
 
 
-def test_format2_checkpoint_loads_with_an_unknown_train_hash(tmp_path,
-                                                              caplog):
+def test_checkpoints_of_formats_1_and_2_are_rejected(tmp_path):
+    store = _store(ModelKind.TRANSE, dim=4, n_ent=5, n_rel=2)
+    path = tmp_path / "model.vlpc"
+    save_checkpoint(path, store)
+    blob = path.read_bytes()
+    for version in (1, 2):
+        path.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+        with pytest.raises(CacheError, match=f"version {version}"):
+            load_checkpoint(path)
+
+
+def test_an_unknown_train_hash_is_not_compared_but_the_counts_are(tmp_path):
     store = _store(ModelKind.TRANSE, dim=4, n_ent=5, n_rel=2, norm="l1",
                    dtype=np.float32)
     m = [np.full_like(a, 0.25) for a in store.param_arrays()]
     path = tmp_path / "model.vlpc"
-    save_checkpoint(path, store, (m, m), step=7, train_hash=99)
-    # format 2: the same layout, but its train hash predates BLAKE2b
-    blob = path.read_bytes()
-    old = tmp_path / "v2.vlpc"
-    old.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
-    with caplog.at_level(logging.WARNING):
-        loaded, (m2, v2), step, train_hash = load_checkpoint(old)
-    assert "predates BLAKE2b" in caplog.text
+    save_checkpoint(path, store, (m, m), step=7, train_hash=0)
+    loaded, (m2, v2), step, train_hash = load_checkpoint(path)
     assert (train_hash, step, loaded.norm) == (0, 7, "l1")
     for a, b in zip(store.param_arrays() + m + m,
                     loaded.param_arrays() + m2 + v2):
         assert np.array_equal(a, b)
-    # the unknown hash is not compared; the entity and relation counts are
     check_fits(loaded, train_hash, kg_from_id_triples(5, 2, [(0, 0, 1)]), 12)
     for n_ent, n_rel in [(6, 2), (5, 3)]:
         with pytest.raises(ValueError, match="entities"):

@@ -130,15 +130,19 @@ def test_keys_cover_valid_and_test_queries():
     assert (4, 1) in table.entries
     # relation 1 has no training pairs at all
     assert len(table.entries[(4, 1)]) == 0
-    assert gather_references(table, [4], [1])[2].sum() == 0
+    assert gather_references(table, [4], [1])[0].tolist() == [0, 0]
+
+
+def _rows(indptr, pairs):
+    """Per row of a gathered batch, the list of its (h_i, t_i)."""
+    return [[tuple(p) for p in pairs[a:b].tolist()]
+            for a, b in zip(indptr, indptr[1:])]
 
 
 def _gathered(table, h, r, exclude_tail=None):
-    """The live (h_i, t_i) pairs of one gathered query."""
-    ref_h, ref_t, mask = gather_references(
-        table, [h], [r], None if exclude_tail is None else [exclude_tail])
-    live = mask[0] > 0
-    return list(zip(ref_h[0, live].tolist(), ref_t[0, live].tolist()))
+    """The (h_i, t_i) pairs of one gathered query."""
+    return _rows(*gather_references(
+        table, [h], [r], None if exclude_tail is None else [exclude_tail]))[0]
 
 
 def test_gather_masks_own_answer_without_shrinking():
@@ -154,18 +158,11 @@ def test_gather_masks_own_answer_without_shrinking():
 
 
 def _gather_oracle(table, h_ids, r_ids, exclude_tails):
-    """Per query: the key's pairs from ``entries``, the own pair dropped,
-    cut to N, padded with id 0 and mask 0."""
-    n = table.n_refs
-    ref_h = np.zeros((len(h_ids), n), dtype=np.int64)
-    ref_t = np.zeros((len(h_ids), n), dtype=np.int64)
-    mask = np.zeros((len(h_ids), n))
-    for i, (h, r, t) in enumerate(zip(h_ids, r_ids, exclude_tails)):
-        pairs = [tuple(p) for p in table.entries.get((h, r), [])]
-        pairs = [p for p in pairs if p != (h, t)][:n]
-        for j, (h_i, t_i) in enumerate(pairs):
-            ref_h[i, j], ref_t[i, j], mask[i, j] = h_i, t_i, 1.0
-    return ref_h, ref_t, mask
+    """Per query, the list of its (h_i, t_i): the key's pairs from
+    ``entries``, the own pair dropped, cut to N."""
+    return [[p for p in map(tuple, table.entries.get((h, r), np.zeros((0, 2)))
+                            .tolist()) if p != (h, t)][:table.n_refs]
+            for h, r, t in zip(h_ids, r_ids, exclude_tails)]
 
 
 def test_gather_matches_per_query_oracle():
@@ -185,17 +182,21 @@ def test_gather_matches_per_query_oracle():
     r_ids = [0, 0, 1, 2, 1, 0, 0, 0, 1]
     tails = [2, 1, 3, 0, 0, 5, 2, 8, 3]
     for excluded in (None, tails):
-        got = gather_references(table, np.array(h_ids), np.array(r_ids),
-                                None if excluded is None else np.array(excluded))
-        want = _gather_oracle(table, h_ids, r_ids,
-                              excluded or [-1] * len(h_ids))
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.flags.c_contiguous
-            np.testing.assert_array_equal(g, w)
-        ref_h, ref_t, mask = got
-        assert not ref_h[mask == 0].any() and not ref_t[mask == 0].any()
+        indptr, pairs = gather_references(
+            table, np.array(h_ids), np.array(r_ids),
+            None if excluded is None else np.array(excluded))
+        assert indptr.dtype == pairs.dtype == np.int64
+        assert pairs.shape == (indptr[-1], 2) and pairs.flags.c_contiguous
+        assert _rows(indptr, pairs) == _gather_oracle(
+            table, h_ids, r_ids, excluded or [-1] * len(h_ids))
     # the own pair in the middle slot is dropped and the spare moves up
-    assert list(zip(got[0][0].tolist(), got[1][0].tolist())) == [(0, 1), (0, 3)]
+    assert _rows(indptr, pairs)[0] == [(0, 1), (0, 3)]
+    # a table without any pairs gives every row none
+    empty = ReferenceTable(2, [[0, 0], [1, 0]], [0, 0, 0], np.zeros((0, 2)))
+    for excluded in (None, [1, 0, 2]):
+        indptr, pairs = gather_references(empty, [0, 1, 2], [0, 0, 0],
+                                          excluded)
+        assert indptr.tolist() == [0, 0, 0, 0] and pairs.shape == (0, 2)
 
 
 def test_self_pair_is_first_reference():
@@ -326,17 +327,16 @@ def test_a_row_without_references_pools_nothing(kind):
     store = init_parameters(kind, 3, kg.n_entities, kg.n_relations, seed=6,
                             dtype=np.float64)
     h, r = np.array([0, 2, 3]), np.array([0, 1, 0])
-    ref_h, ref_t, mask = gather_references(table, h, r, [1, 5, 5])
-    np.testing.assert_array_equal(mask.sum(axis=1) > 0, [True, False, True])
+    refs = gather_references(table, h, r, [1, 5, 5])
+    np.testing.assert_array_equal(np.diff(refs[0]) > 0, [True, False, True])
     up = np.random.default_rng(0).normal(size=(3, store.d_k))
 
     def value():
         q = query_batch(store, h, r)
-        return float((aggregate_batch(store, q, r, ref_h, ref_t, mask)[0]
-                      * up).sum())
+        return float((aggregate_batch(store, q, r, *refs)[0] * up).sum())
 
     t_prime, cache = aggregate_batch(store, query_batch(store, h, r), r,
-                                     ref_h, ref_t, mask)
+                                     *refs)
     assert not cache.s_bar[1].any() and not cache.h_bar[1].any()
     buf = GradBuffer(store)
     d_q = aggregate_pullback(store, cache, up, buf)
@@ -348,34 +348,54 @@ def test_a_row_without_references_pools_nothing(kind):
         assert max_rel_err(got, fd_array(value, arr)) < 1e-7
 
 
-def test_masked_slots_do_not_influence_forward_or_backward():
-    kg, table, store = _setup()
-    h_ids = np.array([int(kg.test[0, 0])])
-    r_ids = np.array([int(kg.test[0, 1])])
-    from vlpkg.models import query_batch
-
+def test_operators_hold_exactly_the_kept_references():
+    """Row i of each slot weight operator holds the heads (s_h) or tails
+    (s_t) of the row's kept references, in selection order, each weighing
+    1 / count; the pullback touches exactly their entities, and the
+    relations of rows with references."""
+    kg, table, store = _setup(dtype=np.float32)
+    bare = next([h, r, 0] for h in range(kg.n_entities)
+                for r in range(kg.n_relations) if (h, r) not in table.entries)
+    h_ids, r_ids, t_ids = np.concatenate([kg.train[:5], [bare],
+                                          kg.test[:3]]).T
+    indptr, pairs = gather_references(table, h_ids, r_ids, t_ids)
+    want = _gather_oracle(table, h_ids.tolist(), r_ids.tolist(),
+                          t_ids.tolist())
     q = query_batch(store, h_ids, r_ids)
-    ref_h, ref_t, mask = gather_references(table, h_ids, r_ids)
-    assert mask.sum() >= 1
-    # poison one slot, then mask it: output may not change
-    mask2 = mask.copy()
-    ref_t2 = ref_t.copy()
-    live = int(mask[0].sum())
-    if live < ref_t.shape[1]:
-        dead = live  # first padded slot
-        ref_t2[0, dead] = 1  # point it at a real row
-        out_a, _ = aggregate_batch(store, q, r_ids, ref_t2 * 0, ref_t2, mask2)
-        ref_t2[0, dead] = 2
-        out_b, _ = aggregate_batch(store, q, r_ids, ref_t2 * 0, ref_t2, mask2)
-        np.testing.assert_array_equal(out_a, out_b)
-    # backward: padded slots are dropped from the scatter lists
-    t_prime, cache = aggregate_batch(store, q, r_ids, ref_h, ref_t, mask)
+    t_prime, cache = aggregate_batch(store, q, r_ids, indptr, pairs)
+    for op, col in ((cache.s_h, 0), (cache.s_t, 1)):
+        assert op.shape == (len(h_ids), kg.n_entities)
+        assert op.dtype == np.float32
+        got = [(op.indices[a:b].tolist(), op.data[a:b].tolist())
+               for a, b in zip(op.indptr, op.indptr[1:])]
+        assert got == [([p[col] for p in refs],
+                        [float(np.float32(1) / len(refs)) for _ in refs])
+                       for refs in want]
     buf = GradBuffer(store)
     aggregate_pullback(store, cache, np.ones_like(t_prime), buf)
-    live = mask > 0
     np.testing.assert_array_equal(np.flatnonzero(buf.touched[0]),
-                                  np.union1d(ref_h[live], ref_t[live]))
-    np.testing.assert_array_equal(np.flatnonzero(buf.touched[1]), r_ids)
+                                  np.unique(pairs))
+    np.testing.assert_array_equal(
+        np.flatnonzero(buf.touched[1]),
+        np.unique([r for r, refs in zip(r_ids, want) if refs]))
+
+
+def test_a_row_with_references_weighs_its_query_by_exactly_one():
+    """W = 1 bit for bit: s_bar is q - query(h_bar, r) also at counts whose
+    float32 1/k summed k times is not 1 (k = 11, 12, 14)."""
+    kg = kg_from_id_triples(20, 1, [(i, 0, (i + 1) % 20) for i in range(20)])
+    index = compute_distances(kg, cap=3)
+    store = init_parameters(ModelKind.TRANSE, 4, 20, 1, seed=0,
+                            dtype=np.float32)
+    h, r = np.arange(3), np.zeros(3, dtype=np.int64)
+    q = query_batch(store, h, r)
+    for n_refs in (11, 12, 14):
+        table = select_references(kg, index, n_refs=n_refs)
+        indptr, pairs = gather_references(table, h, r)
+        assert (np.diff(indptr) == n_refs).all()
+        _, cache = aggregate_batch(store, q, r, indptr, pairs)
+        np.testing.assert_array_equal(
+            cache.s_bar, q - query_batch(store, None, r, heads=cache.h_bar))
 
 
 def test_cosine_kernels_agree_and_guard_zero_vectors():
