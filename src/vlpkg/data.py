@@ -264,9 +264,15 @@ class FilterIndex:
         codes = np.sort((h * self.n_relations + r) * self.n_entities + t)
         self.codes = codes[np.diff(codes, prepend=-1) > 0]
 
+    def spans(self, heads, relations):
+        """(base, lo, hi): key i's tails are codes[lo[i]:hi[i]] - base[i]."""
+        base = (np.asarray(heads, dtype=np.int64) * self.n_relations
+                + relations) * self.n_entities
+        lo, hi = np.searchsorted(self.codes, [base, base + self.n_entities])
+        return base, lo, hi
+
     def tails(self, head, relation):
-        base = (int(head) * self.n_relations + int(relation)) * self.n_entities
-        lo, hi = np.searchsorted(self.codes, (base, base + self.n_entities))
+        base, lo, hi = self.spans(head, relation)
         return self.codes[lo:hi] - base
 
 

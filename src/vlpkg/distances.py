@@ -4,11 +4,12 @@ Distances are hop counts, relation-agnostic and direction-agnostic, computed
 by breadth-first search from every entity, level by level as sparse boolean
 matrix products, and truncated at ``cap``: anything not reached in fewer
 than ``cap`` hops is reported as ``cap``. Only pairs with distance < cap are
-stored, so memory stays proportional to the truncated neighbourhood sizes.
+stored, so memory stays proportional to the truncated neighbourhood sizes,
+and a pair's distance is not stored at all: it is the ring that holds it.
 
 The index serializes to a little-endian binary cache (magic ``VLPD``) keyed
 by a hash of the raw training file so stale caches are never reused: the
-header, then the row offsets, ids and distances, each written whole.
+header, then the ring offsets and the ids, each written whole.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ DEFAULT_CAP = 8
 _CHUNK = 2048  # sources searched together
 
 MAGIC = b"VLPD"
-VERSION = 2
+VERSION = 3
 _HEADER = struct.Struct("<IIQQQ")  # after the magic: version, cap, n, hash, pairs
 
 
@@ -97,37 +98,28 @@ def hash_file(path, chunk_size=1 << 20):
 
 
 class DistanceIndex:
-    """Truncated distance rows in CSR form.
+    """Truncated distance rings in one flat CSR form.
 
-    Row s is ``ids[indptr[s]:indptr[s + 1]]``: the ids within distance
-    cap-1 of s (s itself included at distance 0), sorted by (distance, id),
-    with ``dists`` aligned. The ids at exactly distance d from s are the
-    slice between ``ring_offsets[s * cap + d]`` and the next offset.
+    Ring (s, d), the ids at exactly distance d < cap from s in ascending
+    order, is ``ids`` between ``ring_offsets[s * cap + d]`` and the next
+    offset. The rings of s follow one another, so row s, the ids within
+    distance cap-1 of s sorted by (distance, id), starts at ``indptr[s]``,
+    every cap-th ring offset, and ends at ``indptr[s + 1]``.
     """
 
-    def __init__(self, n_entities, cap, indptr, ids, dists, train_hash=0):
+    def __init__(self, n_entities, cap, ring_offsets, ids, train_hash=0):
         self.n_entities = int(n_entities)
         self.cap = int(cap)
         self.train_hash = int(train_hash)
-        self.indptr = indptr   # (n+1,) int64
-        self.ids = ids         # (pairs,) uint32
-        self.dists = dists     # (pairs,) uint8
-        # a ring starts at a row's first pair and where the distance changes;
-        # an absent ring starts where the next one does, or the next row
-        new = np.empty(len(dists), dtype=bool)
-        new[:1] = True
-        np.not_equal(dists[1:], dists[:-1], out=new[1:])
-        new[indptr[:-1][np.diff(indptr) > 0]] = True
-        at = np.flatnonzero(new)
-        offsets = np.repeat(indptr[1:, None], self.cap + 1, axis=1)
-        offsets[np.searchsorted(indptr, at, side="right") - 1, dists[at]] = at
-        offsets = np.minimum.accumulate(offsets[:, ::-1], axis=1)[:, ::-1]
-        self.ring_offsets = np.append(offsets[:, :-1], indptr[-1:])
+        self.ring_offsets = ring_offsets  # (n * cap + 1,) int64
+        self.ids = ids                    # (pairs,) uint32
+        self.indptr = ring_offsets[::self.cap]  # (n + 1,) view
 
     def row(self, source):
         """(ids, dists) arrays for one source, sorted by (distance, id)."""
-        lo, hi = self.indptr[source], self.indptr[source + 1]
-        return self.ids[lo:hi], self.dists[lo:hi]
+        sizes, lo = self.ring_sizes(source)[:-1], self.indptr[source]
+        return (self.ids[lo:lo + sizes.sum()],
+                np.repeat(np.arange(self.cap, dtype=np.uint8), sizes))
 
     def ring(self, source, distance):
         """Ids at exactly ``distance`` from source, ascending (empty if none)."""
@@ -162,35 +154,34 @@ class DistanceIndex:
     def distances_from(self, sources):
         """Dense uint8 distances from one source, shape (n_entities,), or from
         each of an array of sources, shape (len(sources), n_entities)."""
-        sources = np.asarray(sources, dtype=np.int64)
-        flat = sources.ravel()
-        lo = self.indptr[flat]
-        counts = self.indptr[flat + 1] - lo
-        at = ranges(lo, counts)  # the pair positions of every row, joined
+        flat = np.ravel(sources)
+        sizes = self.ring_sizes(flat)[:, :-1]
+        at = np.repeat(np.arange(sizes.size), sizes.ravel())  # row * cap + d
         out = np.full((len(flat), self.n_entities), self.cap, dtype=np.uint8)
-        out[np.repeat(np.arange(len(flat)), counts), self.ids[at]] = self.dists[at]
-        return out.reshape(sources.shape + (self.n_entities,))
+        pos = ranges(self.indptr[flat], sizes.sum(axis=1))  # rows' pairs
+        out[at // self.cap, self.ids[pos]] = at % self.cap
+        return out.reshape(np.shape(sources) + (self.n_entities,))
 
     def save(self, path):
         write_file(path, MAGIC + _HEADER.pack(VERSION, self.cap,
                                               self.n_entities, self.train_hash,
                                               len(self.ids)),
-                   ((self.indptr, "<i8"), (self.ids, "<u4"),
-                    (self.dists, "u1")))
+                   ((self.ring_offsets, "<i8"), (self.ids, "<u4")))
 
     @classmethod
     def load(cls, path):
-        _, (cap, n, train_hash, pairs), (indptr, ids, dists) = read_file(
+        _, (cap, n, train_hash, pairs), (offsets, ids) = read_file(
             path, MAGIC, {VERSION: _HEADER},
             lambda _, cap, n, train_hash, pairs: (
-                ("<i8", n + 1), ("<u4", pairs), ("u1", pairs)),
+                ("<i8", n * cap + 1), ("<u4", pairs)),
             "distance cache")
-        if (indptr[0] != 0 or indptr[-1] != pairs
-                or (np.diff(indptr) < 0).any()):
-            raise CacheError(f"{path}: row offsets disagree with pair count")
-        if pairs and (ids.max() >= n or dists.max() >= cap):
-            raise CacheError(f"{path}: id or distance out of range")
-        return cls(n, cap, indptr, ids, dists, train_hash)
+        if not 1 <= cap <= 255 or pairs and ids.max() >= n:
+            raise CacheError(f"{path}: cap or id out of range")
+        if (offsets[0] != 0 or offsets[-1] != pairs
+                or (np.diff(offsets) < 0).any()):
+            raise CacheError(f"{path}: ring offsets do not rise from 0 to"
+                             f" the pair count {pairs}")
+        return cls(n, cap, offsets, ids, train_hash)
 
 
 def compute_distances(kg, cap=DEFAULT_CAP, threads=1, train_hash=0):
@@ -202,7 +193,9 @@ def compute_distances(kg, cap=DEFAULT_CAP, threads=1, train_hash=0):
     levels d and d - 1 (on an undirected graph, the only seen ids it can
     reach). Stacked, the levels hold id v at distance d in row d * n + v,
     so one transpose to CSR lists each source's pairs in (distance, id)
-    order. ``threads`` is accepted for older callers and unused.
+    order; the per-source counts of level d (a ``bincount`` of its column
+    indices) are the sizes of the rings (source, d), whose running sum is
+    ``ring_offsets``. ``threads`` is accepted for older callers and unused.
     """
     if cap < 1 or cap > 255:
         raise ValueError("cap must be in [1, 255]")
@@ -210,18 +203,17 @@ def compute_distances(kg, cap=DEFAULT_CAP, threads=1, train_hash=0):
     ends = np.concatenate([kg.train[:, [0, 2]], kg.train[:, [2, 0]]])
     adj = csr_matrix((np.ones(len(ends), dtype=bool), ends.T), shape=(n, n))
     eye = identity(n, dtype=bool, format="csc")
-    ids, dists = [], []
+    ids, counts = [], np.zeros((n, cap), dtype=np.int64)
     for start in range(0, n, _CHUNK):
         level = before = eye[:, start:start + _CHUNK].tocsr()  # level 0
         levels = [level]
         while len(levels) < cap and level.nnz:  # an empty level adds no pair
             level, before = (adj @ level > level) > before, level
             levels.append(level)
+        for d, level in enumerate(levels):  # ring (source, d) sizes
+            counts[start:start + level.shape[1], d] = np.bincount(
+                level.indices, minlength=level.shape[1])
         rings = vstack(levels, format="csr").T.tocsr()
         ids.append((rings.indices % n).astype(np.uint32))
-        dists.append((rings.indices // n).astype(np.uint8))
-    ids = np.concatenate(ids)  # one list of parts at a time
-    dists = np.concatenate(dists)
-    # each row starts with its source, its one pair at distance 0
-    indptr = np.append(np.flatnonzero(dists == 0), len(dists))
-    return DistanceIndex(n, cap, indptr, ids, dists, train_hash)
+    return DistanceIndex(n, cap, np.concatenate([[0], np.cumsum(counts)]),
+                         np.concatenate(ids), train_hash)

@@ -46,7 +46,7 @@ gives equals the oracle's bit for bit:
   ``candidate_scores`` and ``rank_from_scores``. A zero entity row's
   cosines are exactly 0 in both paths.
 
-The known tails of a block come from ``FilterIndex.codes`` in one
+The known tails of a block come from one ``FilterIndex.spans`` call, one
 ``searchsorted``. A block's row count keeps its (rows x entities) arrays
 within ``_BLOCK_BYTES``.
 """
@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FilterIndex, distance_bucket, ranges, rmp_classify
+from .data import RMP_CLASSES, FilterIndex, ranges, rmp_classify
 from .models import (ModelKind, is_distance_kind, pair_scores, query_batch,
                      score_fg_all)
 from .reference import context_vector, cosine_all
@@ -207,15 +207,10 @@ class _BlockRanker:
 
     def keep_mask(self, h, r, t):
         """(B, n) keep-mask: False at each row's known tails and its gold."""
-        f = self.filter
-        n = f.n_entities
-        base = (h * f.n_relations + r) * n
-        lo, hi = np.searchsorted(f.codes, np.stack([base, base + n]))
-        counts = hi - lo
-        rows = np.repeat(np.arange(len(h)), counts)
-        at = ranges(lo, counts)  # into codes
-        keep = np.ones((len(h), n), dtype=bool)
-        keep[rows, f.codes[at] - base[rows]] = False
+        base, lo, hi = self.filter.spans(h, r)
+        rows = np.repeat(np.arange(len(h)), hi - lo)
+        keep = np.ones((len(h), self.filter.n_entities), dtype=bool)
+        keep[rows, self.filter.codes[ranges(lo, hi - lo)] - base[rows]] = False
         keep[np.arange(len(h)), t] = False
         return keep
 
@@ -326,26 +321,33 @@ def evaluate(store, kg, split="test", table=None, dist_index=None, lam=0.5,
               for i in range(0, len(triples), ranker.rows)]
     ranks = np.concatenate([part for part, _ in ranked])
     report.rescored = sum(n for _, n in ranked)
-    report.mrr = float((1.0 / ranks).mean())
+    inv = 1.0 / ranks  # a weighted bincount adds in row order, as Cell.add
+    report.mrr = float(inv.mean())
     report.hits = {k: float((ranks <= k).mean()) for k in HITS_AT}
-    classes = rmp_classify(kg)
     half = kg.n_relations // 2 if kg.reciprocal else kg.n_relations
-    rel_names = kg.vocab.relation_names
-    buckets = [None] * len(triples)
+    h, r, t = triples.T
+    bucket = np.zeros(len(triples), dtype=np.int64)  # 0: no bucket
     if dist_index is not None:  # a pair at a cap < 4 may be farther
-        dists = dist_index.distance(triples[:, 0], triples[:, 2]).tolist()
-        buckets = [distance_bucket(d) if d < dist_index.cap or d >= 4 else None
-                   for d in dists]
-    for (h, r, t), rank, bucket in zip(triples.tolist(), ranks.tolist(),
-                                       buckets):
-        if bucket is not None:
-            report.per_bucket.setdefault(bucket, Cell()).add(rank)
-        report.per_relation.setdefault(rel_names[r], Cell()).add(rank)
-        rmp = ("head" if r >= half else "tail", classes[r % half])
-        report.per_rmp.setdefault(rmp, Cell()).add(rank)
-        if keep_ranks:
-            report.ranks.append(RankResult(h, r, t, rank, bucket))
+        d = dist_index.distance(h, t)
+        bucket = np.where((d < dist_index.cap) | (d >= 4), np.clip(d, 1, 4), 0)
+    rmp = [RMP_CLASSES.index(c) for c in rmp_classify(kg).values()]
+    report.per_bucket = _cells(bucket, inv, (None, *BUCKET_LABELS))
+    report.per_relation = _cells(r, inv, kg.vocab.relation_names)
+    report.per_rmp = _cells(4 * (r >= half) + np.take(rmp, r % half), inv,
+                            [(side, cls) for side in ("tail", "head")
+                             for cls in RMP_CLASSES])
+    if keep_ranks:
+        report.ranks = [RankResult(*row, rank, b or None) for row, rank, b in
+                        zip(triples.tolist(), ranks.tolist(), bucket.tolist())]
     return report
+
+
+def _cells(codes, inv, keys):
+    """{keys[c]: Cell} of each code c that occurs (keys[c] not None)."""
+    count, sums = (np.bincount(codes, w, len(keys)).tolist()
+                   for w in (None, inv))
+    return {key: Cell(count[c], sums[c]) for c, key in enumerate(keys)
+            if count[c] and key is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +420,9 @@ def random_baseline(kg, filter_index=None):
     """
     if filter_index is None:
         filter_index = FilterIndex(kg)
-    n_ent, codes = filter_index.n_entities, filter_index.codes
-    base = (kg.test[:, 0] * filter_index.n_relations + kg.test[:, 1]) * n_ent
-    known = np.searchsorted(codes, base + n_ent) - np.searchsorted(codes, base)
-    m = n_ent - known + 1
+    n_ent = filter_index.n_entities
+    _, lo, hi = filter_index.spans(kg.test[:, 0], kg.test[:, 1])
+    m = n_ent - (hi - lo) + 1
     k = np.arange(1.0, n_ent + 2)  # m <= |E| + 1
     mean = np.cumsum(1.0 / k)[m - 1] / m
     var = np.cumsum(1.0 / (k * k))[m - 1] / m - mean * mean

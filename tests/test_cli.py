@@ -118,6 +118,37 @@ def test_preprocess_rebuilds_an_old_format_cache(dataset, capsys, name, echo,
     assert path.read_bytes() == fresh
 
 
+def _format2_distances(index):
+    # format 2: the header, then row offsets, ids and one distance per pair
+    ids, dists = zip(*(index.row(s) for s in range(index.n_entities)))
+    return b"".join([
+        b"VLPD", struct.pack("<IIQQQ", 2, index.cap, index.n_entities,
+                             index.train_hash, len(index.ids)),
+        index.indptr.astype("<i8").tobytes(),
+        np.concatenate(ids).astype("<u4").tobytes(),
+        np.concatenate(dists).astype("u1").tobytes()])
+
+
+def test_a_format2_distance_cache_is_rebuilt_and_its_references_kept(
+        dataset, capsys, caplog):
+    run = ["preprocess", "--dataset", str(dataset), "--cap", "4"]
+    assert main(run) == 0
+    dist, refs = dataset / "dist-c4.vlpd", dataset / "refs-c4-n8.vlpr"
+    fresh, table = dist.read_bytes(), refs.read_bytes()
+    dist.write_bytes(_format2_distances(DistanceIndex.load(dist)))
+    capsys.readouterr()
+    assert main(run) == 0
+    lines = dict(line.split(" = ", 1)
+                 for line in _cache_lines(capsys.readouterr().out))
+    assert lines == {"dist-cache": f"{dist} (built, was corrupt)",
+                     "refs-cache": f"{refs} (hit)"}
+    assert any(f"{dist}: unsupported distance cache version 2" in record.message
+               for record in caplog.records)
+    assert struct.unpack_from("<I", dist.read_bytes(), 4) == (3,)
+    assert dist.read_bytes() == fresh and refs.read_bytes() == table
+    DistanceIndex.load(dist)
+
+
 def test_reference_cache_is_stale_after_a_cap_change(dataset, capsys):
     # files copied from cap 3 to the cap-5 names: their headers disagree
     # with their names, so they are rebuilt, not reused

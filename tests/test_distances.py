@@ -1,6 +1,7 @@
 import collections
 import copy
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -95,21 +96,42 @@ def test_chunk_boundaries_do_not_change_the_index(monkeypatch):
         assert list(zip(dists.tolist(), ids.tolist())) == want, source
 
 
-# SHA-256 of ``DistanceIndex.save`` for one fixed graph, as the earlier
-# dijkstra-based search wrote it: the level search reproduces every byte
+# SHA-256 of ``DistanceIndex.save`` (format 3) for one fixed graph, and of
+# its ids (``<u4``) and ring offsets (``<i8``): the level search reproduces
+# every id and offset of the earlier dijkstra-based search, and of format
+# 2's index, whose offsets came from a stored distance per pair
 PINNED_CACHES = {
-    1: "caf11b13834b2f32e375909ffe1d4f21c8f411d5a66f5acb8923c0053b4cd57b",
-    2: "83bd6c02cfd0e4e4cde5e0caf4878d4ed27fb1893b6a5ce9c84e87c5aace4a39",
-    4: "bd7eed4fad6e1c46eadf40721bb24a491fa862167e282ff6a360fb0f2d76215f",
-    8: "4003cd8f4ed668f6b2c4d65eb780a255efc904ced5c763be46004dbbd9f811ef",
+    1: "0c8db733b6264c7c5ac9f7b26392c922aa7c4a954fc84fc363bc018c49fc3a0e",
+    2: "817eeb7e658b5617eee740035168662c6d58c1551b2961a0a2963dc36f2ca62c",
+    4: "55fb0fc678adb16bc9f6147b04a27c7baee41084c811613f34ef4b3973c40d71",
+    8: "3e34a1baade65d2c2560dd97c7a8dc7565ce8957573be1ee5e21e0771e39209c",
 }
+PINNED_IDS = {
+    1: "31c4d357f4440759108dcb4b14645a7d75bc02cf3597e7c6e20d8173e33e0fc3",
+    2: "f6104cdfdb7da61d9d62128e1cd4f04a6583caf8c8d2e80cbd12493ab8a82f0b",
+    4: "e21152a3f14bb87767700ec9b9b835678458aae7b18b2c5f7b9a65a7a8ce9089",
+    8: "87599c42ecad33c57abdca239c449a08ef0f7792a322e69c7f5761afcae00f03",
+}
+PINNED_OFFSETS = {
+    1: "9a93dfa212c2bada669dcc6c1ee4f365439f67945634681b5862e48fd7bbf9e8",
+    2: "392f6e366980fcbeb19965c8a475fe38570ae16154d84602e303661983f53e07",
+    4: "bed16f10140ae8400b524d800fa52fc422dbee72890a26bc8b7d4ba6ee5bf44e",
+    8: "183352161eb8bea6b03049285a6f37010c30c6389b032ded3901e45a2c31b385",
+}
+
+
+def _sha256(arr, dtype):
+    return hashlib.sha256(np.ascontiguousarray(arr, dtype=dtype)).hexdigest()
 
 
 def test_cache_bytes_are_pinned(tmp_path):
     kg = augment_reciprocal(random_graph(300, 5, 900, 10, 10, seed=3))
     path = tmp_path / "dist.vlpd"
     for cap, want in PINNED_CACHES.items():
-        compute_distances(kg, cap=cap).save(path)
+        index = compute_distances(kg, cap=cap)
+        assert _sha256(index.ids, "<u4") == PINNED_IDS[cap], cap
+        assert _sha256(index.ring_offsets, "<i8") == PINNED_OFFSETS[cap], cap
+        index.save(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == want, cap
 
 
@@ -135,11 +157,12 @@ def test_rings_partition_the_entity_set():
         assert len(np.unique(seen)) == len(seen)
 
 
-def _searched_ring_offsets(index):
+def _searched_ring_offsets(index, dense):
     """Ring offsets by definition: where each s * cap + d sorts among the
-    per-pair keys s * cap + distance."""
-    keys = np.repeat(np.arange(index.n_entities) * index.cap,
-                     np.diff(index.indptr)) + index.dists
+    per-pair keys s * cap + distance, each pair's distance read from the
+    dense (n, n) distances ``dense``."""
+    rows = np.repeat(np.arange(index.n_entities), np.diff(index.indptr))
+    keys = rows * index.cap + dense[rows, index.ids]
     return np.searchsorted(keys, np.arange(index.n_entities * index.cap + 1))
 
 
@@ -147,18 +170,28 @@ def test_ring_offsets_match_a_search_over_per_pair_keys(tmp_path):
     rng = np.random.default_rng(29)
     graphs = [_random_kg(rng) for _ in range(10)] + [_repeated_pairs_kg()]
     for kg in graphs:
+        edges = [(int(h), int(t)) for h, _, t in kg.train]
         for cap in (1, 2, 4, 8):
             index = compute_distances(kg, cap=cap)
+            oracle = floyd_warshall(kg.n_entities, edges, cap)
             assert np.array_equal(index.ring_offsets,
-                                  _searched_ring_offsets(index)), cap
-    # rows a cache may hold but no search writes: empty, or with a gap
-    index = DistanceIndex(4, 4, np.array([0, 0, 2, 2, 5]),
-                          np.array([1, 3, 2, 0, 1], dtype=np.uint32),
-                          np.array([0, 2, 0, 1, 3], dtype=np.uint8))
+                                  _searched_ring_offsets(index, oracle)), cap
+    # rows a cache may hold but no search writes: empty, or with a gap;
+    # row 1 holds 1 at distance 0 and 3 at 2, row 3 holds 2, 0 and 1 at 0,
+    # 1 and 3
+    dense = np.full((4, 4), 4, dtype=np.uint8)
+    dense[1, [1, 3]], dense[3, [2, 0, 1]] = [0, 2], [0, 1, 3]
+    index = DistanceIndex(4, 4, np.array([0, 0, 0, 0, 0, 1, 1, 2, 2, 2, 2, 2,
+                                          2, 3, 4, 4, 5]),
+                          np.array([1, 3, 2, 0, 1], dtype=np.uint32))
     index.save(tmp_path / "gaps.vlpd")
     loaded = DistanceIndex.load(tmp_path / "gaps.vlpd")
     for got in (index, loaded):
-        assert np.array_equal(got.ring_offsets, _searched_ring_offsets(got))
+        assert np.array_equal(got.ring_offsets,
+                              _searched_ring_offsets(got, dense))
+        assert np.array_equal(got.distances_from(np.arange(4)), dense)
+        assert got.row(0)[0].size == 0 and got.row(2)[1].size == 0
+        assert [x.tolist() for x in got.row(3)] == [[2, 0, 1], [0, 1, 3]]
     assert loaded.ring(1, 1).size == 0 and loaded.ring(1, 2).tolist() == [3]
     assert loaded.ring_sizes(3).tolist() == [1, 1, 0, 1, 1]
 
@@ -233,14 +266,41 @@ def test_cache_rejects_old_version_and_bad_row_offsets(tmp_path):
                      + b"\x00" * 64)
     with pytest.raises(CacheError, match="version 1"):
         DistanceIndex.load(path)
-    index.save(path)
-    blob = bytearray(path.read_bytes())
-    # after the 36-byte header come the n+1 row offsets; make the last one
-    # disagree with the pair count in the header
-    end = 36 + 8 * (kg.n_entities + 1)
-    struct.pack_into("<q", blob, end - 8, len(index.ids) - 1)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CacheError, match="row offsets"):
+    # version 2: that header and the pair count, then row offsets, ids and
+    # one distance per pair
+    ids, dists = zip(*(index.row(s) for s in range(kg.n_entities)))
+    path.write_bytes(
+        b"VLPD" + struct.pack("<IIQQQ", 2, 5, kg.n_entities, 0,
+                              len(index.ids))
+        + index.indptr.astype("<i8").tobytes()
+        + np.concatenate(ids).astype("<u4").tobytes()
+        + np.concatenate(dists).tobytes())
+    with pytest.raises(CacheError, match="version 2"):
+        DistanceIndex.load(path)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("first", "ring offsets"),
+    ("decrease", "ring offsets"),
+    ("last", "ring offsets"),
+    ("id", "id out of range"),
+])
+def test_load_rejects_malformed_ring_offsets(tmp_path, fault, message):
+    index = compute_distances(_random_kg(np.random.default_rng(5)), cap=5)
+    offsets = index.ring_offsets.copy()
+    ids = index.ids.copy()
+    if fault == "first":
+        offsets[0] = 1
+    elif fault == "decrease":  # ring (1, 0), the id 1, ends before it starts
+        offsets[5] = offsets[6] + 1
+    elif fault == "last":
+        offsets[-1] -= 1
+    else:
+        ids[-1] = index.n_entities
+    path = tmp_path / "dist.vlpd"
+    DistanceIndex(index.n_entities, 5, offsets, ids).save(path)
+    with pytest.raises(CacheError,
+                       match=f"{re.escape(str(path))}: .*{message}"):
         DistanceIndex.load(path)
 
 
@@ -254,7 +314,7 @@ def test_a_save_that_raises_partway_keeps_the_previous_file(tmp_path):
     before = {path: path.read_bytes() for path in (cache, ckpt)}
 
     broken = copy.copy(index)
-    broken.dists = ["not a distance"]  # raises after header, offsets and ids
+    broken.ids = ["not an id"]  # raises after the header and offsets
     with pytest.raises(ValueError):
         broken.save(cache)
     params = store.param_arrays()

@@ -16,6 +16,7 @@ import pytest
 from vlpkg import (FilterIndex, ModelKind, augment_reciprocal,
                    compute_distances, evaluation, init_parameters,
                    select_references)
+from vlpkg.distances import DistanceIndex
 from vlpkg.synth import random_graph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -38,6 +39,34 @@ def test_every_traced_target_exists(tracing):
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _, _ in tracing.TARGETS
                if attr not in owner.__dict__]
     assert not missing
+
+
+def test_distance_rows_are_what_the_runner_reads(tmp_path):
+    # check_caches compares row(i) of the built and the reloaded index, and
+    # distances.stored_pairs sums the lengths of every row(i)[0]
+    kg = augment_reciprocal(random_graph(200, 4, 500, 5, 5, seed=4))
+    for cap in (1, 3):
+        index = compute_distances(kg, cap=cap, train_hash=77)
+        path = tmp_path / f"dist-c{cap}.vlpd"
+        index.save(path)
+        loaded = DistanceIndex.load(path)
+        assert ((loaded.n_entities, loaded.cap, loaded.train_hash)
+                == (index.n_entities, cap, 77))
+        pairs = 0
+        for source in range(index.n_entities):
+            ids, dists = index.row(source)
+            assert ids.dtype == np.uint32 and dists.dtype == np.uint8
+            assert ids[0] == source and dists[0] == 0
+            key = dists.astype(np.int64) * index.n_entities + ids
+            assert (np.diff(key) > 0).all()  # (distance, id), no repeats
+            assert (dists < cap).all()
+            again = loaded.row(source)
+            assert again[0].dtype == np.uint32 and again[1].dtype == np.uint8
+            assert np.array_equal(again[0], ids)
+            assert np.array_equal(again[1], dists)
+            pairs += len(ids)
+        assert pairs == len(index.ids)
+        assert (pairs > index.n_entities) == (cap > 1)  # rings past 0 too
 
 
 def test_table_exposes_what_the_runner_reads():
