@@ -8,9 +8,8 @@ from .data import (FilterIndex, KnowledgeGraph, Vocabulary, augment_reciprocal,
                    load_dataset, rmp_classify)
 from .distances import DistanceIndex, compute_distances, hash_file
 from .evaluation import EvalReport, evaluate, write_report
-from .models import (AggregatorParams, ModelKind, ParameterStore, grad_fg,
-                     init_parameters, load_checkpoint, save_checkpoint,
-                     score_fg, score_fg_all)
+from .models import (ModelKind, ParameterStore, grad_fg, init_parameters,
+                     load_checkpoint, save_checkpoint, score_fg, score_fg_all)
 from .reference import (ReferenceTable, context_vector, score_f, score_fc,
                         select_references)
 from .sampling import PreSampler, SamplerConfig, post_weights, selfadv_weights
@@ -18,8 +17,8 @@ from .synth import compositional_graph, kg_from_id_triples, random_graph
 from .training import AdamState, loss_l1, loss_l2, train, train_step
 
 __all__ = [
-    "AdamState", "AggregatorParams", "ConfigError", "DistanceIndex",
-    "EvalReport", "FilterIndex", "KnowledgeGraph", "ModelKind",
+    "AdamState", "ConfigError", "DistanceIndex", "EvalReport",
+    "FilterIndex", "KnowledgeGraph", "ModelKind",
     "ParameterStore", "PreSampler", "ReferenceTable", "SamplerConfig",
     "TrainConfig", "Vocabulary", "augment_reciprocal",
     "build_config", "compositional_graph", "compute_distances",

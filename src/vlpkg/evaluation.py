@@ -2,10 +2,11 @@
 
 Every (h, r) test query ranks all entities as candidate tails, removes
 other known-true tails (filtered protocol), and scores the gold tail with
-the average-tie rank 1 + #strictly-greater + #equal-others / 2. Reports
-carry the overall metrics plus per-distance-bucket, per-relation and
-per-mapping-property breakdowns; head-direction cells come from reciprocal
-relation ids re-labeled with the base relation's class.
+the average-tie rank 1 + #strictly-greater + #equal-others / 2; a NaN gold
+score ranks last, 1 + #others. Reports carry the overall metrics plus
+per-distance-bucket, per-relation and per-mapping-property breakdowns;
+head-direction cells come from reciprocal relation ids re-labeled with the
+base relation's class.
 
 ``candidate_scores`` + ``rank_from_scores`` are the rank oracle.
 ``evaluate`` ranks a split in blocks of rows instead, and every rank it
@@ -132,12 +133,14 @@ def candidate_scores(store, h, r, mode, lam, table=None):
 
 
 def rank_from_scores(scores, gold, known_tails):
-    """Average-tie filtered rank of the gold tail."""
+    """Average-tie filtered rank of the gold tail; a NaN gold ranks last."""
     gold_score = scores[gold]
     keep = np.ones(len(scores), dtype=bool)
     keep[known_tails] = False
     keep[gold] = True
     kept = scores[keep]
+    if np.isnan(gold_score):  # equal to nothing, not even itself
+        return float(len(kept))
     greater = int((kept > gold_score).sum())
     ties = int((kept == gold_score).sum()) - 1  # the gold itself ties trivially
     return 1.0 + greater + 0.5 * ties

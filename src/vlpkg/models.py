@@ -25,7 +25,7 @@ training step's form: delta = k - q in place, einsum and matmul, other bits.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -37,8 +37,9 @@ NORMS = ("l1", "l2")
 
 CHECKPOINT_MAGIC = b"VLPC"
 CHECKPOINT_VERSION = 3
-# after the magic: version, model code, complex-space flag, dim, entities,
-# relations, train hash (BLAKE2b), index of the norm in NORMS
+# after the magic: version, model code (the kind's index in ModelKind),
+# complex-space flag, dim, entities, relations, train hash (BLAKE2b), index
+# of the norm in NORMS
 _CHECKPOINT_HEADERS = {CHECKPOINT_VERSION: struct.Struct("<IBBIQQQB")}
 
 
@@ -47,15 +48,6 @@ class ModelKind(str, Enum):
     DISTMULT = "distmult"
     COMPLEX = "complex"
     ROTATE = "rotate"
-
-
-_KIND_CODES = {
-    ModelKind.TRANSE: 0,
-    ModelKind.DISTMULT: 1,
-    ModelKind.COMPLEX: 2,
-    ModelKind.ROTATE: 3,
-}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
 
 def is_complex_kind(kind):
@@ -79,23 +71,18 @@ def relation_width(kind, dim):
 
 
 @dataclass
-class AggregatorParams:
-    """Weights of the reference aggregator (kept with the model parameters
-    so a single checkpoint restores everything). The aggregator is as wide
-    as an entity vector."""
-
-    w_node: np.ndarray  # (d_k, d_k) applied to reference answer embeddings
-    w_edge: np.ndarray  # (d_k, d_k) applied to query-difference vectors
-    w_agg: np.ndarray   # (d_k, 2 d_k) applied to [pooled ; query]
-
-
-@dataclass
 class ParameterStore:
+    """The model's tables and the reference aggregator's weights, kept
+    together so a single checkpoint restores everything. The aggregator is
+    as wide as an entity vector."""
+
     kind: ModelKind
     dim: int
     entities: np.ndarray   # (n_entities, d_k)
     relations: np.ndarray  # (n_relations, relation_width)
-    agg: AggregatorParams
+    w_node: np.ndarray     # (d_k, d_k) applied to reference answer embeddings
+    w_edge: np.ndarray     # (d_k, d_k) applied to query-difference vectors
+    w_agg: np.ndarray      # (d_k, 2 d_k) applied to [pooled ; query]
     norm: str = "l2"       # transe distance norm; rotate is always l2
 
     @property
@@ -117,57 +104,45 @@ class ParameterStore:
     def param_arrays(self):
         """All trainable arrays in canonical checkpoint order."""
         return [self.entities, self.relations,
-                self.agg.w_node, self.agg.w_edge, self.agg.w_agg]
+                self.w_node, self.w_edge, self.w_agg]
 
     def copy(self):
-        agg = AggregatorParams(self.agg.w_node.copy(), self.agg.w_edge.copy(),
-                               self.agg.w_agg.copy())
-        return replace(self, entities=self.entities.copy(),
-                       relations=self.relations.copy(), agg=agg)
+        return ParameterStore(self.kind, self.dim,
+                              *(a.copy() for a in self.param_arrays()),
+                              norm=self.norm)
+
+
+def param_shapes(kind, dim, n_entities, n_relations):
+    """Shapes of ``param_arrays()``, in its order."""
+    d_k = entity_width(kind, dim)
+    return [(n_entities, d_k), (n_relations, relation_width(kind, dim)),
+            (d_k, d_k), (d_k, d_k), (d_k, 2 * d_k)]
 
 
 def init_parameters(kind, dim, n_entities, n_relations, seed, gamma=DEFAULT_GAMMA,
                     dtype=np.float32, norm="l2"):
-    """Seed-determined uniform initialisation.
+    """Seed-determined uniform initialisation, one draw per array in
+    ``param_arrays()`` order.
 
     Distance models use the margin-scaled bound (gamma + 2) / dim, dot models
     the familiar 6 / sqrt(dim). Rotate relation phases are uniform in
-    [-pi, pi]. Aggregator weights use uniform Glorot bounds.
+    [-pi, pi]. The aggregator weights use uniform Glorot bounds,
+    sqrt(6 / (fan_in + fan_out)).
     """
     kind = ModelKind(kind)
     if norm not in NORMS:
         raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
-    d_k = entity_width(kind, dim)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     if is_distance_kind(kind):
         bound = (gamma + 2.0) / dim
     else:
         bound = 6.0 / np.sqrt(dim)
-
-    entities = rng.uniform(-bound, bound, size=(n_entities, d_k))
-    if kind == ModelKind.ROTATE:
-        relations = rng.uniform(-np.pi, np.pi, size=(n_relations, dim))
-    else:
-        relations = rng.uniform(-bound, bound,
-                                size=(n_relations, relation_width(kind, dim)))
-
-    def glorot(fan_out, fan_in):
-        b = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-b, b, size=(fan_out, fan_in)).astype(dtype)
-
-    agg = AggregatorParams(
-        w_node=glorot(d_k, d_k),
-        w_edge=glorot(d_k, d_k),
-        w_agg=glorot(d_k, 2 * d_k),
-    )
-    return ParameterStore(
-        kind=kind,
-        dim=dim,
-        entities=entities.astype(dtype),
-        relations=relations.astype(dtype),
-        agg=agg,
-        norm=norm,
-    )
+    shapes = param_shapes(kind, dim, n_entities, n_relations)
+    bounds = [bound, np.pi if kind == ModelKind.ROTATE else bound,
+              *(np.sqrt(6.0 / sum(shape)) for shape in shapes[2:])]
+    arrays = [rng.uniform(-b, b, size=shape).astype(dtype)
+              for b, shape in zip(bounds, shapes)]
+    return ParameterStore(kind, dim, *arrays, norm=norm)
 
 
 def _split(x):
@@ -261,9 +236,9 @@ def pair_score_pullback(store, q, delta, u, scores):
     """Gradient of ``sum(u * scores)`` for the step's form of ``pair_scores``
     (q (B, d), ``delta`` the k it was given as ``out=k``, ``scores`` its
     result). Returns (d_q, rows, weights): the candidates' gradient is
-    ``weights * rows`` (weights None: 1), as ``GradBuffer.add_rows`` scatters
-    it. l2 and rotate give rows delta and weights c = -u / |delta| (0 where
-    delta is 0), dot models rows q[:, None] and weights u, TransE-l1 rows
+    ``weights * rows``, as ``GradBuffer.add_rows`` scatters it. l2 and
+    rotate give rows delta and weights c = -u / |delta| (0 where delta is
+    0), dot models rows q[:, None] and weights u, TransE-l1 rows
     sign(delta), made in place over ``delta``, and weights -u.
     """
     if not is_distance_kind(store.kind):
@@ -292,8 +267,7 @@ def grad_fg(store, h, r, t, upstream=1.0):
     dq, rows, w = pair_score_pullback(store, q, delta,
                                       np.asarray([[upstream]]), fg)
     dh, dr = query_pullback(store, h_arr, r_arr, dq)
-    w = 1.0 if w is None else w[0, 0]
-    return ScoreGrad(dh[0], dr[0], w * rows.reshape(-1, q.shape[-1])[0])
+    return ScoreGrad(dh[0], dr[0], w[0, 0] * rows.reshape(-1, q.shape[-1])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +288,7 @@ def save_checkpoint(path, store, moments=None, step=0, train_hash=0):
         m_list, v_list = moments
     space = 1 if is_complex_kind(store.kind) else 0
     header = CHECKPOINT_MAGIC + _CHECKPOINT_HEADERS[CHECKPOINT_VERSION].pack(
-        CHECKPOINT_VERSION, _KIND_CODES[store.kind], space, store.dim,
+        CHECKPOINT_VERSION, list(ModelKind).index(store.kind), space, store.dim,
         store.n_entities, store.n_relations, train_hash,
         NORMS.index(store.norm))
     arrays = [(arr, "<f4") for arr in (*params, *m_list, *v_list)]
@@ -336,42 +310,31 @@ def check_fits(store, ck_hash, kg, train_hash):
             f"and {kg.n_relations}")
 
 
-def _checkpoint_shapes(code, space, dim, n_ent, n_rel, *_):
-    """Shapes of ``param_arrays()`` from a checkpoint header's fields; the
-    aggregator is as wide as an entity vector. An unknown model code is
-    rejected once the file is read."""
-    kind = _CODE_KINDS.get(code)
-    d_k = entity_width(kind, dim)
-    return [(n_ent, d_k), (n_rel, relation_width(kind, dim)),
-            (d_k, d_k), (d_k, d_k), (d_k, 2 * d_k)]
-
-
 def load_checkpoint(path):
     """Read a checkpoint; returns (store, (m, v), step, train_hash).
 
-    The arrays are copies, so they stay writable.
+    The model code is the kind's position in ``ModelKind``. The arrays are
+    copies, so they stay writable.
     """
-    _, fields, arrays = read_file(
-        path, CHECKPOINT_MAGIC, _CHECKPOINT_HEADERS,
-        lambda _, *fields: [("<f4", a * b) for a, b in
-                            _checkpoint_shapes(*fields)] * 3 + [("<u8", 1)],
-        "checkpoint")
-    code, space, dim, n_ent, n_rel, train_hash, norm_code = fields
-    if norm_code >= len(NORMS):
-        raise CacheError(f"{path}: unknown norm code {norm_code}")
-    if code not in _CODE_KINDS:
-        raise CacheError(f"{path}: unknown model code {code}")
-    kind = _CODE_KINDS[code]
-    if space != (1 if is_complex_kind(kind) else 0):
-        raise CacheError(f"{path}: embedding-space flag disagrees with model")
+    kinds = list(ModelKind)
+
+    def layout(_, code, space, dim, n_ent, n_rel, train_hash, norm_code):
+        if code >= len(kinds):
+            raise CacheError(f"{path}: unknown model code {code}")
+        if space != is_complex_kind(kinds[code]):
+            raise CacheError(f"{path}: embedding-space flag disagrees with model")
+        if norm_code >= len(NORMS):
+            raise CacheError(f"{path}: unknown norm code {norm_code}")
+        return [("<f4", a * b) for a, b in
+                param_shapes(kinds[code], dim, n_ent, n_rel)] * 3 + [("<u8", 1)]
+
+    _, fields, arrays = read_file(path, CHECKPOINT_MAGIC, _CHECKPOINT_HEADERS,
+                                  layout, "checkpoint")
+    code, _, dim, n_ent, n_rel, train_hash, norm_code = fields
+    shapes = param_shapes(kinds[code], dim, n_ent, n_rel)
     *floats, step = arrays
-    shapes = _checkpoint_shapes(*fields)
     params, m_list, v_list = (
         [arr.reshape(shape).copy() for arr, shape in zip(floats[i:i + 5], shapes)]
         for i in (0, 5, 10))
-    store = ParameterStore(
-        kind=kind, dim=dim, entities=params[0], relations=params[1],
-        agg=AggregatorParams(params[2], params[3], params[4]),
-        norm=NORMS[norm_code],
-    )
+    store = ParameterStore(kinds[code], dim, *params, norm=NORMS[norm_code])
     return store, (m_list, v_list), int(step[0]), train_hash

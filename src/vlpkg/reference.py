@@ -7,11 +7,12 @@ Their answer embeddings k_i and query differences s_i = q - q_i are pooled,
     pooled = mean_i( W_node k_i + W_edge s_i )
     t'     = tanh( W_agg [pooled ; q] )
 
-and a candidate tail t is scored by cosine(t', k_t). The combined score adds
-the plain triple score: f = f_c + lambda * f_g. The code pools first, as
-W_node mean_i(k_i) + W_edge W (q - query(sum_i w_i h_i, r)), w_i the mean
-weights and W their sum: equal in exact arithmetic, as each query is affine
-in h, with one product and one query per row instead of one per reference.
+with the store's ``w_node``, ``w_edge`` and ``w_agg``, and a candidate tail
+t is scored by cosine(t', k_t). The combined score adds the plain triple
+score: f = f_c + lambda * f_g. The code pools first, as W_node mean_i(k_i)
++ W_edge W (q - query(sum_i w_i h_i, r)), w_i the mean weights and W their
+sum: equal in exact arithmetic, as each query is affine in h, with one
+product and one query per row instead of one per reference.
 
 Selection orders the relation's training pairs by the capped distance
 d(h, h_i), ties by (head frequency desc, h_i, t_i): the order a stable sort
@@ -244,7 +245,7 @@ def aggregate_batch(store, q, r_ids, indptr, pairs):
     each row's references in order, queries are per row, and each weight
     product is a 3-D matmul.
     """
-    agg, ents = store.agg, store.entities
+    ents = store.entities
     counts = np.diff(indptr)
     w = np.repeat((1.0 / np.maximum(counts, 1)).astype(q.dtype), counts)
     s_h, s_t = (csr_matrix((w, pairs[:, j], indptr),
@@ -254,9 +255,9 @@ def aggregate_batch(store, q, r_ids, indptr, pairs):
         q - query_batch(store, None, r_ids, heads=h_bar))
     # 3-D matmuls: numpy runs one (1, d) product per row, so a row's bits
     # do not depend on the batch, as a 2-D GEMM's do
-    pooled = k_bar[:, None] @ agg.w_node.T + s_bar[:, None] @ agg.w_edge.T
+    pooled = k_bar[:, None] @ store.w_node.T + s_bar[:, None] @ store.w_edge.T
     z = np.concatenate([pooled[:, 0], q], axis=1)
-    t_prime = np.tanh(z[:, None] @ agg.w_agg.T)[:, 0]
+    t_prime = np.tanh(z[:, None] @ store.w_agg.T)[:, 0]
     return t_prime, AggCache(r_ids, s_h, s_t, h_bar, k_bar, s_bar, z, t_prime)
 
 
@@ -267,16 +268,16 @@ def aggregate_pullback(store, cache, d_t_prime, buf):
     operators and the relations of rows with any to the GradBuffer ``buf``;
     returns the gradient on q, which feeds the caller's own query pullback.
     """
-    agg, d_k = store.agg, store.d_k
+    d_k = store.d_k
     d_pre = d_t_prime * (1.0 - cache.t_prime * cache.t_prime)
-    d_z = d_pre @ agg.w_agg
+    d_z = d_pre @ store.w_agg
     d_pooled = d_z[:, :d_k]
     buf.add_dense(2, d_pooled.T @ cache.k_bar)
     buf.add_dense(3, d_pooled.T @ cache.s_bar)
     buf.add_dense(4, d_pre.T @ cache.z)
     has = np.diff(cache.s_h.indptr) > 0
-    d_q = has[:, None] * (d_pooled @ agg.w_edge)  # W d_s_bar
-    buf.add_entities(cache.s_t, d_pooled @ agg.w_node)
+    d_q = has[:, None] * (d_pooled @ store.w_edge)  # W d_s_bar
+    buf.add_entities(cache.s_t, d_pooled @ store.w_node)
     d_h_bar, d_r = query_pullback(store, None, cache.r_ids, -d_q,
                                   heads=cache.h_bar)
     buf.add_entities(cache.s_h, d_h_bar)

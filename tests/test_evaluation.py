@@ -158,6 +158,27 @@ def test_a_nan_entity_row_falls_back_to_the_oracle(kind, norm, mode,
     assert report.rescored == 0  # every query took the fallback
 
 
+def test_a_nan_gold_ranks_last():
+    # the gold is among its own kept candidates, and NaN equals nothing, not
+    # even itself: it must rank behind every other kept candidate, not at
+    # 0.5, so a broken score cannot raise MRR or Hits@1
+    scores = np.array([3.0, np.nan, 1.0, np.nan, 0.0])
+    assert rank_from_scores(scores, 1, np.array([], dtype=int)) == 5.0
+    assert rank_from_scores(scores, 1, np.array([0, 1, 3])) == 3.0
+    kg = augment_reciprocal(random_graph(50, 3, 300, 5, 20, seed=1))
+    store = init_parameters(ModelKind.ROTATE, 8, kg.n_entities,
+                            kg.n_relations, seed=0)
+    store.entities[35] = np.nan
+    findex = FilterIndex(kg)
+    report = evaluate(store, kg, "test", filter_index=findex, keep_ranks=True)
+    golds = [x for x in report.ranks if x.tail == 35]
+    assert len(golds) == 2
+    for x in golds:
+        others = set(findex.tails(x.head, x.relation).tolist()) - {35}
+        assert x.rank == kg.n_entities - len(others)
+    assert min(x.rank for x in report.ranks) >= 1.0
+
+
 @pytest.mark.parametrize("mode", ["combined-f", "fc-only"])
 def test_t_prime_is_built_once_per_block(mode, graph_with_refs, monkeypatch):
     kg, table = graph_with_refs

@@ -112,6 +112,21 @@ def test_caches_pass_the_runners_reload_check(runner, tmp_path, name):
     assert (bench.failed, bench.notes) == (0, [])
 
 
+@pytest.mark.parametrize("name", ["rand5k-vlp", "rand5k-hlp", "comp-vlp"])
+def test_the_runners_correctness_rounds_pass(runner, tmp_path, name):
+    # a train round, an evaluation and the benchmark's own rank and MRR
+    # checks, which read the store, the report and the package's scorers
+    bench = runner.Run(runner.WORKLOADS[name],
+                       argparse.Namespace(quick=True, seed=1), tmp_path)
+    bench.wl.write_inputs(bench.data_dir, 1, quick=True)
+    prep, _ = bench.set_up()
+    store, _ = bench.train_round(prep)
+    report, _ = bench.eval_round(prep, store)
+    bench.check_ranks(prep, store, report)
+    bench.check_mrr(prep, [report.mrr])
+    assert (bench.failed, bench.notes) == (0, [])
+
+
 @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
 def test_every_workload_config_validates(runner, quick):
     for workload in runner.WORKLOADS.values():

@@ -291,7 +291,7 @@ def test_aggregate_empty_reference_list_uses_zero_pool():
     store = init_parameters(ModelKind.ROTATE, 5, kg.n_entities,
                             kg.n_relations, seed=4, dtype=np.float64)
     q = query_batch(store, 4, 1)
-    want = np.tanh(store.agg.w_agg @ np.concatenate([np.zeros(store.d_k), q]))
+    want = np.tanh(store.w_agg @ np.concatenate([np.zeros(store.d_k), q]))
     np.testing.assert_allclose(context_vector(store, table, 4, 1), want,
                                rtol=1e-12)
 
@@ -307,10 +307,9 @@ def test_aggregation_oracle_single_query():
         refs = [(store.entities[t_i], q - query_batch(store, h_i, r))
                 for h_i, t_i in _gathered(table, h, r)]
         assert len(refs) >= 2
-        agg = store.agg
-        pooled = np.mean([agg.w_node @ k + agg.w_edge @ s for k, s in refs],
+        pooled = np.mean([store.w_node @ k + store.w_edge @ s for k, s in refs],
                          axis=0)
-        want = np.tanh(agg.w_agg @ np.concatenate([pooled, q]))
+        want = np.tanh(store.w_agg @ np.concatenate([pooled, q]))
         np.testing.assert_allclose(context_vector(store, table, h, r), want,
                                    rtol=1e-12, err_msg=kind.value)
 

@@ -461,13 +461,13 @@ def test_untouched_rows_stay_bit_identical():
 def test_an_untouched_array_is_neither_read_nor_written():
     store = init_parameters(ModelKind.ROTATE, 4, 10, 3, seed=1)
     adam = AdamState.zeros(store)
-    frozen = (store.agg.w_node, adam.m[2], adam.v[2])
+    frozen = (store.w_node, adam.m[2], adam.v[2])
     for arr in frozen:
         arr.flags.writeable = False
     before = [arr.tobytes() for arr in frozen]
     buf = GradBuffer(store)
     buf.add_entities(np.array([2, 5]), np.ones((2, 8), dtype=store.dtype))
-    buf.add_dense(3, np.ones_like(store.agg.w_edge))
+    buf.add_dense(3, np.ones_like(store.w_edge))
     adam_apply(store, adam, buf, 0.1)
     assert [arr.tobytes() for arr in frozen] == before
     assert (adam.m[3] != 0).all()
