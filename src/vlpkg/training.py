@@ -443,7 +443,8 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
         report = evaluation.evaluate(store, kg, "valid", table=table,
                                      dist_index=dist_index, lam=cfg.lam,
                                      mode=cfg.eval_mode,
-                                     filter_index=filter_index)
+                                     filter_index=filter_index,
+                                     threads=cfg.threads)
         wall = time.perf_counter() - t0
         line = f"{step}\t{l1:.6f}\t{l2:.6f}\t{total:.6f}\t{report.mrr:.6f}\t{wall:.2f}"
         logger.info("step %d  L1 %.4f  L2 %.4f  L %.4f  valid-MRR %.4f",

@@ -80,7 +80,8 @@ def test_block_ranks_equal_the_oracle_under_ties(kind, norm, mode, dtype,
     store = _integer_store(kind, norm, dtype, kg)
     want = _oracle_ranks(store, kg, table, mode, 0.5, findex)
     rows_of_7 = 16 * kg.n_entities * 7  # a budget of 7-row blocks
-    for threads, budget in ((1, None), (3, None), (1, rows_of_7)):
+    for threads, budget in ((1, None), (3, None), (1, rows_of_7),
+                            (3, rows_of_7)):
         if budget:
             monkeypatch.setattr(vlpkg.evaluation, "_BLOCK_BYTES", budget)
         report = evaluate(store, kg, "test", table=table, lam=0.5, mode=mode,
@@ -151,11 +152,13 @@ def test_a_nan_entity_row_falls_back_to_the_oracle(kind, norm, mode,
     findex = FilterIndex(kg)
     store = _integer_store(kind, norm, np.float32, kg)
     store.entities[5] = np.nan
-    report = evaluate(store, kg, "test", table=table, lam=0.5, mode=mode,
-                      filter_index=findex, keep_ranks=True)
-    assert ([x.rank for x in report.ranks]
-            == _oracle_ranks(store, kg, table, mode, 0.5, findex))
-    assert report.rescored == 0  # every query took the fallback
+    want = _oracle_ranks(store, kg, table, mode, 0.5, findex)
+    for threads in (1, 3):  # at 3, the fallback runs inside the workers
+        report = evaluate(store, kg, "test", table=table, lam=0.5, mode=mode,
+                          filter_index=findex, threads=threads,
+                          keep_ranks=True)
+        assert [x.rank for x in report.ranks] == want
+        assert report.rescored == 0  # every query took the fallback
 
 
 def test_a_nan_gold_ranks_last():
@@ -193,10 +196,16 @@ def test_t_prime_is_built_once_per_block(mode, graph_with_refs, monkeypatch):
     monkeypatch.setattr(vlpkg.evaluation, "context_vector", counted)
     monkeypatch.setattr(vlpkg.evaluation, "_BLOCK_BYTES",
                         16 * kg.n_entities * 7)  # 7-row blocks
-    report = evaluate(store, kg, "test", table=table, mode=mode)
-    assert report.n == len(kg.test) > 7
-    assert calls == [len(b) for b in np.array_split(
-        kg.test, range(7, len(kg.test), 7))]
+    n = len(kg.test)
+    for threads in (1, 3):
+        calls.clear()
+        report = evaluate(store, kg, "test", table=table, mode=mode,
+                          threads=threads)
+        assert report.n == n > 7 * threads
+        # threads * ceil(n / (threads * 7)) balanced blocks of <= 7 rows
+        blocks = np.array_split(kg.test, threads * -(-n // (threads * 7)))
+        assert sorted(calls) == sorted(len(b) for b in blocks)
+        assert max(calls) <= 7 and sum(calls) == n
 
 
 @pytest.mark.parametrize("kind,norm", KINDS, ids=KIND_IDS)
@@ -274,11 +283,28 @@ def test_evaluate_threaded_matches_serial(small_kg, small_index):
     store = init_parameters(ModelKind.TRANSE, 6, small_kg.n_entities,
                             small_kg.n_relations, seed=4)
     a = evaluate(store, small_kg, "test", dist_index=small_index,
-                 mode="fg-only")
+                 mode="fg-only", keep_ranks=True)
     b = evaluate(store, small_kg, "test", dist_index=small_index,
-                 mode="fg-only", threads=3)
-    assert a.mrr == b.mrr
-    assert a.hits == b.hits
+                 mode="fg-only", threads=3, keep_ranks=True)
+    assert a.ranks == b.ranks
+    assert report_lines(a) == report_lines(b)
+    kg = random_graph(20, 3, 120, 1, 0, seed=3)  # 1 valid triple, no test
+    store = init_parameters(ModelKind.TRANSE, 6, kg.n_entities,
+                            kg.n_relations, seed=4)
+    one = [evaluate(store, kg, "valid", threads=k, keep_ranks=True)
+           for k in (1, 3)]
+    assert one[0].n == 1 and one[0].ranks == one[1].ranks
+    assert report_lines(one[0]) == report_lines(one[1])
+    empty = evaluate(store, kg, "test", threads=3, keep_ranks=True)
+    assert empty.n == 0 and empty.ranks == []
+
+
+@pytest.mark.parametrize("threads", [0, -1, 2.0])
+def test_evaluate_rejects_a_bad_thread_count(threads, small_kg):
+    store = init_parameters(ModelKind.TRANSE, 6, small_kg.n_entities,
+                            small_kg.n_relations, seed=4)
+    with pytest.raises(ValueError, match="threads"):
+        evaluate(store, small_kg, "test", threads=threads)
 
 
 def test_combined_mode_equals_scalar_combined_score(small_kg, small_index):

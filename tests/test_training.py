@@ -747,6 +747,24 @@ def test_train_writes_log_and_best_checkpoint(tmp_path):
     assert store.kind is ModelKind.DISTMULT
 
 
+def test_validation_ranks_on_the_runs_threads(monkeypatch):
+    import vlpkg.evaluation
+
+    kg, table, _ = _setup(ModelKind.DISTMULT, seed=4)
+    index = compute_distances(kg, cap=3)
+    inner, seen = vlpkg.evaluation.evaluate, []
+
+    def recorded(*args, threads=1, **kwargs):
+        seen.append(threads)
+        return inner(*args, threads=threads, **kwargs)
+
+    monkeypatch.setattr(vlpkg.evaluation, "evaluate", recorded)
+    cfg = _train_cfg(model="distmult", steps=4, eval_every=2, threads=2,
+                     sampler=SamplerConfig(mode="uniform", n_negatives=4))
+    result = train(cfg, kg, table=table, dist_index=index)
+    assert seen == [2, 2] and len(result.history) == 2
+
+
 def test_train_requires_consistent_inputs():
     kg, table, _ = _setup(ModelKind.ROTATE, seed=9)
     with pytest.raises(ValueError, match="reference table"):
