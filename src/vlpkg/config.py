@@ -155,7 +155,7 @@ KEYS = (
     ConfigKey("seed", "seed", int,
               "rng seed (runs are pure functions of config + seed)", low=0),
     ConfigKey("threads", "threads", int,
-              "worker threads for the training step", low=1),
+              "worker threads: speed only, never the results", low=1),
     ConfigKey("out", "out", str, "output directory"),
     ConfigKey("norm", "norm", str, "transe distance norm", NORMS),
     ConfigKey("eval-every", "eval_every", int,

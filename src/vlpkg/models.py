@@ -15,8 +15,8 @@ ordinary euclidean norm over twice the nominal dimension.
 
 ``pair_scores`` without ``out`` is the rank oracle, read by `score_fg` and
 `score_fg_all`: elementwise multiply-and-reduce only, so the vectorised
-all-entities score of a tail is bit-identical to the scalar score of that
-tail. Evaluation's float64 block GEMMs only sort out the candidates that clear
+all-entities score of a tail is bit-identical to the scalar score of that tail.
+Evaluation's block GEMMs, in the store's dtype, only sort out those that clear
 the gold by more than their error bound; the gold and every candidate inside
 the bound are scored with this form (see `evaluation`). ``out=k`` selects the
 training step's form: delta = k - q in place, einsum and matmul, other bits.

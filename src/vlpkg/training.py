@@ -18,17 +18,18 @@ differences in the test suite. Adam keeps its moments in the parameters'
 dtype and updates parameters and moments in place in that dtype, with no
 float64 round trip.
 
-A step draws its negatives, then splits the batch into one chunk per
-thread. A chunk runs one ``forward``: q, f_g of the candidates [t | negatives]
-and, in vlp mode, one reference gather, t' and one all-entity cosine GEMM into
-a (B, n) buffer kept for the run, which L1 turns into ``d_cos`` in place. One
-``backward`` runs each pullback and scatters each id set once. The chunk's
-one (B, 1 + l, d) array is delta = k - q, made in place in the gather.
+A step draws its negatives and splits the batch into ceil(B / STEP_ROWS)
+balanced chunks at any thread count. A chunk runs one ``forward`` (q, f_g of
+the candidates [t | negatives]; in vlp mode one reference gather, t' and one
+all-entity cosine GEMM into a kept buffer that L1 turns into ``d_cos``) and
+one ``backward``, which scatters each id set once into its kept GradBuffer;
+these merge in chunk order. Its one (rows, 1 + l, d) array is delta = k - q.
 
 Determinism contract: a run is a pure function of (dataset bytes, config,
-seed) in a single-worker configuration. Epoch shuffles and per-step sampling
-draw from independent seed streams keyed by (seed, purpose, index), so a
-resumed run consumes exactly the streams an uninterrupted run would.
+seed) at a fixed BLAS thread count, whatever ``threads`` is. Epoch shuffles
+and per-step sampling draw from independent seed streams keyed by (seed,
+purpose, index), so a resumed run consumes exactly the streams an
+uninterrupted run would.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ EPS = 1e-8
 RNG_INIT, RNG_STEP, RNG_SHUFFLE = 0, 1, 2
 
 POSTWEIGHT_SCORES = ("fg", "f")  # the score that feeds the post-weights
+STEP_ROWS = 256  # a step's chunks have at most this many rows, at any threads
 
 
 def stream_rng(seed, purpose, index=0):
@@ -136,11 +138,10 @@ class GradBuffer:
         self.grads[i] += grad
         self.touched[i][:] = True
 
-    def merge(self, other):
-        for mine, theirs in zip(self.grads, other.grads):
+    def merge(self, other):  # bool masks add as OR
+        for mine, theirs in zip(self.grads + self.touched,
+                                other.grads + other.touched):
             mine += theirs
-        for mine, theirs in zip(self.touched, other.touched):
-            mine |= theirs
 
 
 def adam_apply(store, adam, buf, lr):
@@ -300,41 +301,43 @@ def backward(store, fwd, buf):
     buf.add_relations(fwd.r, d_r)
 
 
+def step_buffers(store, vlp, batch):
+    """One (cosine buffer or None, GradBuffer) per chunk of a step of up to
+    ``batch`` rows. A run keeps them: freed, they went back to the OS."""
+    rows = min(batch, STEP_ROWS)
+    return [(np.empty((rows, store.n_entities), store.dtype) if vlp else None,
+             GradBuffer(store)) for _ in range(-(-batch // STEP_ROWS))]
+
+
 def train_step(store, adam, cfg, batch, rng, table=None, presampler=None,
                pool=None, buffers=None):
-    """One optimization step; returns (L1, L2, L) float diagnostics. vlp chunk
-    i reuses ``buffers[i]``: (cosine buffer if long enough, GradBuffer)."""
+    """One optimization step; returns (L1, L2, L) float diagnostics. Chunk i
+    of the batch runs on ``pool`` (if given) in ``buffers[i]``, from
+    ``step_buffers`` (made if None); the chunks merge in order."""
     negatives = draw_negative_batch(cfg.sampler, store.n_entities,
                                     batch[:, 0], rng, presampler)
     vlp = cfg.mode == "vlp"
     l2_scale = cfg.alpha if vlp else 1.0
-    b = len(batch)
     e_unit = _unit_rows(store.entities) if vlp else None
+    chunks = np.array_split(np.arange(len(batch)), -(-len(batch) // STEP_ROWS))
+    buffers = buffers or step_buffers(store, vlp, len(batch))
 
-    def run_part(rows, i=0):
-        cos, part = buffers[i] if buffers else (None, None)
-        fits = cos is not None and len(cos) >= len(rows)
+    def run_part(rows, i):  # buffers[i] fails loudly if made for fewer rows
+        cos, part = buffers[i]
         fwd = forward(store, table, batch[rows], negatives[rows], vlp, e_unit,
-                      cos[:len(rows)] if fits else None)
+                      None if cos is None else cos[:len(rows)])
         post_w = negative_weights(cfg.sampler, *postweight_scores(
             fwd, cfg.lam, cfg.postweight_score))
-        l1 = loss_l1(fwd, normalizer=b) if vlp else 0.0
+        l1 = loss_l1(fwd, normalizer=len(batch)) if vlp else 0.0
         l2 = loss_l2(fwd, post_w, cfg.gamma, cfg.lam, scale=l2_scale,
-                     normalizer=b)
-        part = GradBuffer(store) if part is None else part.clear()
-        backward(store, fwd, part)
+                     normalizer=len(batch))
+        backward(store, fwd, part.clear())
         return l1, l2, part
 
-    if pool is not None and cfg.threads > 1 and b >= 2 * cfg.threads:
-        chunks = np.array_split(np.arange(b), cfg.threads)
-        results = list(pool.map(run_part, chunks, range(cfg.threads)))
-    else:
-        results = [run_part(np.arange(b))]
-
-    l1 = sum(r[0] for r in results)
-    l2 = sum(r[1] for r in results)
-    buf = results[0][2]
-    for _, _, part in results[1:]:
+    l1, l2, parts = zip(*(map if pool is None else pool.map)(
+        run_part, chunks, range(len(chunks))))
+    l1, l2, buf = sum(l1), sum(l2), parts[0]
+    for part in parts[1:]:
         buf.merge(part)
 
     total = l1 + l2_scale * l2
@@ -430,10 +433,7 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
     filter_index = data.FilterIndex(kg) if len(kg.valid) else None
     pool = (concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads)
             if cfg.threads > 1 else None)
-    # kept for the run: freed, the arrays went back to the OS at every step
-    buffers = None if cfg.mode != "vlp" else [
-        (np.empty((len(rows), kg.n_entities), store.dtype), GradBuffer(store))
-        for rows in np.array_split(np.arange(cfg.batch), cfg.threads)]
+    buffers = step_buffers(store, cfg.mode == "vlp", cfg.batch)
 
     def validate_now(step, l1, l2, total):
         nonlocal best_mrr

@@ -6,6 +6,7 @@ import pytest
 import vlpkg.cli
 import vlpkg.evaluation
 import vlpkg.models
+import vlpkg.training
 from vlpkg.cli import build_parser, cache_dir_for, main, parse_grid_file
 from vlpkg.config import ConfigError
 from vlpkg.distances import DistanceIndex, compute_distances
@@ -444,6 +445,26 @@ def test_resume_without_repeating_flags_matches_an_uninterrupted_run(
     assert "refs = 2" in capsys.readouterr().out
     assert ((whole / "checkpoint.vlpc").read_bytes()
             == (cut / "checkpoint.vlpc").read_bytes())
+
+
+def test_train_writes_the_same_bytes_at_any_thread_count(dataset, tmp_path,
+                                                          monkeypatch):
+    """Batch 16 in three chunks (the toy graph is too small for 256-row
+    ones): threads 1 and 2 write the same checkpoint and log values."""
+    monkeypatch.setattr(vlpkg.training, "STEP_ROWS", 6)
+    run = ["train", "--dataset", str(dataset), "--model", "rotate",
+           "--mode", "vlp"] + FAST + ["--eval-every", "4"]
+    for threads in ("1", "2"):
+        assert main(run + ["--threads", threads,
+                           "--out", str(tmp_path / threads)]) == 0
+
+    def columns(threads):
+        lines = (tmp_path / threads / "train.log.tsv").read_text().splitlines()
+        return [line.split("\t")[:5] for line in lines]
+
+    assert len(columns("1")) == 3 and columns("1") == columns("2")
+    assert ((tmp_path / "1" / "checkpoint.vlpc").read_bytes()
+            == (tmp_path / "2" / "checkpoint.vlpc").read_bytes())
 
 
 def test_eval_rejects_checkpoint_from_other_dataset(dataset, tmp_path,

@@ -10,7 +10,7 @@ from vlpkg.models import is_complex_kind
 from vlpkg.sampling import draw_negative_batch, negative_weights
 from vlpkg.training import (BETA1, BETA2, EPS, GradBuffer, RNG_STEP,
                             adam_apply, backward, forward, postweight_scores,
-                            stream_rng)
+                            step_buffers, stream_rng)
 from vlpkg.synth import kg_from_id_triples, random_graph
 
 from conftest import fd_array, max_rel_err
@@ -224,9 +224,10 @@ def test_a_vlp_chunk_holds_no_entity_wide_array_of_its_own():
 @pytest.mark.parametrize("threads", [1, 2])
 def test_kept_step_buffers_are_reused_and_change_nothing(threads,
                                                          monkeypatch):
-    """Three vlp steps with kept buffers give the parameters and moments of
-    three steps without, bit for bit; every step's cosines sit in the kept
-    buffers' memory, and Adam reads the first chunk's kept GradBuffer."""
+    """Three vlp steps of two STEP_ROWS chunks with kept buffers give the
+    parameters and moments of three steps without, bit for bit; every step's
+    cosines sit in the kept buffers' memory, and Adam reads the first chunk's
+    kept GradBuffer."""
     import concurrent.futures
 
     import vlpkg.training
@@ -239,6 +240,7 @@ def test_kept_step_buffers_are_reused_and_change_nothing(threads,
                       sampler=SamplerConfig(mode="selfadv", n_negatives=3))
     seen, merged = [], []
     real_l1, real_adam = vlpkg.training.loss_l1, vlpkg.training.adam_apply
+    monkeypatch.setattr(vlpkg.training, "STEP_ROWS", 4)
     monkeypatch.setattr(vlpkg.training, "loss_l1", lambda fwd, **kw:
                         seen.append(fwd.cos.ctypes.data) or real_l1(fwd, **kw))
     monkeypatch.setattr(vlpkg.training, "adam_apply", lambda *args:
@@ -248,9 +250,7 @@ def test_kept_step_buffers_are_reused_and_change_nothing(threads,
         store = init_parameters("rotate", 4, kg.n_entities, kg.n_relations,
                                 seed=2)
         adam = AdamState.zeros(store)
-        buffers = [(np.empty((len(rows), kg.n_entities), store.dtype),
-                    GradBuffer(store))
-                   for rows in np.array_split(np.arange(8), threads)]
+        buffers = step_buffers(store, True, 8)
         seen.clear()
         merged.clear()
         with concurrent.futures.ThreadPoolExecutor(threads) as pool:
@@ -259,25 +259,30 @@ def test_kept_step_buffers_are_reused_and_change_nothing(threads,
                            stream_rng(0, RNG_STEP, step), table=table,
                            pool=pool, buffers=buffers if kept else None)
         runs.append(store.param_arrays() + adam.m + adam.v)
+    assert len(buffers) == 2
     assert sorted(seen) == sorted([cos.ctypes.data for cos, _ in buffers] * 3)
     assert all(buf is buffers[0][1] for buf in merged) and len(merged) == 3
     for a, b in zip(*runs):
         np.testing.assert_array_equal(a, b)
+    with pytest.raises(IndexError):  # one chunk's buffers, two chunks' rows
+        train_step(store, adam, cfg, kg.train[:8], stream_rng(0, RNG_STEP, 4),
+                   table=table, buffers=step_buffers(store, True, 4))
 
 
-def test_a_last_batch_too_long_for_its_buffer_trains_as_without(
+def test_a_short_last_batch_runs_in_the_kept_buffers_as_without(
         monkeypatch):
-    """Batch 4 at threads 2 keeps two 2-row cosine buffers. The epoch's last
-    batch, 3 rows, runs as one chunk and makes its own; the run equals one
+    """Batch 5 at STEP_ROWS 2 keeps three 2-row cosine buffers. The epoch's
+    last batch, 1 row, runs as one chunk in the first; the run equals one
     whose steps are given no buffers, bit for bit."""
     import vlpkg.training
 
     kg = random_graph(n_entities=60, n_relations=3, n_train=11, n_valid=0,
                       n_test=0, seed=2)
     table = select_references(kg, compute_distances(kg, cap=3), n_refs=2)
-    cfg = TrainConfig(dataset="x", model="rotate", mode="vlp", dim=4, batch=4,
+    cfg = TrainConfig(dataset="x", model="rotate", mode="vlp", dim=4, batch=5,
                       lr=0.01, steps=6, threads=2, eval_every=0, refs=2,
                       sampler=SamplerConfig(mode="selfadv", n_negatives=3))
+    monkeypatch.setattr(vlpkg.training, "STEP_ROWS", 2)
     real, sizes = vlpkg.training.train_step, []
 
     def unbuffered(*args, buffers=None, **kwargs):
@@ -287,7 +292,7 @@ def test_a_last_batch_too_long_for_its_buffer_trains_as_without(
     kept = train(cfg, kg, table=table)
     monkeypatch.setattr(vlpkg.training, "train_step", unbuffered)
     fresh = train(cfg, kg, table=table)
-    assert sizes == [4, 4, 3] * 2
+    assert sizes == [5, 5, 1] * 2
     for a, b in zip(kept.store.param_arrays() + kept.adam.m + kept.adam.v,
                     fresh.store.param_arrays() + fresh.adam.m + fresh.adam.v):
         np.testing.assert_array_equal(a, b)
@@ -540,6 +545,7 @@ def test_vlp_step_gathers_and_pulls_back_references_once_per_chunk(
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(vlpkg.training, name, counted)
+    monkeypatch.setattr(vlpkg.training, "STEP_ROWS", 3)  # 8 rows: 3 chunks
     kg, table, store = _setup(ModelKind.ROTATE)
     cfg = TrainConfig(dataset="x", model="rotate", mode="vlp", dim=4,
                       batch=8, lr=0.01, steps=1, threads=threads,
@@ -548,14 +554,14 @@ def test_vlp_step_gathers_and_pulls_back_references_once_per_chunk(
     with concurrent.futures.ThreadPoolExecutor(threads) as pool:
         train_step(store, AdamState.zeros(store), cfg, kg.train[:8],
                    stream_rng(0, RNG_STEP, 1), table=table, pool=pool)
-    assert calls == {"gather_references": threads,
-                     "aggregate_pullback": threads}
+    assert calls == {"gather_references": 3, "aggregate_pullback": 3}
 
 
 @pytest.mark.parametrize("mode", ["vlp", "hlp"])
 def test_thread_chunks_merge_to_the_single_thread_gradient(mode, monkeypatch):
-    """Two thread chunks, merged, give the one-chunk step's gradients and
-    touched rows (up to float summation order)."""
+    """Three STEP_ROWS chunks, merged, give the one-chunk step's gradients and
+    touched rows (up to float summation order), and the same bytes on 1, 2
+    or 3 threads."""
     import concurrent.futures
 
     import vlpkg.training
@@ -568,7 +574,8 @@ def test_thread_chunks_merge_to_the_single_thread_gradient(mode, monkeypatch):
     seen = []
     monkeypatch.setattr(vlpkg.training, "adam_apply",
                         lambda store, adam, buf, lr: seen.append(buf))
-    for threads in (1, 2):
+    for rows, threads in ((8, 1), (3, 1), (3, 2), (3, 3)):
+        monkeypatch.setattr(vlpkg.training, "STEP_ROWS", rows)
         cfg = TrainConfig(dataset="x", model="rotate", mode=mode, dim=4,
                           batch=8, lr=0.01, steps=1, threads=threads,
                           sampler=SamplerConfig(mode="selfadv",
@@ -576,11 +583,14 @@ def test_thread_chunks_merge_to_the_single_thread_gradient(mode, monkeypatch):
         with concurrent.futures.ThreadPoolExecutor(threads) as pool:
             train_step(store, AdamState.zeros(store), cfg, kg.train[:8],
                        stream_rng(0, RNG_STEP, 1), table=table, pool=pool)
-    one, two = seen
-    for a, b in zip(one.grads, two.grads):
+    one, three, *threaded = seen
+    for a, b in zip(one.grads, three.grads):
         np.testing.assert_allclose(b, a, rtol=1e-5, atol=1e-12)
-    for a, b in zip(one.touched, two.touched):
+    for a, b in zip(one.touched, three.touched):
         np.testing.assert_array_equal(b, a)
+    for buf in threaded:
+        for a, b in zip(three.grads + three.touched, buf.grads + buf.touched):
+            np.testing.assert_array_equal(b, a)
     if mode == "hlp":  # partial masks, so a chunk's lost rows would show
         assert 0 < one.touched[0].sum() < kg.n_entities
     assert all(t.all() for t in one.touched[2:]) == (mode == "vlp")
@@ -671,6 +681,24 @@ def test_training_is_deterministic_and_resumable(tmp_path):
                                   resume=tmp_path / "c" / "checkpoint.vlpc")
     assert bits_c == bits_a
     assert resumed.adam.step == 24
+
+
+@pytest.mark.parametrize("mode", ["vlp", "hlp"])
+def test_checkpoints_are_byte_identical_at_any_thread_count(mode, tmp_path,
+                                                            monkeypatch):
+    """Batches of three STEP_ROWS chunks (the last, 6 rows, of two) train to
+    the same checkpoint bytes on 1, 2 and 3 threads."""
+    import vlpkg.training
+    from vlpkg import PreSampler
+
+    monkeypatch.setattr(vlpkg.training, "STEP_ROWS", 3)
+    kg, table, _ = _setup(ModelKind.ROTATE, seed=9)
+    index = compute_distances(kg, cap=3)
+    pre = PreSampler(index, 1.0)
+    bits = [_train_bits(tmp_path, f"t{threads}",
+                        _train_cfg(mode, threads=threads), kg, table, pre,
+                        index)[1] for threads in (1, 2, 3)]
+    assert bits[0] == bits[1] == bits[2]
 
 
 def test_resumed_log_drops_the_rows_past_its_checkpoint(tmp_path):
