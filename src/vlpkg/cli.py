@@ -192,7 +192,8 @@ def build_parser():
     p.add_argument("--dump-ranks", action="store_true",
                    help="also write ranks.tsv (h, r, t, rank, bucket)")
     p.add_argument("--no-auto", action="store_true")
-    add_config_flags(p, ["dataset", "lambda", "refs", "cap", "norm", "out"])
+    add_config_flags(p, ["dataset", "lambda", "refs", "cap", "norm", "out",
+                         "threads"])
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="print tables from a report.tsv")
@@ -215,6 +216,14 @@ def build_parser():
 # commands
 
 
+def red_mass(index, alpha0, kg):
+    """A PreSampler and its echo line: the mean of its bucket weights over
+    the train heads, the expected share of draws at each distance."""
+    presampler = PreSampler(index, alpha0)
+    mass = presampler.bucket_weights(kg.train[:, 0]).mean(axis=0)
+    return presampler, ("red-mass", " ".join(f"{m:.6g}" for m in mass))
+
+
 def cmd_preprocess(args):
     cfg, _ = resolve_config(args)
     kg, train_hash = load_augmented(cfg.dataset)
@@ -223,6 +232,7 @@ def cmd_preprocess(args):
         ("entities", kg.n_entities),
         ("relations", kg.n_relations),
         ("source-rows", index.n_entities),
+        red_mass(index, cfg.sampler.alpha0, kg)[1],
     ], keys=args.config_keys)
     return 0
 
@@ -238,9 +248,8 @@ def _train_run(cfg, kg, train_hash, auto, echo=(), resume=None):
         index, table, lines = load_caches(cfg, kg, train_hash,
                                           refs=cfg.mode == "vlp", auto=auto)
     if cfg.sampler.pre_mode == "distance":
-        presampler = PreSampler(index, cfg.sampler.alpha0)
-        mass = presampler.bucket_weights(kg.train[:, 0]).mean(axis=0)
-        lines.append(("red-mass", " ".join(f"{m:.6g}" for m in mass)))
+        presampler, line = red_mass(index, cfg.sampler.alpha0, kg)
+        lines.append(line)
     echo_config(cfg, train_hash, lines + list(echo))
     return train(cfg, kg, table=table, presampler=presampler,
                  dist_index=index, out_dir=cfg.out, resume=resume,
@@ -289,7 +298,8 @@ def cmd_eval(args):
     ], keys=args.config_keys)
 
     report = evaluate(store, kg, split, table=table, dist_index=index,
-                      lam=cfg.lam, mode=mode, keep_ranks=args.dump_ranks)
+                      lam=cfg.lam, mode=mode, keep_ranks=args.dump_ranks,
+                      threads=cfg.threads)
 
     out_dir = Path(cfg.out if "out" in given else
                    os.path.dirname(os.path.abspath(args.checkpoint)))
@@ -352,9 +362,8 @@ def cmd_sweep(args):
         print(f"run {i}: " + " ".join(f"{k}={v}" for k, v in values.items())
               + f" -> valid MRR {result.final_valid_mrr:.4f}")
     with open(summary_path, "w", encoding="utf-8") as handle:
-        handle.write("\t".join(keys + ["valid_mrr"]) + "\n")
-        for row in rows:
-            handle.write("\t".join(str(v) for v in row) + "\n")
+        handle.writelines("\t".join(map(str, row)) + "\n"
+                          for row in [keys + ["valid_mrr"]] + rows)
     print(f"summary: {summary_path}")
     return 0
 

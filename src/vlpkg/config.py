@@ -21,9 +21,8 @@ class ConfigError(Exception):
     """One or more invalid configuration values; message lists them all."""
 
     def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
-        self.problems = list(problems)
+        self.problems = ([problems] if isinstance(problems, str)
+                         else list(problems))
         super().__init__("; ".join(self.problems))
 
 

@@ -297,6 +297,4 @@ def rmp_classify(kg):
 
 def distance_bucket(d):
     """Head-tail distance bucket: 1 (distance <= 1), 2, 3 or 4 (>= 4)."""
-    if d <= 1:
-        return 1
-    return int(min(d, 4))
+    return 1 if d <= 1 else int(min(d, 4))

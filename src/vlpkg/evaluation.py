@@ -387,15 +387,10 @@ def write_report(report, path):
 
 def read_report(path):
     """Parse a report.tsv back into its rows."""
-    rows = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            section, key, count, value = line.split("\t")
-            rows.append((section, key, int(count), float(value)))
-    return rows
+        rows = [line.split("\t") for line in handle.read().split("\n") if line]
+    return [(section, key, int(count), float(value))
+            for section, key, count, value in rows]
 
 
 def format_table(lines, section="overall", value_name="MRR"):
@@ -407,10 +402,9 @@ def format_table(lines, section="overall", value_name="MRR"):
     if not rows:
         return f"({section}: no cells)"
     width = max(len(key) for key, _, _ in rows)
-    out = [f"{'cell'.ljust(width)}  {'count':>8}  {value_name:>8}"]
-    for key, count, value in rows:
-        out.append(f"{key.ljust(width)}  {count:>8}  {value:>8.4f}")
-    return "\n".join(out)
+    return "\n".join([f"{'cell'.ljust(width)}  {'count':>8}  {value_name:>8}"]
+                     + [f"{key.ljust(width)}  {count:>8}  {value:>8.4f}"
+                        for key, count, value in rows])
 
 
 def write_ranks(results, path):

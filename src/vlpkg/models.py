@@ -64,10 +64,8 @@ def entity_width(kind, dim):
     return 2 * dim if is_complex_kind(kind) else dim
 
 
-def relation_width(kind, dim):
-    if kind == ModelKind.COMPLEX:
-        return 2 * dim
-    return dim  # transe/distmult real vectors; rotate stores phases
+def relation_width(kind, dim):  # transe/distmult real; rotate stores phases
+    return 2 * dim if kind == ModelKind.COMPLEX else dim
 
 
 @dataclass
@@ -281,11 +279,7 @@ def save_checkpoint(path, store, moments=None, step=0, train_hash=0):
     zeros are written when absent so the layout is fixed.
     """
     params = store.param_arrays()
-    if moments is None:
-        m_list = [np.zeros_like(a) for a in params]
-        v_list = [np.zeros_like(a) for a in params]
-    else:
-        m_list, v_list = moments
+    m_list, v_list = moments or ([np.zeros_like(a) for a in params],) * 2
     space = 1 if is_complex_kind(store.kind) else 0
     header = CHECKPOINT_MAGIC + _CHECKPOINT_HEADERS[CHECKPOINT_VERSION].pack(
         CHECKPOINT_VERSION, list(ModelKind).index(store.kind), space, store.dim,

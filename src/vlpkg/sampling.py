@@ -96,7 +96,8 @@ class PreSampler:
         lo, hi = index.ring_offsets[at], index.ring_offsets[at + 1]
         out[inner] = index.ids[lo + rng.integers(hi - lo)]
         todo = np.flatnonzero(bucket == cap)  # draws still pending
-        rows, row_of = np.unique(todo // l, return_inverse=True)
+        new = np.diff(todo // l, prepend=-1) > 0  # runs of the sorted rows
+        rows, row_of = (todo // l)[new], np.cumsum(new) - 1
         size = np.diff(index.indptr)[flat[rows]]  # ids at distance < cap
         near = np.zeros(len(rows) * n, dtype=bool)  # row-major (rows, n)
         near[np.repeat(np.arange(len(rows)) * n, size)
@@ -106,8 +107,9 @@ class PreSampler:
             owner = np.repeat(np.arange(len(todo)), per[row_of])
             cand = rng.integers(n, size=len(owner))
             hit = np.flatnonzero(~near[row_of[owner] * n + cand])
-            got, first = np.unique(owner[hit], return_index=True)
-            out[todo[got]] = cand[hit[first]]
+            first = hit[np.diff(owner[hit], prepend=-1) > 0]  # sorted runs
+            got = owner[first]
+            out[todo[got]] = cand[first]
             todo, row_of = np.delete(todo, got), np.delete(row_of, got)
         return out.reshape(np.shape(sources) + (l,))
 

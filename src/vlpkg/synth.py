@@ -24,17 +24,14 @@ def write_dataset(directory, train, valid, test):
     directory.mkdir(parents=True, exist_ok=True)
     for name, triples in (("train.txt", train), ("valid.txt", valid), ("test.txt", test)):
         with open(directory / name, "w", encoding="utf-8") as handle:
-            for h, r, t in triples:
-                handle.write(f"{h}\t{r}\t{t}\n")
+            handle.writelines(f"{h}\t{r}\t{t}\n" for h, r, t in triples)
     return directory
 
 
 def kg_from_id_triples(n_entities, n_relations, train, valid=(), test=()):
     """Build a KnowledgeGraph directly from id triples (no files involved)."""
-    vocab = Vocabulary.from_names(
-        [f"e{i:05d}" for i in range(n_entities)],
-        [f"r{i:03d}" for i in range(n_relations)],
-    )
+    vocab = Vocabulary.from_names([f"e{i:05d}" for i in range(n_entities)],
+                                  [f"r{i:03d}" for i in range(n_relations)])
     return KnowledgeGraph(vocab, list(train), list(valid), list(test))
 
 
@@ -53,12 +50,9 @@ def random_graph(n_entities=20, n_relations=3, n_train=120, n_valid=15,
             continue
         seen.add((h, r, t))
         triples.append((h, r, t))
-    return kg_from_id_triples(
-        n_entities, n_relations,
-        triples[:n_train],
-        triples[n_train:n_train + n_valid],
-        triples[n_train + n_valid:],
-    )
+    return kg_from_id_triples(n_entities, n_relations, triples[:n_train],
+                              triples[n_train:n_train + n_valid],
+                              triples[n_train + n_valid:])
 
 
 def compositional_graph(n_clusters=25, cluster_size=5, seed=0):
@@ -81,18 +75,11 @@ def compositional_graph(n_clusters=25, cluster_size=5, seed=0):
     """
     rng = np.random.default_rng(seed)
     train, valid, test = [], [], []
-    ent = 0
-
-    def new_entity():
-        nonlocal ent
-        ent += 1
-        return ent - 1
-
+    n_entities = n_clusters * (cluster_size + 3)
+    ids = iter(range(n_entities))  # each cluster's members, far, hub, target
     for _ in range(n_clusters):
-        members = [new_entity() for _ in range(cluster_size)]
-        far = new_entity()
-        hub = new_entity()
-        target = new_entity()
+        members = [next(ids) for _ in range(cluster_size)]
+        far, hub, target = next(ids), next(ids), next(ids)
         for i, m in enumerate(members):
             train.append((m, 0, hub))               # r_hub
             if i:
@@ -107,7 +94,7 @@ def compositional_graph(n_clusters=25, cluster_size=5, seed=0):
     # shuffle split orders; ingestion must not care
     for split in (train, valid, test):
         rng.shuffle(split)
-    return kg_from_id_triples(ent, 4, train, valid, test)
+    return kg_from_id_triples(n_entities, 4, train, valid, test)
 
 
 def name_triples(kg, split):

@@ -23,7 +23,9 @@ balanced chunks at any thread count. A chunk runs one ``forward`` (q, f_g of
 the candidates [t | negatives]; in vlp mode one reference gather, t' and one
 all-entity cosine GEMM into a kept buffer that L1 turns into ``d_cos``) and
 one ``backward``, which scatters each id set once into its kept GradBuffer;
-these merge in chunk order. Its one (rows, 1 + l, d) array is delta = k - q.
+these merge in chunk order. The candidates' k rows are never held whole:
+both passes gather them into one buffer of ``_BLOCK_BYTES``, a block of
+chunk rows at a time, and score or pull back each block in place.
 
 Determinism contract: a run is a pure function of (dataset bytes, config,
 seed) at a fixed BLAS thread count, whatever ``threads`` is. Epoch shuffles
@@ -41,13 +43,13 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_matrix, issparse
+from scipy.sparse import _sparsetools, issparse
 from scipy.special import expit, log_expit
 
 from . import data, evaluation  # looked up per call: callers may patch them
-from .models import (check_fits, init_parameters, pair_score_pullback,
-                     pair_scores, query_batch, query_pullback,
-                     save_checkpoint)
+from .models import (check_fits, init_parameters, is_distance_kind,
+                     pair_score_pullback, pair_scores, query_batch,
+                     query_pullback, save_checkpoint)
 from .reference import aggregate_batch, aggregate_pullback, gather_references
 from .sampling import draw_negative_batch, negative_weights
 
@@ -61,6 +63,7 @@ RNG_INIT, RNG_STEP, RNG_SHUFFLE = 0, 1, 2
 
 POSTWEIGHT_SCORES = ("fg", "f")  # the score that feeds the post-weights
 STEP_ROWS = 256  # a step's chunks have at most this many rows, at any threads
+_BLOCK_BYTES = 2 << 20  # a block of candidate or Adam rows: about one L2
 
 
 def stream_rng(seed, purpose, index=0):
@@ -101,25 +104,32 @@ class GradBuffer:
         row per id, or broadcasts one row over each row of 2-D ids, as a
         (B, 1, d) array does against (B, n) ids. ``ids`` may instead be a
         sparse (len(rows), n) operator S: the rows S^T @ rows are added.
+        ``rows`` may also be an iterable of (rows, weights) blocks, each of
+        these forms for the next rows of dense ``ids``.
 
-        One sparse (distinct ids x rows) product, a column per row, adds each
-        id's terms in the order given; the sums are added to the rows.
+        One sparse (distinct ids x rows) operator, a column per row, adds each
+        id's terms in the order given into one sum, a block at a time; the
+        sums are added to the rows, in the parameter's dtype.
         """
-        rows = rows.reshape(-1, rows.shape[-1])
-        if issparse(ids):  # CSR: row j's ids and weights, in order
-            ids, weights, ptr = ids.indices, ids.data, ids.indptr
-        else:
-            ids = np.asarray(ids).reshape(-1)
-            ptr = len(ids) // max(len(rows), 1) * np.arange(len(rows) + 1)
         grad, touched = self.grads[i], self.touched[i]
-        present = np.bincount(ids, minlength=len(grad)) > 0
-        distinct = np.flatnonzero(present)
-        slot = np.cumsum(present) - 1  # id -> its row of the product
-        w = (np.ones(len(ids), dtype=rows.dtype) if weights is None
-             else weights.reshape(-1))
-        gather = csc_matrix((w, slot[ids], ptr),
-                            shape=(len(distinct), len(rows)))
-        grad[distinct] += gather @ rows
+        if issparse(ids):  # CSR: row j's ids and weights, in order
+            flat, weights, ptr = ids.indices, ids.data, ids.indptr
+        else:
+            flat, ptr = np.asarray(ids).reshape(-1), None
+        present = np.bincount(flat, minlength=len(grad)) > 0
+        slot = (np.cumsum(present) - 1)[flat]  # each id's row of the sums
+        sums = np.zeros((present.sum(), grad.shape[1]), grad.dtype)
+        start = 0  # the block's first id
+        for block, w in ([(rows, weights)] if isinstance(rows, np.ndarray)
+                         else rows):
+            x = block.reshape(-1, grad.shape[1])  # a column per row
+            stop = (flat.size if block is rows
+                    else start + len(block) * (flat.size // len(ids)))
+            per = (stop - start) // max(len(x), 1)  # ids in each column
+            _add_product(sums, per * np.arange(len(x) + 1) if ptr is None
+                         else ptr, slot[start:stop], w, x)
+            start = stop
+        grad[present] += sums
         touched |= present
 
     def clear(self):  # for reuse; returns the buffer
@@ -144,11 +154,25 @@ class GradBuffer:
             mine += theirs
 
 
+def _add_product(sums, ptr, slots, weights, x):
+    """``sums += A @ x``, A the CSC operator (weights or 1, slots, ptr), by
+    the kernel of ``csc_matrix @``: it adds A x column by column into its
+    output, so blocks of columns added in turn into one ``sums`` make one
+    product's additions, in its order."""
+    w = (np.ones(len(slots), sums.dtype) if weights is None
+         else np.asarray(weights, sums.dtype).reshape(-1))
+    if len(ptr) != len(x) + 1 or ptr[-1] > min(len(slots), len(w)):
+        raise ValueError("scatter rows and weights do not fit their ids")
+    x = np.ascontiguousarray(x, sums.dtype)
+    _sparsetools.csc_matvecs(len(sums), len(x), sums.shape[1], ptr, slots, w,
+                             x.ravel(), sums.ravel())
+
+
 def adam_apply(store, adam, buf, lr):
     """One bias-corrected Adam update restricted to touched rows, in place
-    and in each parameter's dtype: an array with a touched row is updated
-    whole, then its untouched rows are put back; an array with none is not
-    read or written."""
+    and in each parameter's dtype, a block of rows at a time: an array with
+    a touched row is updated whole, then its untouched rows are put back; an
+    array with none is not read or written."""
     adam.step += 1
     t = adam.step
     c1 = 1.0 - BETA1 ** t
@@ -159,19 +183,22 @@ def adam_apply(store, adam, buf, lr):
             continue
         rest = np.flatnonzero(~touched)
         kept = param[rest], m_arr[rest], v_arr[rest]
-        step = grad * (1.0 - BETA1)
-        m_arr *= BETA1
-        m_arr += step
-        np.multiply(grad, grad, out=step)
-        step *= 1.0 - BETA2
-        v_arr *= BETA2
-        v_arr += step
-        np.divide(v_arr, c2, out=step)
-        np.sqrt(step, out=step)
-        step += EPS
-        np.divide(m_arr, step, out=step)
-        step *= lr / c1
-        param -= step
+        size = max(1, _BLOCK_BYTES // (5 * grad[:1].nbytes))  # 5 arrays' rows
+        for at in (slice(lo, lo + size) for lo in range(0, len(grad), size)):
+            p, g, m, v = param[at], grad[at], m_arr[at], v_arr[at]
+            step = g * (1.0 - BETA1)
+            m *= BETA1
+            m += step
+            np.multiply(g, g, out=step)
+            step *= 1.0 - BETA2
+            v *= BETA2
+            v += step
+            np.divide(v, c2, out=step)
+            np.sqrt(step, out=step)
+            step += EPS
+            np.divide(m, step, out=step)
+            step *= lr / c1
+            p -= step
         param[rest], m_arr[rest], v_arr[rest] = kept
 
 
@@ -188,7 +215,6 @@ class Forward:
     r: np.ndarray
     cand: np.ndarray     # (B, 1 + l) ids: the gold tail, then the negatives
     q: np.ndarray        # (B, d_k) query vectors
-    delta: np.ndarray    # (B, 1 + l, d_k) k - q (dot models: k) of cand
     fg: np.ndarray       # (B, 1 + l) f_g(h, r, cand)
     d_fg: np.ndarray
     agg: object = None   # AggCache of t'
@@ -213,15 +239,31 @@ def _unit_pullback(g, unit, inv):
     return g
 
 
+def _gathered(store, cand, q=None):
+    """(slice, its k rows) per block of ``cand``'s rows, gathered into one
+    buffer (``mode="clip"`` writes there with no whole copy); with ``q``, a
+    distance model's delta = k - q, as ``pair_scores`` leaves it."""
+    rows = max(1, _BLOCK_BYTES // (cand.shape[1] * store.entities[:1].nbytes))
+    k = np.empty((min(len(cand), rows), cand.shape[1], store.d_k), store.dtype)
+    for lo in range(0, len(cand), rows):
+        at = slice(lo, lo + rows)
+        block = np.take(store.entities, cand[at], axis=0,
+                        out=k[:len(cand[at])], mode="clip")
+        if q is not None and is_distance_kind(store.kind):
+            np.subtract(block, q[at, None], out=block)
+        yield at, block
+
+
 def forward(store, table, batch, negatives, vlp, e_unit=None, out=None):
     """Score ``batch`` against its gold tails and (B, l) ``negatives``; vlp
     writes its cosines against ``e_unit`` into ``out``, each made if None."""
     h, r, t = batch[:, 0], batch[:, 1], batch[:, 2]
     cand = np.concatenate([t[:, None], negatives], axis=1)
     q = query_batch(store, h, r)
-    delta = store.entities[cand]
-    fg = pair_scores(store, q, delta, out=delta)
-    fwd = Forward(h, r, cand, q, delta, fg, np.zeros_like(fg))
+    fg = np.empty(cand.shape, store.dtype)
+    for at, block in _gathered(store, cand):
+        fg[at] = pair_scores(store, q[at], block, out=block)
+    fwd = Forward(h, r, cand, q, fg, np.zeros_like(fg))
     if vlp:
         refs = gather_references(table, h, r, exclude_tails=t)
         t_prime, fwd.agg = aggregate_batch(store, q, r, *refs)
@@ -290,9 +332,15 @@ def backward(store, fwd, buf):
         _unit_pullback(np.matmul(fwd.d_cos.T, fwd.t_unit[0],
                                  out=buf.grads[0]), *fwd.e_unit)
         buf.touched[0][:] = True
-    d_q, rows, weights = pair_score_pullback(store, fwd.q, fwd.delta,
-                                             fwd.d_fg, fwd.fg)
-    buf.add_entities(fwd.cand, rows, weights)
+    d_q = np.empty_like(fwd.q)
+
+    def pulled_back():  # the candidates' (rows, weights), a block at a time
+        for at, delta in _gathered(store, fwd.cand, fwd.q):
+            d_q[at], rows, weights = pair_score_pullback(
+                store, fwd.q[at], delta, fwd.d_fg[at], fwd.fg[at])
+            yield rows, weights
+
+    buf.add_entities(fwd.cand, pulled_back())
     if fwd.fc is not None:
         d_t = _unit_pullback(fwd.d_cos @ fwd.e_unit[0], *fwd.t_unit)
         d_q += aggregate_pullback(store, fwd.agg, d_t, buf)
@@ -427,8 +475,7 @@ def train(cfg, kg, table=None, presampler=None, dist_index=None,
         log_handle = None
 
     batches_per_epoch = max(1, -(-len(train_triples) // cfg.batch))
-    perm = None
-    perm_epoch = -1
+    perm, perm_epoch = None, -1
     t0 = time.perf_counter()
     filter_index = data.FilterIndex(kg) if len(kg.valid) else None
     pool = (concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads)

@@ -720,15 +720,46 @@ def test_parser_rejects_unused_and_missing_flags(capsys):
     assert "--alpha0" in err and "--grid" in err
 
 
-@pytest.mark.parametrize("command", [["preprocess"],
-                                     ["eval", "--checkpoint", "c"]])
-def test_preprocess_and_eval_have_no_threads_flag(command, capsys):
-    """Only the training step reads ``threads``; the other commands reject
-    the flag with argparse's usage error."""
+def test_preprocess_has_no_threads_flag(capsys):
+    """Only training and evaluation read ``threads``; preprocess rejects the
+    flag with argparse's usage error."""
     with pytest.raises(SystemExit) as info:
-        main(command + ["--dataset", "d", "--threads", "2"])
+        main(["preprocess", "--dataset", "d", "--threads", "2"])
     assert info.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_eval_writes_the_same_files_at_any_thread_count(dataset, tmp_path,
+                                                        capsys):
+    """``vlpkg eval --threads`` ranks on that many threads: report.tsv and
+    ranks.tsv are byte-identical at 1 and 2."""
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", str(dataset), "--out", str(run),
+                 "--model", "rotate", "--mode", "vlp"] + FAST) == 0
+    for threads in ("1", "2"):
+        assert main(["eval", "--dataset", str(dataset), "--dump-ranks",
+                     "--checkpoint", str(run / "checkpoint.vlpc"),
+                     "--threads", threads, "--out",
+                     str(tmp_path / threads)]) == 0
+        assert f"threads = {threads}" in capsys.readouterr().out
+    for name in ("report.tsv", "ranks.tsv"):
+        assert ((tmp_path / "1" / name).read_bytes()
+                == (tmp_path / "2" / name).read_bytes())
+
+
+def test_preprocess_echoes_the_red_mass_that_train_echoes(dataset, tmp_path,
+                                                          capsys):
+    """At the default alpha0 and the same cap, preprocess's ``red-mass``
+    line equals the one a pre-sampling train run echoes."""
+    def red_mass(argv):
+        assert main(argv) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("red-mass = ")]
+
+    got = red_mass(["preprocess", "--dataset", str(dataset), "--cap", "4"])
+    want = red_mass(["train", "--dataset", str(dataset), "--mode", "hlp",
+                     "--out", str(tmp_path / "run")] + FAST)
+    assert len(got) == 1 and got == want
 
 
 def test_cache_dir_override(dataset, tmp_path, monkeypatch, capsys):

@@ -297,3 +297,19 @@ def test_sample_draws_equal_a_rejection_oracle_on_dense_rows(small_index):
             sampler.sample(heads[0], 40, np.random.default_rng(7)),
             _rejection_oracle(sampler, heads[0], 40,
                               np.random.default_rng(7)))
+
+
+def test_sample_bytes_are_pinned():
+    """One fixed-seed batched draw on ``compositional_graph`` at cap 3, where
+    every bucket and several rejection rounds occur, has these bytes: the
+    pending rows and each round's first hits are runs of sorted arrays."""
+    import hashlib
+
+    from vlpkg.synth import compositional_graph
+
+    kg = compositional_graph(seed=0)
+    sampler = PreSampler(compute_distances(kg, cap=3), alpha0=1.0)
+    got = sampler.sample(kg.train[:, 0], 64, np.random.default_rng(5))
+    assert got.shape == (len(kg.train), 64) and got.dtype == np.int64
+    assert hashlib.sha256(got.tobytes()).hexdigest() == (
+        "a62a9862b68e72bdb0e0104872db5beda903b45bfe5e162c651607e89d5f144e")

@@ -809,3 +809,153 @@ def test_threaded_training_runs_and_stays_finite(tmp_path):
     result = train(cfg, kg, table=table, dist_index=index,
                    out_dir=tmp_path / "run")
     assert np.isfinite(result.history[-1][3])
+
+
+_FIVE_KINDS = [(kind, "l2") for kind in KINDS] + [(ModelKind.TRANSE, "l1")]
+_FIVE_IDS = [kind.value for kind in KINDS] + ["transe-l1"]
+
+
+@pytest.mark.parametrize("mode", ["hlp", "vlp"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind, norm", _FIVE_KINDS, ids=_FIVE_IDS)
+def test_three_row_blocks_give_the_one_block_bytes(kind, norm, dtype, mode,
+                                                   monkeypatch):
+    """Two steps whose candidate and Adam blocks hold 3 rows (a 10-row chunk:
+    blocks of 3, 3, 3 and 1) give the params, m and v of two steps with one
+    block per chunk and per array, bit for bit."""
+    import vlpkg.training
+
+    kg = random_graph(n_entities=30, n_relations=3, n_train=40, n_valid=0,
+                      n_test=0, seed=3)
+    table = select_references(kg, compute_distances(kg, cap=3), n_refs=2)
+    cfg = TrainConfig(dataset="x", model=kind.value, mode=mode, dim=4,
+                      batch=10, lr=0.05, norm=norm,
+                      sampler=SamplerConfig(mode="selfadv", n_negatives=4))
+    runs, blocks = [], []
+    real = vlpkg.training._gathered
+    monkeypatch.setattr(vlpkg.training, "_gathered", lambda *args: (
+        blocks.append(at) or (at, k) for at, k in real(*args)))
+    for rows in (3, 1 << 20):
+        store = init_parameters(kind, 4, kg.n_entities, kg.n_relations,
+                                seed=3, dtype=dtype, norm=norm)
+        monkeypatch.setattr(vlpkg.training, "_BLOCK_BYTES",
+                            rows * 5 * store.entities[:1].nbytes)
+        adam = AdamState.zeros(store)
+        for step in (1, 2):
+            train_step(store, adam, cfg, kg.train[10 * step:10 * step + 10],
+                       stream_rng(3, RNG_STEP, step), table=table)
+        runs.append(store.param_arrays() + adam.m + adam.v)
+    assert blocks == [slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 12)] * 4 \
+        + [slice(0, 1 << 20)] * 4  # forward and backward, two steps each
+    for a, b in zip(*runs):
+        assert a.dtype == dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind, norm", _FIVE_KINDS, ids=_FIVE_IDS)
+def test_an_hlp_chunk_holds_a_quarter_of_a_gather(kind, norm):
+    """forward, loss_l2 and backward of a 256-row hlp chunk at l = 64 and
+    d_k = 200 in float32 never hold the (B, 1 + l, d) gather: the traced
+    peak, one block buffer of ``_BLOCK_BYTES`` at a time and the (B, 1 + l)
+    and (B, d) arrays, stays below a quarter of it."""
+    import vlpkg.training
+
+    b, l, n = 256, 64, 50
+    store = init_parameters(kind, 100 if is_complex_kind(kind) else 200, n,
+                            3, seed=0, norm=norm)
+    rng = np.random.default_rng(0)
+    batch = np.stack([rng.integers(n, size=b), rng.integers(3, size=b),
+                      rng.integers(n, size=b)], axis=1)
+    neg = rng.integers(n, size=(b, l))
+    buf = GradBuffer(store)
+    tracemalloc.start()
+    try:
+        fwd = forward(store, None, batch, neg, False)
+        loss_l2(fwd, np.full(neg.shape, 1.0 / l), 6.0, 0.5)
+        backward(store, fwd, buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gather = b * (1 + l) * store.d_k * store.dtype.itemsize
+    assert vlpkg.training._BLOCK_BYTES < gather / 4
+    assert peak < gather / 4, f"peak {peak / gather:.2f} gathers"
+
+
+def _csc_scatter(grad, ids, rows, weights=None):
+    """The one-product scatter, kept as the oracle: ``grad[distinct] +=
+    csc_matrix((w, slot[ids], ptr)) @ rows``, a column per row of rows."""
+    from scipy.sparse import csc_matrix, issparse
+
+    rows = rows.reshape(-1, rows.shape[-1])
+    if issparse(ids):
+        ids, weights, ptr = ids.indices, ids.data, ids.indptr
+    else:
+        ids = np.asarray(ids).reshape(-1)
+        ptr = len(ids) // max(len(rows), 1) * np.arange(len(rows) + 1)
+    present = np.bincount(ids, minlength=len(grad)) > 0
+    slot = np.cumsum(present) - 1
+    w = (np.ones(len(ids), rows.dtype) if weights is None
+         else weights.reshape(-1))
+    grad[present] += csc_matrix((w, slot[ids], ptr),
+                                shape=(present.sum(), len(rows))) @ rows
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_scatter_equals_one_csc_product_bit_for_bit(dtype):
+    """``_add_product`` over consecutive blocks of columns, into one sum,
+    equals ``csc_matrix @`` bit for bit; so does ``add_rows`` given its rows
+    as an iterable of blocks: weighted ids with a row per id, one (B, 1, d)
+    row broadcast over each row of ids, and a sparse operator's ids. Rows
+    that do not fit their ids raise before the kernel runs."""
+    from scipy.sparse import csc_matrix, csr_matrix
+
+    from vlpkg.training import _add_product
+
+    rng = np.random.default_rng(9)
+    store = init_parameters(ModelKind.ROTATE, 4, 12, 3, seed=0, dtype=dtype)
+    n, d = store.entities.shape
+
+    def draw(*shape):
+        scale = 10.0 ** rng.integers(-3, 4, size=shape[:-1] + (1,))
+        return rng.normal(scale=scale, size=shape).astype(dtype)
+
+    slots = rng.integers(5, size=40)
+    ptr = np.sort(rng.integers(41, size=12))
+    ptr[0], ptr[-1] = 0, 40
+    w, x = draw(40, 1)[:, 0], draw(11, d)
+    want = (csc_matrix((w, slots, ptr), shape=(5, 11)) @ x).astype(dtype)
+    for size in (1, 3, 11):
+        got = np.zeros((5, d), dtype)
+        for lo in range(0, 11, size):
+            hi = min(lo + size, 11)
+            _add_product(got, ptr[lo:hi + 1] - ptr[lo],
+                         slots[ptr[lo]:ptr[hi]], w[ptr[lo]:ptr[hi]], x[lo:hi])
+        assert np.array_equal(got, want)
+
+    ids = rng.integers(n, size=(7, 5))
+    for src in (draw(7, 5, d), draw(7, 1, d)):
+        w = draw(7, 5, 1)[..., 0]
+        want = np.zeros_like(store.entities)
+        _csc_scatter(want, ids, src, w)
+        for size in (1, 3, 7):
+            buf = GradBuffer(store)
+            buf.add_entities(ids, [(src[lo:lo + size], w[lo:lo + size])
+                                   for lo in range(0, 7, size)])
+            assert np.array_equal(buf.grads[0], want)
+            buf.add_entities(ids, src, w)  # the one-block array form, again
+            assert np.array_equal(buf.grads[0], 2 * want)
+    op = csr_matrix((draw(9, 1)[:, 0], rng.integers(n, size=9),
+                     [0, 2, 2, 5, 9]), shape=(4, n))
+    src = draw(4, d)
+    want = np.zeros_like(store.entities)
+    _csc_scatter(want, op, src)
+    buf = GradBuffer(store)
+    buf.add_entities(op, src)
+    assert np.array_equal(buf.grads[0], want)
+    np.testing.assert_array_equal(buf.touched[0],
+                                  np.isin(np.arange(n), op.indices))
+    # the kernel checks no bounds: rows that do not fit their ids raise
+    with pytest.raises(ValueError):
+        buf.add_entities(op, src[:3])
+    with pytest.raises(ValueError):  # a block past the last row of ids
+        buf.add_entities(ids, [(src[:1], w[:1])] * 8)
